@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import splev
+from scipy.interpolate import BSpline
 
 from .errors import (
     DimensionMismatchError,
@@ -96,10 +96,11 @@ class SplineBasis:
         return self._eval(times, der=0)
 
     def _eval(self, times: np.ndarray, der: int) -> np.ndarray:
-        # splev with identity coefficients evaluates every basis function at once.
-        tck = (self.knots, np.eye(self.dimension), self.degree)
-        cols = splev(times, tck, der=der)
-        return np.column_stack(cols) if self.dimension > 1 else np.asarray(cols).reshape(-1, 1)
+        # One call evaluates every basis function: the sparse design matrix for
+        # values, a spline with identity coefficients for derivatives.
+        if der == 0:
+            return BSpline.design_matrix(times, self.knots, self.degree).toarray()
+        return BSpline(self.knots, np.eye(self.dimension), self.degree)(times, nu=der)
 
     def eval_function(self, coef, times) -> np.ndarray:
         """Evaluate the spline with coefficient vector ``coef`` at ``times``."""

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from .errors import ConditioningError, DimensionMismatchError
-from .model import Dataset, FitResult, ModelParams, _estep
+from .model import Dataset, FitResult, ModelParams, _estep, _whitened_terms
 
 # Curves whose squared distance exceeds this chi-square quantile (with m_i
 # degrees of freedom) are flagged. Under the Normal model s_i is approximately
@@ -61,7 +61,7 @@ def curve_diagnostics(fit_result: FitResult, data: Dataset) -> list[CurveDiagnos
     """Fitted values, residuals, distances, weights and outlier flags."""
     params = fit_result.params
     _require_same_basis(params, data)
-    e = _estep(data.design_stats, params.theta, params.xi, params.sigma2, params.nu)
+    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
     designs = data.design_matrices
     cutoffs = chi2.ppf(OUTLIER_QUANTILE, data.design_stats.m)
     out = []
@@ -96,12 +96,8 @@ def mean_covariance(fit_result: FitResult, data: Dataset) -> np.ndarray:
     n = data.n
     stats = data.design_stats
     sigma2 = params.sigma2
-    e = _estep(stats, params.theta, params.xi, sigma2, params.nu)
-
-    bt_sinv_r = (e.btr - np.einsum("npk,nk->np", e.A, e.zhat)) / sigma2
-    bt_sinv_b = (
-        stats.btb - np.einsum("npk,nkl,nql->npq", e.A, e.Vinv, e.A) / sigma2
-    ) / sigma2
+    e = _estep(data, params.theta, params.xi, sigma2, params.nu)
+    bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
     if math.isinf(params.nu):
         g = -np.ones(n)
         w = np.ones(n)
@@ -111,8 +107,9 @@ def mean_covariance(fit_result: FitResult, data: Dataset) -> np.ndarray:
             - (params.nu + stats.m) / (params.nu + e.s)
         )
         w = e.w
-    m11 = np.einsum("n,npq->pq", g, bt_sinv_b) / n
-    a_mid = np.einsum("n,np,nq->pq", w**2, bt_sinv_r, bt_sinv_r) / n
+    p = params.p
+    m11 = (g @ bt_sinv_b.reshape(n, p * p)).reshape(p, p) / n
+    a_mid = ((w**2)[:, None] * bt_sinv_r).T @ bt_sinv_r / n
     try:
         m11_inv = np.linalg.inv(m11)
     except np.linalg.LinAlgError as exc:

@@ -106,7 +106,7 @@ class Dataset:
 
     @cached_property
     def design_matrices(self) -> list[np.ndarray]:
-        # One splev call on the pooled time vector, then split per curve.
+        # One basis evaluation on the pooled time vector, then split per curve.
         times = np.concatenate([t.times for t in self.trajectories])
         B = self.basis.design_matrix(times)
         offsets = np.cumsum([t.m for t in self.trajectories])[:-1]
@@ -403,34 +403,77 @@ def _log_density(m: np.ndarray, nu: float, logdet: np.ndarray, s: np.ndarray) ->
     )
 
 
-def _estep(stats: _DesignStats, theta, xi, sigma2, nu) -> _EStep:
-    n = stats.m.size
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-curve matrix-vector products: (n, a, b) x (n, b) -> (n, a)."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def _estep(data: Dataset, theta, xi, sigma2, nu) -> _EStep:
+    """Conditional quantities of every curve at the given parameters.
+
+    All products over the (n, p, p) design blocks are flat matrix products
+    over ``btb.reshape(n * p, p)``; only the d x d solves are batched.
+    """
+    stats = data.design_stats
+    n, p = stats.btx.shape
     d = xi.shape[1]
-    A = stats.btb @ xi
-    xtbx = np.einsum("pk,npl->nkl", xi, A)
-    V = np.broadcast_to(np.eye(d), (n, d, d)) + xtbx / sigma2
+    btb_rows = stats.btb.reshape(n * p, p)
+    A = (btb_rows @ xi).reshape(n, p, d)
+    # xtbx[i, k, l] = sum_p xi[p, k] A[i, p, l]: one product with xi (x) I_d,
+    # whose row (p, j) and column (k, l) hold xi[p, k] [j == l]
+    xi_kron_eye = (xi[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(p * d, d * d)
+    xtbx = (A.reshape(n, p * d) @ xi_kron_eye).reshape(n, d, d)
+    V = xtbx / sigma2
+    V.reshape(n, d * d)[:, :: d + 1] += 1.0
+    # slogdet and inv run the same LU factorization: a zero pivot, the only
+    # case in which inv raises, shows here first as a zero sign
+    sign, logdet_v = np.linalg.slogdet(V)
+    if np.any(sign <= 0):
+        bad = int(np.flatnonzero(sign <= 0)[0])
+        raise ConditioningError(
+            "V_i is numerically singular or indefinite for curve "
+            f"{data.trajectories[bad].id!r}"
+        )
     Vinv = np.linalg.inv(V)
-    btheta = stats.btb @ theta
+    btheta = (btb_rows @ theta).reshape(n, p)
     btr = stats.btx - btheta
     u = btr @ xi
-    zhat = np.einsum("nkl,nl->nk", Vinv, u) / sigma2
+    zhat = _matvec(Vinv, u) / sigma2
     rtr = stats.xtx - 2.0 * (stats.btx @ theta) + btheta @ theta
-    s = np.maximum((rtr - np.einsum("nk,nk->n", u, zhat)) / sigma2, 0.0)
+    s = np.maximum((rtr - (u * zhat).sum(axis=1)) / sigma2, 0.0)
     w = np.ones(n) if math.isinf(nu) else (nu + stats.m) / (nu + s)
-    _, logdet_v = np.linalg.slogdet(V)
     logdet = stats.m * math.log(sigma2) + logdet_v
     ll = _log_density(stats.m, nu, logdet, s)
     return _EStep(A, xtbx, Vinv, btr, u, zhat, rtr, s, w, ll, float(ll.sum()))
 
 
+def _resid2(e: _EStep) -> np.ndarray:
+    """Squared norms of the curves' residuals from their predicted fits."""
+    return np.maximum(
+        e.rtr
+        - 2.0 * (e.zhat * e.u).sum(axis=1)
+        + (e.zhat * _matvec(e.xtbx, e.zhat)).sum(axis=1),
+        0.0,
+    )
+
+
+def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
+    """Per-curve B_i^T Sigma_i^{-1} r_i, shape (n, p), and B_i^T Sigma_i^{-1} B_i,
+    shape (n, p, p), by the low-rank identity behind ``sigma_solve``."""
+    bt_sinv_r = (e.btr - _matvec(e.A, e.zhat)) / sigma2
+    bt_sinv_b = (stats.btb - (e.A @ e.Vinv) @ e.A.transpose(0, 2, 1) / sigma2) / sigma2
+    return bt_sinv_r, bt_sinv_b
+
+
 def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
     """Closed-form updates, all E-quantities held at the current parameters."""
-    p = theta.size
+    n, p = stats.btx.shape
     d = xi.shape[1]
     w = e.w
+    btb_flat = stats.btb.reshape(n, p * p)
 
-    lhs_theta = np.einsum("n,npq->pq", w, stats.btb)
-    rhs_theta = np.einsum("n,np->p", w, stats.btx - np.einsum("npk,nk->np", e.A, e.zhat))
+    lhs_theta = (w @ btb_flat).reshape(p, p)
+    rhs_theta = w @ (stats.btx - _matvec(e.A, e.zhat))
     if alpha > 0:
         lhs_theta = lhs_theta + 2.0 * alpha * P
     try:
@@ -440,8 +483,15 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
 
     if d > 0:
         C = e.Vinv + w[:, None, None] * e.zhat[:, :, None] * e.zhat[:, None, :]
-        lhs = np.einsum("nkl,npq->kplq", C, stats.btb).reshape(d * p, d * p)
-        rhs = np.einsum("n,nk,np->kp", w, e.zhat, e.btr).reshape(d * p)
+        # sum_i C_i (x) BtB_i: one (d*d x n)(n x p*p) product, blocks reordered
+        # from (k, l, p, q) to (k, p, l, q)
+        lhs = (
+            (C.reshape(n, d * d).T @ btb_flat)
+            .reshape(d, d, p, p)
+            .transpose(0, 2, 1, 3)
+            .reshape(d * p, d * p)
+        )
+        rhs = ((w[:, None] * e.zhat).T @ e.btr).reshape(d * p)
         for k in range(d):
             if alphas[k] > 0:
                 blk = slice(k * p, (k + 1) * p)
@@ -454,13 +504,8 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
     else:
         xi_new = xi
 
-    resid2 = np.maximum(
-        e.rtr
-        - 2.0 * np.einsum("nk,nk->n", e.zhat, e.u)
-        + np.einsum("nk,nkl,nl->n", e.zhat, e.xtbx, e.zhat),
-        0.0,
-    )
-    num = float(w @ resid2 + np.einsum("nkl,nlk->", e.Vinv, e.xtbx))
+    trace = e.Vinv.reshape(-1) @ e.xtbx.transpose(0, 2, 1).reshape(-1)
+    num = float(w @ _resid2(e) + trace)
     if alpha > 0 or np.any(alphas > 0):
         # keep the penalized objective ascending: the penalty enters the scale
         # update with the same 1/sigma2 weighting as the residual sum
@@ -527,7 +572,7 @@ def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, alphas, P, max_iter, t
     trace = []
     e = None
     for it in range(max_iter + 1):
-        e = _estep(stats, theta, xi, sigma2, nu)
+        e = _estep(data, theta, xi, sigma2, nu)
         _check_finite(e.ll_curve, data)
         obj = e.loglik - _penalty_value(theta, xi, alpha, alphas, P) / sigma2
         trace.append(obj)
@@ -545,7 +590,7 @@ def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, alphas, P, max_iter, t
 
 def log_likelihood(params: ModelParams, data: Dataset) -> float:
     """Sum of per-curve t (or Gaussian, nu=inf) log densities."""
-    e = _estep(data.design_stats, params.theta, params.xi, params.sigma2, params.nu)
+    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
     _check_finite(e.ll_curve, data)
     return e.loglik
 
@@ -561,7 +606,7 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
             f"params have d={params.d} but config requests d={config.d}"
         )
     alpha, alphas, P = _penalty_terms(config, data.basis, params.d)
-    e = _estep(data.design_stats, params.theta, params.xi, params.sigma2, config.nu)
+    e = _estep(data, params.theta, params.xi, params.sigma2, config.nu)
     _check_finite(e.ll_curve, data)
     theta, xi, sigma2 = _mstep(
         data.design_stats, e, params.theta, params.xi, params.sigma2, alpha, alphas, P
@@ -593,8 +638,8 @@ def _init_new_column(data: Dataset, theta, xi, sigma2, nu) -> np.ndarray:
     """
     stats = data.design_stats
     p = theta.size
-    e = _estep(stats, theta, xi, sigma2, nu)
-    btr_model = e.btr - np.einsum("npk,nk->np", e.A, e.zhat)
+    e = _estep(data, theta, xi, sigma2, nu)
+    btr_model = e.btr - _matvec(e.A, e.zhat)
     # ridge at the scale of the average design diagonal: boundary basis
     # directions with little data support would otherwise dominate the
     # projected-residual scatter through noise amplification
@@ -607,7 +652,7 @@ def _init_new_column(data: Dataset, theta, xi, sigma2, nu) -> np.ndarray:
         w = np.where(e.s <= cutoff, w, 0.0)
     J = data.basis.gram_matrix
     L = np.linalg.cholesky(J)
-    scatter = np.einsum("n,np,nq->pq", w, coefs, coefs)
+    scatter = (w[:, None] * coefs).T @ coefs
     M = L.T @ scatter @ L
     _, evecs = np.linalg.eigh(0.5 * (M + M.T))
     v = np.linalg.solve(L.T, evecs[:, -1])
@@ -619,17 +664,21 @@ def _init_new_column(data: Dataset, theta, xi, sigma2, nu) -> np.ndarray:
     return v * math.sqrt(sigma2 / 2.0)
 
 
-def _stage_result(data, theta, xi, sigma2, nu, trace, converged) -> FitResult:
-    """Canonicalize a converged stage and attach per-curve statistics."""
+def _stage_result(data, theta, xi, sigma2, nu, trace, converged, e: _EStep) -> FitResult:
+    """Canonicalize a converged stage and attach per-curve statistics.
+
+    ``e`` is the E-step at (theta, xi, sigma2). Canonical loadings are
+    xi Q with Q = xi^T J H / sqrt(lam) orthogonal, so predicted scores rotate
+    to zhat Q and Xi^T B^T B Xi to Q^T (.) Q; distances and weights are
+    rotation invariant.
+    """
     params = ModelParams.from_xi(theta, xi, sigma2, nu, data.basis)
-    e = _estep(data.design_stats, params.theta, params.xi, params.sigma2, params.nu)
+    Q = xi.T @ data.basis.gram_matrix @ params.H / np.sqrt(params.lam)
+    zhat = e.zhat @ Q
+    V = Q.T @ e.xtbx @ Q / params.sigma2
+    V.reshape(data.n, params.d**2)[:, :: params.d + 1] += 1.0
     per_curve = [
-        PosteriorStats(
-            zhat=e.zhat[i].copy(),
-            V=np.eye(params.d) + e.xtbx[i] / params.sigma2,
-            s=float(e.s[i]),
-            weight=float(e.w[i]),
-        )
+        PosteriorStats(zhat=zhat[i], V=V[i], s=float(e.s[i]), weight=float(e.w[i]))
         for i in range(data.n)
     ]
     return FitResult(
@@ -674,12 +723,12 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
             # noise budget; without the deduction the inflated noise level
             # masks outlying curves during the stage's early iterations
             sigma2 = sigma2 / 2.0
-        theta, xi, sigma2, trace, converged, _ = _em_loop(
+        theta, xi, sigma2, trace, converged, e = _em_loop(
             data, theta, xi, sigma2, config.nu,
             alpha, alphas_full[:d_cur], P, config.max_iter, config.tol,
             deep=config.deep_convergence,
         )
-        stage = _stage_result(data, theta, xi, sigma2, config.nu, trace, converged)
+        stage = _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
         stages.append(stage)
         theta, xi, sigma2 = stage.params.theta, stage.params.xi, stage.params.sigma2
 
@@ -702,12 +751,12 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
             f"init params have d={init.d} but config requests d={config.d}"
         )
     alpha, alphas, P = _penalty_terms(config, data.basis, config.d)
-    theta, xi, sigma2, trace, converged, _ = _em_loop(
+    theta, xi, sigma2, trace, converged, e = _em_loop(
         data, init.theta, init.xi, init.sigma2, config.nu,
         alpha, alphas, P, config.max_iter, config.tol,
         deep=config.deep_convergence,
     )
-    return _stage_result(data, theta, xi, sigma2, config.nu, trace, converged)
+    return _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
 
 
 # ---------------------------------------------------------------------------
@@ -725,18 +774,11 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
     stats = data.design_stats
     n = data.n
     sigma2, d = params.sigma2, params.d
-    e = _estep(stats, params.theta, params.xi, sigma2, params.nu)
+    e = _estep(data, params.theta, params.xi, sigma2, params.nu)
 
-    bt_sinv_r = (e.btr - np.einsum("npk,nk->np", e.A, e.zhat)) / sigma2
-    eq1 = np.einsum("n,np->p", e.w, bt_sinv_r)
-
-    bt_sinv_b = (
-        stats.btb - np.einsum("npk,nkl,nql->npq", e.A, e.Vinv, e.A) / sigma2
-    ) / sigma2
-    S_n = (
-        -bt_sinv_b.sum(axis=0)
-        + np.einsum("n,np,nq->pq", e.w, bt_sinv_r, bt_sinv_r)
-    )
+    bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
+    eq1 = e.w @ bt_sinv_r
+    S_n = -bt_sinv_b.sum(axis=0) + (e.w[:, None] * bt_sinv_r).T @ bt_sinv_r
 
     if d > 0:
         J = data.basis.gram_matrix
@@ -747,14 +789,8 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
         eq2 = np.zeros((params.p, 0))
         eq3 = np.zeros(0)
 
-    tr_sinv = (stats.m - (d - np.einsum("nkk->n", e.Vinv))) / sigma2
-    resid2 = np.maximum(
-        e.rtr
-        - 2.0 * np.einsum("nk,nk->n", e.zhat, e.u)
-        + np.einsum("nk,nkl,nl->n", e.zhat, e.xtbx, e.zhat),
-        0.0,
-    )
-    eq4 = -0.5 * tr_sinv.sum() + 0.5 * float(e.w @ (resid2 / sigma2**2))
+    tr_sinv = (stats.m - (d - np.trace(e.Vinv, axis1=1, axis2=2))) / sigma2
+    eq4 = -0.5 * tr_sinv.sum() + 0.5 * float(e.w @ (_resid2(e) / sigma2**2))
 
     return np.array(
         [

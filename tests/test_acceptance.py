@@ -157,6 +157,7 @@ def exo10_replay():
     return {"records": records, "bound_gain": np.array(bound_gain)}
 
 
+@pytest.mark.slow
 def test_criterion_1_clean_efficiency(estimation_rows):
     targets = {
         ("normal", "rmse_mu"): 0.142,
@@ -178,6 +179,7 @@ def test_criterion_1_clean_efficiency(estimation_rows):
     assert _report("1 clean-data efficiency", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_2_mean_contamination(estimation_rows):
     exo_n = estimation_rows[("normal", "exo_mean_10", "rmse_mu")]
     exo_c = estimation_rows[("cauchy", "exo_mean_10", "rmse_mu")]
@@ -196,6 +198,7 @@ def test_criterion_2_mean_contamination(estimation_rows):
     assert _report("2 mean contamination", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_3_component_contamination(estimation_rows):
     endo_n = estimation_rows[("normal", "endo_pc_20", "rmse_phi1")]
     endo_c = estimation_rows[("cauchy", "endo_pc_20", "rmse_phi1")]
@@ -219,6 +222,7 @@ def _keeps_true_components(record) -> bool:
     return record["d"] in (2, 3) and record["angle"] < 20.0
 
 
+@pytest.mark.slow
 def test_criterion_4_selection(selection_rows, exo10_replay):
     """BIC selection resists exogenous outliers.
 

@@ -278,29 +278,73 @@ def _manual_em_step(params, data, penalty=0.0):
     return theta_new, xi_new, num / total_m
 
 
-@pytest.mark.parametrize("nu", [1.0, 5.0, math.inf])
-def test_em_step_matches_manual_assembly(rng, nu):
-    basis = build_basis(4, 1, (0, 1))
-    truth = random_params(rng, basis, d=1, sigma2=0.4, nu=nu)
-    data = random_dataset(rng, basis, n=8, m_range=(4, 8), params=truth, noise=0.4)
-    params = random_params(rng, basis, d=1, sigma2=0.6, nu=nu)
-    stepped = em_step(params, data, ModelConfig(nu=nu, d=1))
-    theta_ref, xi_ref, sigma2_ref = _manual_em_step(params, data)
+def _assert_matches_manual(params, data, config, penalty=0.0):
+    stepped = em_step(params, data, config)
+    theta_ref, xi_ref, sigma2_ref = _manual_em_step(params, data, penalty=penalty)
     np.testing.assert_allclose(stepped.theta, theta_ref, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(stepped.xi @ stepped.xi.T, xi_ref @ xi_ref.T, rtol=1e-8, atol=1e-10)
     assert abs(stepped.sigma2 - sigma2_ref) < 1e-10
 
 
-def test_em_step_penalized_matches_manual_assembly(rng):
+@pytest.mark.parametrize(
+    "nu, d",
+    [
+        # the d = 1 cases keep their original ids
+        pytest.param(nu, d, id=str(nu) if d == 1 else f"{nu}-d{d}")
+        for d in (1, 2, 3)
+        for nu in (1.0, 5.0, math.inf)
+    ],
+)
+def test_em_step_matches_manual_assembly(rng, nu, d):
+    basis = build_basis(4, 1, (0, 1))
+    truth = random_params(rng, basis, d=d, sigma2=0.4, nu=nu)
+    data = random_dataset(rng, basis, n=8, m_range=(4, 8), params=truth, noise=0.4)
+    params = random_params(rng, basis, d=d, sigma2=0.6, nu=nu)
+    _assert_matches_manual(params, data, ModelConfig(nu=nu, d=d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_em_step_penalized_matches_manual_assembly(rng, d):
     basis = build_basis(4, 4, (0, 1))
     data = random_dataset(rng, basis, n=8, m_range=(6, 10))
-    params = random_params(rng, basis, d=1, sigma2=0.5, nu=1.0)
-    config = ModelConfig(nu=1.0, d=1, mean_penalty=0.3, component_penalties=0.3)
-    stepped = em_step(params, data, config)
-    theta_ref, xi_ref, sigma2_ref = _manual_em_step(params, data, penalty=0.3)
-    np.testing.assert_allclose(stepped.theta, theta_ref, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(stepped.xi @ stepped.xi.T, xi_ref @ xi_ref.T, rtol=1e-8, atol=1e-10)
-    assert abs(stepped.sigma2 - sigma2_ref) < 1e-10
+    params = random_params(rng, basis, d=d, sigma2=0.5, nu=1.0)
+    config = ModelConfig(nu=1.0, d=d, mean_penalty=0.3, component_penalties=0.3)
+    _assert_matches_manual(params, data, config, penalty=0.3)
+
+
+def test_em_step_on_dropped_dataset_matches_manual_assembly(rng):
+    # the cross-validation path: design statistics sliced from the full dataset
+    basis = build_basis(4, 1, (0, 1))
+    truth = random_params(rng, basis, d=2, sigma2=0.4)
+    data = random_dataset(rng, basis, n=9, m_range=(4, 8), params=truth, noise=0.4)
+    data.design_stats
+    sub = data.drop(4)
+    assert "design_stats" in sub.__dict__
+    params = random_params(rng, basis, d=2, sigma2=0.6)
+    _assert_matches_manual(params, sub, ModelConfig(nu=1.0, d=2))
+
+
+def test_loglik_singular_posterior_precision_is_conditioning_error():
+    # Two identical loading columns 2^70 e_9 on the last basis function, which
+    # is exactly 1 at the right endpoint: for a curve observed there,
+    # V_i = I + Xi^T B^T B Xi / sigma2 rounds to 2^140 [[1, 1], [1, 1]],
+    # singular in floating point. A curve away from that function has V_i = I.
+    J = BASIS.gram_matrix
+    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
+    H = np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])])
+    params = ModelParams(
+        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70, H=H,
+        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
+    )
+    data = Dataset(
+        [
+            Trajectory("early", np.array([0.01, 0.05]), np.array([0.3, -0.2])),
+            Trajectory("late", np.array([1.0]), np.array([0.4])),
+        ],
+        BASIS,
+    )
+    with pytest.raises(ConditioningError, match="'late'"):
+        log_likelihood(params, data)
 
 
 def test_em_step_d0_normal_closed_form(rng):
