@@ -7,14 +7,7 @@ selection, outlier diagnostics, asymptotic confidence bands for the mean,
 and a Monte Carlo study harness.
 """
 
-from .basis import (
-    SplineBasis,
-    build_basis,
-    design_matrix,
-    eval_function,
-    gram_matrix,
-    penalty_matrix,
-)
+from .basis import SplineBasis, build_basis
 from .diagnostics import (
     CurveDiagnostics,
     MeanInference,
@@ -29,6 +22,7 @@ from .errors import (
     DegenerateFitError,
     DimensionMismatchError,
     InvalidDomainError,
+    InvalidInputError,
     InvalidParamsError,
     NumericalOverflowError,
     OutOfDomainError,
@@ -40,16 +34,13 @@ from .model import (
     FitResult,
     ModelConfig,
     ModelParams,
-    PosteriorStats,
     Trajectory,
     em_step,
     estimating_equation_residuals,
     fit,
     fit_from,
     log_likelihood,
-    mahalanobis,
     orthonormalize,
-    posterior_stats,
     robust_weight,
     sigma_solve,
 )

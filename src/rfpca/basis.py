@@ -16,6 +16,7 @@ from scipy.interpolate import BSpline
 from .errors import (
     DimensionMismatchError,
     InvalidDomainError,
+    InvalidInputError,
     OutOfDomainError,
     UnsupportedOrderError,
 )
@@ -42,18 +43,18 @@ class SplineBasis:
     def __init__(self, order: int, interior_knots, domain) -> None:
         order = int(order)
         if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+            raise UnsupportedOrderError(f"order must be >= 1, got {order}")
         a, b = (float(domain[0]), float(domain[1]))
         if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
             raise InvalidDomainError(f"domain must satisfy a < b, got [{a}, {b}]")
         interior = np.asarray(interior_knots, dtype=float)
         if interior.ndim != 1:
-            raise ValueError("interior_knots must be a 1-d sequence")
+            raise InvalidInputError("interior_knots must be a 1-d sequence")
         if interior.size:
             if np.any(np.diff(interior) <= 0):
-                raise ValueError("interior knots must be strictly increasing")
+                raise InvalidInputError("interior knots must be strictly increasing")
             if interior[0] <= a or interior[-1] >= b:
-                raise ValueError("interior knots must lie strictly inside the domain")
+                raise InvalidInputError("interior knots must lie strictly inside the domain")
         self.order = order
         self.interior_knots = interior
         self.domain = (a, b)
@@ -164,25 +165,10 @@ def build_basis(order: int, num_interior_knots: int, domain) -> SplineBasis:
     dimension is ``num_interior_knots + order``.
     """
     if int(num_interior_knots) < 0:
-        raise ValueError(f"num_interior_knots must be >= 0, got {num_interior_knots}")
+        raise InvalidInputError(f"num_interior_knots must be >= 0, got {num_interior_knots}")
     a, b = (float(domain[0]), float(domain[1]))
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise InvalidDomainError(f"domain must satisfy a < b, got [{a}, {b}]")
     interior = np.linspace(a, b, int(num_interior_knots) + 2)[1:-1]
     return SplineBasis(order, interior, (a, b))
 
-
-def design_matrix(basis: SplineBasis, times) -> np.ndarray:
-    return basis.design_matrix(times)
-
-
-def gram_matrix(basis: SplineBasis) -> np.ndarray:
-    return basis.gram_matrix
-
-
-def penalty_matrix(basis: SplineBasis) -> np.ndarray:
-    return basis.penalty_matrix
-
-
-def eval_function(basis: SplineBasis, coef, times) -> np.ndarray:
-    return basis.eval_function(coef, times)

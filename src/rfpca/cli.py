@@ -102,7 +102,7 @@ def save_model(path, result: FitResult) -> None:
         "lambda": params.lam.tolist(),
         "sigma2": params.sigma2,
         "fit": {
-            "loglik": float(result.loglik_trace[-1]),
+            "loglik": result.loglik,
             "iterations": result.iterations,
             "converged": result.converged,
         },
@@ -200,7 +200,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="roughness penalty applied to mean and components (default 0)")
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,14 +251,13 @@ def cmd_fit(args) -> int:
     data = ingest(args.data, args.order, args.knots, args.domain)
     config = ModelConfig(
         nu=args.nu, d=args.dim, mean_penalty=args.penalty,
-        component_penalties=args.penalty, max_iter=args.max_iter,
-        tol=args.tol, seed=args.seed,
+        component_penalties=args.penalty, max_iter=args.max_iter, tol=args.tol,
     )
     result = fit(data, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.json", result)
-    _write_diagnostics_csv(out / "diagnostics.csv", curve_diagnostics(result, data))
+    _write_diagnostics_csv(out / "diagnostics.csv", curve_diagnostics(result.params, data))
     return 0 if result.converged else 2
 
 
@@ -267,8 +265,7 @@ def cmd_select(args) -> int:
     data = ingest(args.data, args.order, args.knots, args.domain)
     config = ModelConfig(
         nu=args.nu, d=args.dmax, mean_penalty=args.penalty,
-        component_penalties=args.penalty, max_iter=args.max_iter,
-        tol=args.tol, seed=args.seed,
+        component_penalties=args.penalty, max_iter=args.max_iter, tol=args.tol,
     )
     report = select_dimension(data, args.dmax, args.criterion, config)
     out = Path(args.out)
@@ -285,16 +282,9 @@ def cmd_diagnose(args) -> int:
         data = Dataset(trajectories, params.basis)
     except ValueError as exc:
         raise RfpcaError(f"data incompatible with the saved model basis: {exc}") from exc
-    shim = FitResult(
-        params=params,
-        loglik_trace=np.array([0.0]),
-        converged=True,
-        iterations=0,
-        per_curve=[],
-    )
     a, b = params.basis.domain
     grid = np.linspace(a, b, args.grid)
-    band = mean_confidence_band(shim, data, grid, args.level)
+    band = mean_confidence_band(params, data, grid, args.level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lower = band.band_center - band.band_half_width
@@ -304,11 +294,11 @@ def cmd_diagnose(args) -> int:
         ["t", "center", "lower", "upper"],
         zip(band.band_grid, band.band_center, lower, upper),
     )
-    _write_diagnostics_csv(out / "outliers.csv", curve_diagnostics(shim, data))
+    _write_diagnostics_csv(out / "outliers.csv", curve_diagnostics(params, data))
     return 0
 
 
-def _study_from_json(path, reps: int, seed: int) -> list[tuple[str, sim.MonteCarloStudy]]:
+def _study_from_json(path, reps: int, seed: int) -> sim.MonteCarloStudy:
     with open(path) as fh:
         doc = json.load(fh)
     scenarios = tuple(
@@ -324,7 +314,7 @@ def _study_from_json(path, reps: int, seed: int) -> list[tuple[str, sim.MonteCar
         for s in doc["scenarios"]
     )
     estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
-    study = sim.MonteCarloStudy(
+    return sim.MonteCarloStudy(
         mode=doc["mode"],
         scenarios=scenarios,
         n=doc.get("n", 100),
@@ -333,15 +323,13 @@ def _study_from_json(path, reps: int, seed: int) -> list[tuple[str, sim.MonteCar
         seed=doc.get("seed", seed),
         d_max=doc.get("d_max", 4),
     )
-    return [("study", study)]
 
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.study:
-        runs = _study_from_json(args.study, args.reps, args.seed)
-        result = sim.monte_carlo(runs[0][1])
+        result = sim.monte_carlo(_study_from_json(args.study, args.reps, args.seed))
         result.to_csv(out / "study.csv")
         return 0
     if args.table == 1:

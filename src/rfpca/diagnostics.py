@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2, norm
 
-from .errors import ConditioningError, DimensionMismatchError
-from .model import Dataset, FitResult, ModelParams, _estep, _whitened_terms
+from .errors import ConditioningError, DimensionMismatchError, InvalidInputError
+from .model import Dataset, ModelParams, _estep, _whitened_terms
 
 # Curves whose squared distance exceeds this chi-square quantile (with m_i
 # degrees of freedom) are flagged. Under the Normal model s_i is approximately
@@ -46,20 +46,20 @@ def _require_same_basis(params: ModelParams, data: Dataset) -> None:
         raise DimensionMismatchError("model and data use different spline bases")
 
 
-def g_weight(nu: float, m: int, s: float) -> float:
-    """Scalar curvature weight entering the sandwich middle matrix.
+def g_weight(nu: float, m, s):
+    """Curvature weight entering the sandwich bread matrix, elementwise in
+    (m, s).
 
     Tends to -1 as nu grows, which is also the exact Normal-model value, so
     the estimator degrades gracefully to the classical sandwich.
     """
     if math.isinf(nu):
-        return -1.0
+        return np.full(np.shape(s), -1.0) if np.ndim(s) else -1.0
     return 2.0 * (nu + m) * s / (m * (nu + s) ** 2) - (nu + m) / (nu + s)
 
 
-def curve_diagnostics(fit_result: FitResult, data: Dataset) -> list[CurveDiagnostics]:
+def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnostics]:
     """Fitted values, residuals, distances, weights and outlier flags."""
-    params = fit_result.params
     _require_same_basis(params, data)
     e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
     designs = data.design_matrices
@@ -83,7 +83,7 @@ def curve_diagnostics(fit_result: FitResult, data: Dataset) -> list[CurveDiagnos
     return out
 
 
-def mean_covariance(fit_result: FitResult, data: Dataset) -> np.ndarray:
+def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:
     """Sandwich estimate of the covariance of the fitted mean coefficients.
 
     Middle matrix: squared-weight outer products of the whitened score
@@ -91,25 +91,16 @@ def mean_covariance(fit_result: FitResult, data: Dataset) -> np.ndarray:
     both sides. Includes the 1/n factor, so this is the covariance of the
     estimate itself, not of a single observation.
     """
-    params = fit_result.params
     _require_same_basis(params, data)
     n = data.n
     stats = data.design_stats
     sigma2 = params.sigma2
     e = _estep(data, params.theta, params.xi, sigma2, params.nu)
     bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
-    if math.isinf(params.nu):
-        g = -np.ones(n)
-        w = np.ones(n)
-    else:
-        g = (
-            2.0 * (params.nu + stats.m) * e.s / (stats.m * (params.nu + e.s) ** 2)
-            - (params.nu + stats.m) / (params.nu + e.s)
-        )
-        w = e.w
+    g = g_weight(params.nu, stats.m, e.s)
     p = params.p
     m11 = (g @ bt_sinv_b.reshape(n, p * p)).reshape(p, p) / n
-    a_mid = ((w**2)[:, None] * bt_sinv_r).T @ bt_sinv_r / n
+    a_mid = ((e.w**2)[:, None] * bt_sinv_r).T @ bt_sinv_r / n
     try:
         m11_inv = np.linalg.inv(m11)
     except np.linalg.LinAlgError as exc:
@@ -119,15 +110,15 @@ def mean_covariance(fit_result: FitResult, data: Dataset) -> np.ndarray:
 
 
 def mean_confidence_band(
-    fit_result: FitResult, data: Dataset, grid, level: float = 0.95
+    params: ModelParams, data: Dataset, grid, level: float = 0.95
 ) -> MeanInference:
     """Pointwise normal-approximation band for the mean function on a grid."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise InvalidInputError(f"level must be in (0, 1), got {level}")
     grid = np.asarray(grid, dtype=float)
-    v_theta = mean_covariance(fit_result, data)
+    v_theta = mean_covariance(params, data)
     B = data.basis.design_matrix(grid)
-    center = B @ fit_result.params.theta
+    center = B @ params.theta
     variance = np.maximum(np.einsum("gp,pq,gq->g", B, v_theta, B), 0.0)
     z = norm.ppf(0.5 * (1.0 + level))
     return MeanInference(

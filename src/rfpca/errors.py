@@ -21,6 +21,10 @@ class DimensionMismatchError(RfpcaError, ValueError):
     """Vector/matrix shapes inconsistent with the basis or model."""
 
 
+class InvalidInputError(RfpcaError, ValueError):
+    """An option or data set outside what the requested operation accepts."""
+
+
 class InvalidParamsError(RfpcaError, ValueError):
     """Model parameters violate their invariants (e.g. sigma2 <= 0)."""
 

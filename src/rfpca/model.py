@@ -28,8 +28,10 @@ from .errors import (
     ConditioningError,
     DegenerateFitError,
     DimensionMismatchError,
+    InvalidInputError,
     InvalidParamsError,
     NumericalOverflowError,
+    OutOfDomainError,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -91,7 +93,7 @@ class Dataset:
         a, b = basis.domain
         for t in trajectories:
             if t.times.min() < a or t.times.max() > b:
-                raise ValueError(
+                raise OutOfDomainError(
                     f"curve {t.id!r} has times outside the basis domain [{a}, {b}]"
                 )
         self.trajectories = trajectories
@@ -153,22 +155,21 @@ class ModelConfig:
     component_penalties: float | Sequence[float] = 0.0
     max_iter: int = 2000
     tol: float = 1e-8
-    seed: int = 0
     deep_convergence: bool = False
 
     def __post_init__(self):
         if not (self.nu > 0):
-            raise ValueError(f"nu must be positive or inf, got {self.nu}")
+            raise InvalidInputError(f"nu must be positive or inf, got {self.nu}")
         if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+            raise InvalidInputError(f"d must be >= 0, got {self.d}")
         if self.mean_penalty < 0:
-            raise ValueError("mean_penalty must be >= 0")
+            raise InvalidInputError("mean_penalty must be >= 0")
         if np.any(np.asarray(self.component_penalties, dtype=float) < 0):
-            raise ValueError("component_penalties must be >= 0")
+            raise InvalidInputError("component_penalties must be >= 0")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidInputError("max_iter must be >= 1")
         if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+            raise InvalidInputError("tol must be positive")
 
     def component_penalty_vector(self, d: int | None = None) -> np.ndarray:
         d = self.d if d is None else d
@@ -176,7 +177,7 @@ class ModelConfig:
         if alphas.ndim == 0:
             return np.full(d, float(alphas))
         if alphas.size < d:
-            raise ValueError(
+            raise InvalidInputError(
                 f"component_penalties has {alphas.size} entries, need {d}"
             )
         return alphas[:d].astype(float)
@@ -259,22 +260,18 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class PosteriorStats:
-    """Per-curve conditional quantities at given parameters."""
-
-    zhat: np.ndarray   # predicted standardized scores, length d
-    V: np.ndarray      # d x d posterior precision factor I + Xi^T B^T B Xi / sigma2
-    s: float           # squared Mahalanobis distance
-    weight: float      # (nu + m) / (nu + s), or 1 under the Normal model
-
-
-@dataclass(frozen=True)
 class FitResult:
+    """A fitted stage. ``loglik_trace`` holds the objective (penalized when
+    the fit is) at each EM iterate; ``loglik``, ``s`` and ``weights`` come from
+    the E-step at the returned parameters."""
+
     params: ModelParams
     loglik_trace: np.ndarray
     converged: bool
     iterations: int
-    per_curve: list[PosteriorStats]
+    loglik: float        # unpenalized log-likelihood
+    s: np.ndarray        # (n,) squared Mahalanobis distances
+    weights: np.ndarray  # (n,) robust weights (nu + m_i) / (nu + s_i)
     stages: tuple["FitResult", ...] = field(default=(), repr=False)
 
 
@@ -350,26 +347,6 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
     return sol, logdet
 
 
-def mahalanobis(params: ModelParams, traj: Trajectory) -> float:
-    """Squared distance of a curve from the model mean in the Sigma_i metric."""
-    B = params.basis.design_matrix(traj.times)
-    r = traj.values - B @ params.theta
-    sol, _ = sigma_solve(params, B, r)
-    return max(float(r @ sol), 0.0)
-
-
-def posterior_stats(params: ModelParams, traj: Trajectory) -> PosteriorStats:
-    """Predicted scores, their precision factor, distance and robust weight."""
-    B = params.basis.design_matrix(traj.times)
-    r = traj.values - B @ params.theta
-    sol, _ = sigma_solve(params, B, r)
-    G = B @ params.xi
-    zhat = G.T @ sol
-    V = np.eye(params.d) + (G.T @ G) / params.sigma2
-    s = max(float(r @ sol), 0.0)
-    return PosteriorStats(zhat=zhat, V=V, s=s, weight=float(robust_weight(params.nu, traj.m, s)))
-
-
 # ---------------------------------------------------------------------------
 # Batched E-step / M-step over the whole dataset
 # ---------------------------------------------------------------------------
@@ -441,7 +418,7 @@ def _estep(data: Dataset, theta, xi, sigma2, nu) -> _EStep:
     zhat = _matvec(Vinv, u) / sigma2
     rtr = stats.xtx - 2.0 * (stats.btx @ theta) + btheta @ theta
     s = np.maximum((rtr - (u * zhat).sum(axis=1)) / sigma2, 0.0)
-    w = np.ones(n) if math.isinf(nu) else (nu + stats.m) / (nu + s)
+    w = robust_weight(nu, stats.m, s)
     logdet = stats.m * math.log(sigma2) + logdet_v
     ll = _log_density(stats.m, nu, logdet, s)
     return _EStep(A, xtbx, Vinv, btr, u, zhat, rtr, s, w, ll, float(ll.sum()))
@@ -624,21 +601,22 @@ def _penalty_terms(config: ModelConfig, basis: SplineBasis, d: int):
 _INIT_TRIM = 0.25  # fraction of highest-distance curves excluded from the init scatter
 
 
-def _init_new_column(data: Dataset, theta, xi, sigma2, nu) -> np.ndarray:
+def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
     """Seed the next loading column from the weighted residual scatter.
 
-    Residual coefficient vectors come from a ridge-regularized projection of
-    each curve's current residuals onto the basis; the column is the leading
-    eigenvector of their weighted scatter in the Gram metric, scaled so its
-    initial variance is sigma2 / 2. Under a t model the scatter additionally
-    drops the quarter of curves with the largest Mahalanobis distances:
-    outlying curves can otherwise hand the initializer a contamination
-    direction whose EM basin the robust fit never escapes. The Normal-model
-    initializer uses the plain scatter.
+    ``e`` is the E-step at the previous stage's parameters; what is read from
+    it (B^T r - A zhat, distances, weights) does not depend on how those
+    loadings are rotated. Residual coefficient vectors come from a
+    ridge-regularized projection of each curve's current residuals onto the
+    basis; the column is the leading eigenvector of their weighted scatter in
+    the Gram metric, scaled so its initial variance is sigma2 / 2. Under a t
+    model the scatter additionally drops the quarter of curves with the
+    largest Mahalanobis distances: outlying curves can otherwise hand the
+    initializer a contamination direction whose EM basin the robust fit never
+    escapes. The Normal-model initializer uses the plain scatter.
     """
     stats = data.design_stats
-    p = theta.size
-    e = _estep(data, theta, xi, sigma2, nu)
+    p = data.basis.dimension
     btr_model = e.btr - _matvec(e.A, e.zhat)
     # ridge at the scale of the average design diagonal: boundary basis
     # directions with little data support would otherwise dominate the
@@ -665,28 +643,16 @@ def _init_new_column(data: Dataset, theta, xi, sigma2, nu) -> np.ndarray:
 
 
 def _stage_result(data, theta, xi, sigma2, nu, trace, converged, e: _EStep) -> FitResult:
-    """Canonicalize a converged stage and attach per-curve statistics.
-
-    ``e`` is the E-step at (theta, xi, sigma2). Canonical loadings are
-    xi Q with Q = xi^T J H / sqrt(lam) orthogonal, so predicted scores rotate
-    to zhat Q and Xi^T B^T B Xi to Q^T (.) Q; distances and weights are
-    rotation invariant.
-    """
-    params = ModelParams.from_xi(theta, xi, sigma2, nu, data.basis)
-    Q = xi.T @ data.basis.gram_matrix @ params.H / np.sqrt(params.lam)
-    zhat = e.zhat @ Q
-    V = Q.T @ e.xtbx @ Q / params.sigma2
-    V.reshape(data.n, params.d**2)[:, :: params.d + 1] += 1.0
-    per_curve = [
-        PosteriorStats(zhat=zhat[i], V=V[i], s=float(e.s[i]), weight=float(e.w[i]))
-        for i in range(data.n)
-    ]
+    """Canonicalize a stage; ``e`` is the E-step at (theta, xi, sigma2), and the
+    log-likelihood, distances and weights taken from it are rotation invariant."""
     return FitResult(
-        params=params,
+        params=ModelParams.from_xi(theta, xi, sigma2, nu, data.basis),
         loglik_trace=trace,
         converged=converged,
         iterations=len(trace) - 1,
-        per_curve=per_curve,
+        loglik=e.loglik,
+        s=e.s,
+        weights=e.w,
     )
 
 
@@ -702,7 +668,7 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
     if config.d > p:
         raise DimensionMismatchError(f"d={config.d} exceeds basis dimension p={p}")
     if data.n < 2:
-        raise ValueError("fit needs at least two curves")
+        raise InvalidInputError("fit needs at least two curves")
     stats = data.design_stats
     sigma2 = float(stats.xtx.sum() / stats.total_obs)
     if sigma2 <= 0:
@@ -715,9 +681,10 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
     P = data.basis.penalty_matrix if need_pen else None
 
     stages: list[FitResult] = []
+    e = None
     for d_cur in range(config.d + 1):
         if d_cur > 0:
-            col = _init_new_column(data, theta, xi, sigma2, config.nu)
+            col = _init_new_column(data, e, sigma2, config.nu)
             xi = np.column_stack([xi, col])
             # the new column starts with variance sigma2/2 taken out of the
             # noise budget; without the deduction the inflated noise level

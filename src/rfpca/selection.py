@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RfpcaError
+from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
 from .model import Dataset, FitResult, ModelConfig, fit, fit_from, log_likelihood
 
 CRITERIA = ("aic", "bic", "cv")
@@ -76,7 +76,7 @@ def cross_validate(
     iteration cap still contributes its last iterate, with a warning.
     """
     if data.n < 3:
-        raise ValueError(f"cross-validation needs n >= 3 curves, got {data.n}")
+        raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
     if full_fit is None:
         full_fit = fit(data, config)
     score = 0.0
@@ -113,21 +113,21 @@ def select_dimension(
     criterion (ties go to the smaller, more parsimonious dimension)."""
     criterion = str(criterion).lower()
     if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        raise InvalidInputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if criterion in ("aic", "bic") and config.penalized:
-        raise ValueError(
+        raise InvalidInputError(
             "information criteria are unavailable for penalized fits; use cv"
         )
     p = data.basis.dimension
     if d_max > p:
-        raise ValueError(f"d_max={d_max} exceeds basis dimension p={p}")
+        raise DimensionMismatchError(f"d_max={d_max} exceeds basis dimension p={p}")
 
     rows: list[dict] = []
     c_bic = math.log(data.n) / 2.0
     try:
         chain = fit(data, dataclasses.replace(config, d=d_max))
         for d, stage in enumerate(chain.stages):
-            ll = log_likelihood(stage.params, data)
+            ll = stage.loglik
             df = degrees_of_freedom(p, d)
             lam = stage.params.lam
             row = {

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.integrate import quad, simpson
 
 from .basis import SplineBasis, build_basis
-from .errors import RfpcaError
-from .model import Dataset, FitResult, ModelConfig, Trajectory, fit, log_likelihood
+from .errors import InvalidInputError, RfpcaError
+from .model import Dataset, FitResult, ModelConfig, Trajectory, fit
 from .selection import degrees_of_freedom
 
 ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms
@@ -160,9 +160,9 @@ class Contamination:
 
     def __post_init__(self):
         if self.kind not in CONTAMINATION_KINDS:
-            raise ValueError(f"unknown contamination kind {self.kind!r}")
+            raise InvalidInputError(f"unknown contamination kind {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
+            raise InvalidInputError("epsilon must be in [0, 1)")
 
     @classmethod
     def none(cls) -> "Contamination":
@@ -194,7 +194,7 @@ def simulate_dataset(
     the base draws, so epsilon = 0 reproduces the clean dataset bit for bit.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInputError("n must be >= 1")
     rng = np.random.default_rng(seed)
     grids = design.sample(rng, n, truth.domain)
     n_comp = len(truth.lambdas)
@@ -333,9 +333,9 @@ class MonteCarloStudy:
 
     def __post_init__(self):
         if self.mode not in ("estimation", "selection"):
-            raise ValueError(f"unknown study mode {self.mode!r}")
+            raise InvalidInputError(f"unknown study mode {self.mode!r}")
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise InvalidInputError("reps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -413,11 +413,10 @@ def _selection_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
             try:
                 chain = fit(data, config)
                 ok = all(stage.converged for stage in chain.stages)
-                lls = [log_likelihood(stage.params, data) for stage in chain.stages]
                 dfs = [degrees_of_freedom(p, d) for d in range(study.d_max + 1)]
                 for criterion in study.criteria:
                     c_n = 1.0 if criterion == "aic" else c_bic
-                    scores = [ll - c_n * df for ll, df in zip(lls, dfs)]
+                    scores = [st.loglik - c_n * df for st, df in zip(chain.stages, dfs)]
                     out.append({
                         "scenario": scen.name, "nu": nu, "criterion": criterion,
                         "chosen_d": int(np.argmax(scores)), "ok": ok,

@@ -377,7 +377,7 @@ def test_criterion_11_band_coverage():
             seed=SEED + 4000 + rep,
         )
         res = fit(data, ModelConfig(nu=math.inf, d=0))
-        band = mean_confidence_band(res, data, np.array([0.5]), 0.95)
+        band = mean_confidence_band(res.params, data, np.array([0.5]), 0.95)
         lo = band.band_center[0] - band.band_half_width[0]
         hi = band.band_center[0] + band.band_half_width[0]
         hits += lo <= 0.0 <= hi

@@ -8,7 +8,7 @@ import pytest
 
 from rfpca import CsvParseError
 from rfpca.cli import ingest, load_model, main, read_long_csv, save_model
-from rfpca.model import ModelConfig, fit
+from rfpca.model import ModelConfig, fit, log_likelihood
 from rfpca.simulate import Contamination, GridDesign, TrueModel, simulate_dataset
 
 
@@ -219,6 +219,18 @@ def test_simulate_command_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_penalized_model_file_loglik_is_unpenalized(tmp_path, sim_csv):
+    out = tmp_path / "pen"
+    code = main([
+        "fit", "--data", str(sim_csv), "--dim", "2", "--penalty", "0.5",
+        "--domain", "0,1", "--out", str(out),
+    ])
+    assert code == 0
+    params, meta = load_model(out / "model.json")
+    ll = log_likelihood(params, ingest(sim_csv, domain=(0, 1)))
+    assert abs(meta["loglik"] - ll) <= 1e-9 * abs(ll)
+
+
 def test_nonconvergence_exit_code(tmp_path, sim_csv):
     out = tmp_path / "nc"
     code = main([
@@ -247,3 +259,39 @@ def test_usage_errors(tmp_path, sim_csv):
 def test_missing_file_is_reported(tmp_path):
     code = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fit", "--data", "{one}"], id="fit-one-curve"),
+        pytest.param(["fit", "--data", "{csv}", "--max-iter", "0"], id="max-iter-0"),
+        pytest.param(["fit", "--data", "{csv}", "--tol", "0"], id="tol-0"),
+        pytest.param(["fit", "--data", "{csv}", "--dim", "-1"], id="dim-neg"),
+        pytest.param(["fit", "--data", "{csv}", "--penalty", "-1"], id="penalty-neg"),
+        pytest.param(["fit", "--data", "{csv}", "--knots", "-1"], id="knots-neg"),
+        pytest.param(["fit", "--data", "{csv}", "--order", "0"], id="order-0"),
+        pytest.param(["fit", "--data", "{csv}", "--domain", "0.2,0.5"], id="domain-narrow"),
+        pytest.param(["select", "--data", "{csv}", "--dmax", "20"], id="dmax-above-p"),
+        pytest.param(
+            ["select", "--data", "{csv}", "--criterion", "bic", "--penalty", "1"],
+            id="bic-penalized",
+        ),
+        pytest.param(
+            ["diagnose", "--data", "{csv}", "--model", "{model}", "--level", "1.5"],
+            id="level-above-1",
+        ),
+        pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
+    ],
+)
+def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
+    one = tmp_path / "one.csv"
+    _write_csv(one, [("a", 0.1, 1.0), ("a", 0.5, 2.0), ("a", 0.9, 1.5)])
+    model = tmp_path / "model.json"
+    save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=0)))
+    paths = {"one": one, "csv": sim_csv, "model": model}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rfpca: error:")
+    assert "Traceback" not in err

@@ -42,7 +42,7 @@ def test_curve_diagnostics_d0_fitted_values():
         TrueModel(), GridDesign.random_uniform(10), 20, Contamination.none(), seed=1
     )
     res = fit(data, ModelConfig(nu=math.inf, d=0))
-    diags = curve_diagnostics(res, data)
+    diags = curve_diagnostics(res.params, data)
     for diag, traj in zip(diags, data.trajectories):
         B = data.basis.design_matrix(traj.times)
         np.testing.assert_allclose(diag.fitted_values, B @ res.params.theta, atol=1e-12)
@@ -63,7 +63,7 @@ def test_curve_diagnostics_near_noiseless():
         trajs.append(Trajectory(f"c{i}", times, x))
     data = Dataset(trajs, BASIS)
     res = fit(data, ModelConfig(nu=math.inf, d=2))
-    diags = curve_diagnostics(res, data)
+    diags = curve_diagnostics(res.params, data)
     assert max(d.residual_norm for d in diags) < 0.05
 
 
@@ -75,7 +75,7 @@ def test_contaminated_curve_gets_smallest_weight():
     )
     assert record.contaminated.size == 1
     res = fit(data, ModelConfig(nu=1.0, d=1))
-    diags = curve_diagnostics(res, data)
+    diags = curve_diagnostics(res.params, data)
     weights = np.array([d.weight for d in diags])
     assert int(np.argmin(weights)) == int(record.contaminated[0])
 
@@ -86,7 +86,7 @@ def test_outlier_flag_coherence():
         Contamination("exogenous_mean", epsilon=0.10, K=4.0), seed=11,
     )
     res = fit(data, ModelConfig(nu=1.0, d=2))
-    diags = curve_diagnostics(res, data)
+    diags = curve_diagnostics(res.params, data)
     weights = np.array([d.weight for d in diags])
     median_w = np.median(weights)
     flagged = [d for d in diags if d.outlier_flag]
@@ -98,19 +98,19 @@ def test_diagnostics_basis_mismatch():
     res, data = _clean_fit(n=20, m=10)
     other = Dataset(data.trajectories, build_basis(4, 6, (0, 1)))
     with pytest.raises(DimensionMismatchError):
-        curve_diagnostics(res, other)
+        curve_diagnostics(res.params, other)
 
 
 def test_mean_covariance_symmetric_psd():
     res, data = _clean_fit(n=50, seed=2)
-    v = mean_covariance(res, data)
+    v = mean_covariance(res.params, data)
     assert np.allclose(v, v.T)
     assert np.linalg.eigvalsh(v).min() >= -1e-10
 
 
 def test_mean_covariance_scales_inversely_with_n():
     res, data = _clean_fit(n=80, seed=5, nu=1.0, d=1)
-    v1 = mean_covariance(res, data)
+    v1 = mean_covariance(res.params, data)
     doubled = Dataset(
         data.trajectories
         + [
@@ -119,7 +119,7 @@ def test_mean_covariance_scales_inversely_with_n():
         ],
         data.basis,
     )
-    v2 = mean_covariance(fit(doubled, ModelConfig(nu=1.0, d=1)), doubled)
+    v2 = mean_covariance(fit(doubled, ModelConfig(nu=1.0, d=1)).params, doubled)
     ratio = np.linalg.norm(v2) / np.linalg.norm(v1)
     assert abs(ratio - 0.5) < 0.02
 
@@ -130,7 +130,7 @@ def test_mean_covariance_d0_normal_matches_classical_sandwich():
         truth0, GridDesign.fixed_uniform(20), 40, Contamination.none(), seed=9
     )
     res = fit(data, ModelConfig(nu=math.inf, d=0))
-    v = mean_covariance(res, data)
+    v = mean_covariance(res.params, data)
     btb = np.zeros((9, 9))
     meat = np.zeros((9, 9))
     for traj in data.trajectories:
@@ -145,12 +145,12 @@ def test_mean_covariance_d0_normal_matches_classical_sandwich():
 def test_band_symmetric_and_level_validation():
     res, data = _clean_fit(n=40, seed=3, d=1)
     grid = np.linspace(0, 1, 21)
-    band = mean_confidence_band(res, data, grid, 0.9)
+    band = mean_confidence_band(res.params, data, grid, 0.9)
     np.testing.assert_allclose(band.band_center, res.params.mean(grid), atol=1e-12)
     assert np.all(band.band_half_width >= 0)
     assert band.level == 0.9
     with pytest.raises(ValueError):
-        mean_confidence_band(res, data, grid, 1.2)
+        mean_confidence_band(res.params, data, grid, 1.2)
 
 
 def test_band_shrinks_like_root_n():
@@ -161,7 +161,7 @@ def test_band_shrinks_like_root_n():
             seed=21,
         )
         res = fit(data, ModelConfig(nu=math.inf, d=0))
-        band = mean_confidence_band(res, data, np.linspace(0.1, 0.9, 9), 0.95)
+        band = mean_confidence_band(res.params, data, np.linspace(0.1, 0.9, 9), 0.95)
         widths[n] = band.band_half_width.mean()
     ratio = widths[400] / widths[100]
     assert 0.4 <= ratio <= 0.6

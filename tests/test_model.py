@@ -17,13 +17,12 @@ from rfpca import (
     fit,
     fit_from,
     log_likelihood,
-    mahalanobis,
     orthonormalize,
-    posterior_stats,
     robust_weight,
     sigma_solve,
     simulate_dataset,
 )
+from rfpca.model import _estep
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
 
@@ -32,7 +31,7 @@ BASIS = build_basis(4, 5, (0, 1))
 
 
 # ---------------------------------------------------------------------------
-# sigma_solve / mahalanobis / posterior_stats against dense algebra
+# sigma_solve and the batched E-step against dense algebra
 # ---------------------------------------------------------------------------
 
 def test_sigma_solve_d0_reduction(rng):
@@ -77,26 +76,6 @@ def test_woodbury_sweep(rng):
         assert abs(logdet - np.linalg.slogdet(sigma)[1]) < 1e-10 * max(1, abs(logdet))
 
 
-def test_mahalanobis(rng):
-    params = random_params(rng, BASIS, d=2)
-    times = np.sort(rng.uniform(0, 1, 9))
-    B = BASIS.design_matrix(times)
-    center = Trajectory("c", times, B @ params.theta)
-    assert mahalanobis(params, center) == 0.0
-
-    p0 = random_params(rng, BASIS, d=0, sigma2=1.0)
-    values = B @ p0.theta + rng.normal(size=9)
-    traj = Trajectory("c", times, values)
-    r = values - B @ p0.theta
-    assert abs(mahalanobis(p0, traj) - r @ r) < 1e-12
-
-    traj2 = Trajectory("c", times, rng.normal(size=9))
-    r2 = traj2.values - B @ params.theta
-    sigma = dense_covariance(params, B)
-    ref = r2 @ np.linalg.solve(sigma, r2)
-    assert abs(mahalanobis(params, traj2) - ref) < 1e-10 * ref
-
-
 def test_robust_weight():
     assert robust_weight(math.inf, 5, 123.4) == 1.0
     for nu in (0.5, 1.0, 5.0, 50.0):
@@ -104,27 +83,29 @@ def test_robust_weight():
     assert abs(robust_weight(1.0, 20, 100.0) - 21.0 / 101.0) < 1e-15
 
 
-def test_posterior_stats(rng):
-    params = random_params(rng, BASIS, d=2, sigma2=0.5)
-    times = np.sort(rng.uniform(0, 1, 10))
-    B = BASIS.design_matrix(times)
-    center = posterior_stats(params, Trajectory("c", times, B @ params.theta))
-    np.testing.assert_allclose(center.zhat, 0.0, atol=1e-12)
-
-    p0 = random_params(rng, BASIS, d=0, sigma2=0.5)
-    traj = Trajectory("c", times, rng.normal(size=10))
-    ps0 = posterior_stats(p0, traj)
-    assert ps0.zhat.size == 0 and ps0.V.shape == (0, 0)
-    r = traj.values - B @ p0.theta
-    assert abs(ps0.s - r @ r / 0.5) < 1e-12
-
-    traj2 = Trajectory("c", times, rng.normal(size=10))
-    ps = posterior_stats(params, traj2)
-    sigma = dense_covariance(params, B)
-    r2 = traj2.values - B @ params.theta
-    zhat_ref = params.xi.T @ B.T @ np.linalg.solve(sigma, r2)
-    np.testing.assert_allclose(ps.zhat, zhat_ref, rtol=1e-10, atol=1e-12)
-    assert abs(ps.weight - robust_weight(params.nu, 10, ps.s)) < 1e-14
+@pytest.mark.parametrize("nu", [1.0, math.inf])
+@pytest.mark.parametrize("d", [0, 2])
+def test_estep_matches_dense(rng, d, nu):
+    params = random_params(rng, BASIS, d=d, sigma2=0.5, nu=nu)
+    data = random_dataset(rng, BASIS, n=6, m_range=(3, 12), params=params)
+    # curve 0 lies on the model mean
+    first = data.trajectories[0]
+    data = Dataset(
+        [Trajectory(first.id, first.times, params.mean(first.times))] + data.trajectories[1:],
+        BASIS,
+    )
+    e = _estep(data, params.theta, params.xi, params.sigma2, nu)
+    assert e.s[0] == 0.0
+    np.testing.assert_allclose(e.zhat[0], 0.0, atol=1e-12)
+    for i, traj in enumerate(data.trajectories[1:], start=1):
+        B = BASIS.design_matrix(traj.times)
+        r = traj.values - B @ params.theta
+        sol = np.linalg.solve(dense_covariance(params, B), r)
+        assert abs(e.s[i] - r @ sol) < 1e-10 * (r @ sol)
+        np.testing.assert_allclose(e.zhat[i], params.xi.T @ B.T @ sol, rtol=1e-10, atol=1e-12)
+        if d == 0:
+            assert abs(e.s[i] - r @ r / params.sigma2) < 1e-12
+    np.testing.assert_array_equal(e.w, robust_weight(nu, data.design_stats.m, e.s))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +406,12 @@ def test_fit_structure_and_invariants():
     assert res.params.lam[0] > res.params.lam[1] > 0
     for stage in res.stages:
         assert np.all(np.diff(stage.loglik_trace) >= -1e-8)
-    # per-curve stats match the public per-curve operations
-    ps = res.per_curve[0]
-    ref = posterior_stats(res.params, data.trajectories[0])
-    np.testing.assert_allclose(ps.zhat, ref.zhat, atol=1e-8)
-    assert abs(ps.s - ref.s) < 1e-8
-    assert abs(ps.weight - robust_weight(1.0, data.trajectories[0].m, ps.s)) < 1e-12
+    # per-curve arrays come from the E-step at the returned parameters
+    assert abs(res.loglik - log_likelihood(res.params, data)) < 1e-9 * abs(res.loglik)
+    m = np.array([t.m for t in data.trajectories])
+    np.testing.assert_array_equal(res.weights, robust_weight(1.0, m, res.s))
+    e = _estep(data, res.params.theta, res.params.xi, res.params.sigma2, res.params.nu)
+    np.testing.assert_allclose(res.s, e.s, rtol=0, atol=1e-8)
 
 
 def test_fit_determinism():
