@@ -92,7 +92,7 @@ class SplineBasis:
         """Evaluate all basis functions at ``times``; row j is b(t_j)^T."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.ndim != 1:
-            raise ValueError("times must be a 1-d array")
+            raise DimensionMismatchError("times must be a 1-d array")
         self._check_times(times)
         return self._eval(times, der=0)
 

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import simulate as sim
 from .basis import SplineBasis, build_basis
 from .diagnostics import curve_diagnostics, mean_confidence_band
-from .errors import CsvParseError, RfpcaError
+from .errors import CsvParseError, InvalidInputError, RfpcaError
 from .model import Dataset, FitResult, ModelConfig, ModelParams, Trajectory, fit
 from .selection import select_dimension
 
@@ -111,23 +112,37 @@ def save_model(path, result: FitResult) -> None:
         json.dump(doc, fh, indent=1)
 
 
+@contextmanager
+def _json_fields(path, what: str):
+    """Report undecodable JSON or missing and mistyped fields as an input
+    error naming the file; the package's own errors pass through."""
+    try:
+        yield
+    except RfpcaError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(
+            f"{path}: malformed {what} ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_model(path) -> tuple[ModelParams, dict]:
-    with open(path) as fh:
+    with open(path) as fh, _json_fields(path, "model file"):
         doc = json.load(fh)
-    basis = SplineBasis.from_dict(doc["basis"])
-    nu = math.inf if doc["nu"] == "inf" else float(doc["nu"])
-    H = np.asarray(doc["H"], dtype=float).reshape(basis.dimension, doc["d"])
-    lam = np.asarray(doc["lambda"], dtype=float)
-    params = ModelParams(
-        theta=np.asarray(doc["theta"], dtype=float),
-        xi=H * np.sqrt(lam),
-        H=H,
-        lam=lam,
-        sigma2=float(doc["sigma2"]),
-        nu=nu,
-        basis=basis,
-    )
-    return params, doc.get("fit", {})
+        basis = SplineBasis.from_dict(doc["basis"])
+        nu = math.inf if doc["nu"] == "inf" else float(doc["nu"])
+        H = np.asarray(doc["H"], dtype=float).reshape(basis.dimension, doc["d"])
+        lam = np.asarray(doc["lambda"], dtype=float)
+        params = ModelParams(
+            theta=np.asarray(doc["theta"], dtype=float),
+            xi=H * np.sqrt(lam),
+            H=H,
+            lam=lam,
+            sigma2=float(doc["sigma2"]),
+            nu=nu,
+            basis=basis,
+        )
+        return params, doc.get("fit", {})
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fit(args) -> int:
     data = ingest(args.data, args.order, args.knots, args.domain)
-    config = ModelConfig(
-        nu=args.nu, d=args.dim, mean_penalty=args.penalty,
-        component_penalties=args.penalty, max_iter=args.max_iter, tol=args.tol,
-    )
+    config = ModelConfig(nu=args.nu, d=args.dim, penalty=args.penalty,
+                         max_iter=args.max_iter, tol=args.tol)
     result = fit(data, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,10 +276,8 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     data = ingest(args.data, args.order, args.knots, args.domain)
-    config = ModelConfig(
-        nu=args.nu, d=args.dmax, mean_penalty=args.penalty,
-        component_penalties=args.penalty, max_iter=args.max_iter, tol=args.tol,
-    )
+    config = ModelConfig(nu=args.nu, d=args.dmax, penalty=args.penalty,
+                         max_iter=args.max_iter, tol=args.tol)
     report = select_dimension(data, args.dmax, args.criterion, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,6 +293,8 @@ def cmd_diagnose(args) -> int:
         data = Dataset(trajectories, params.basis)
     except ValueError as exc:
         raise RfpcaError(f"data incompatible with the saved model basis: {exc}") from exc
+    if args.grid < 1:
+        raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
     a, b = params.basis.domain
     grid = np.linspace(a, b, args.grid)
     band = mean_confidence_band(params, data, grid, args.level)
@@ -299,30 +312,30 @@ def cmd_diagnose(args) -> int:
 
 
 def _study_from_json(path, reps: int, seed: int) -> sim.MonteCarloStudy:
-    with open(path) as fh:
+    with open(path) as fh, _json_fields(path, "study file"):
         doc = json.load(fh)
-    scenarios = tuple(
-        sim.StudyScenario(
-            name=s["name"],
-            contamination=sim.Contamination(
-                kind=s.get("kind", "none"),
-                epsilon=s.get("epsilon", 0.0),
-                K=s.get("K", 4.0),
-                literal_scores=s.get("literal_scores", False),
-            ),
+        scenarios = tuple(
+            sim.StudyScenario(
+                name=s["name"],
+                contamination=sim.Contamination(
+                    kind=s.get("kind", "none"),
+                    epsilon=s.get("epsilon", 0.0),
+                    K=s.get("K", 4.0),
+                    literal_scores=s.get("literal_scores", False),
+                ),
+            )
+            for s in doc["scenarios"]
         )
-        for s in doc["scenarios"]
-    )
-    estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
-    return sim.MonteCarloStudy(
-        mode=doc["mode"],
-        scenarios=scenarios,
-        n=doc.get("n", 100),
-        reps=doc.get("reps", reps),
-        estimators=estimators,
-        seed=doc.get("seed", seed),
-        d_max=doc.get("d_max", 4),
-    )
+        estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
+        return sim.MonteCarloStudy(
+            mode=doc["mode"],
+            scenarios=scenarios,
+            n=doc.get("n", 100),
+            reps=doc.get("reps", reps),
+            estimators=estimators,
+            seed=doc.get("seed", seed),
+            d_max=doc.get("d_max", 4),
+        )
 
 
 def cmd_simulate(args) -> int:

@@ -59,11 +59,11 @@ class Trajectory:
                 f"curve {self.id!r}: times and values must be equal-length vectors"
             )
         if times.size < 1:
-            raise ValueError(f"curve {self.id!r}: needs at least one observation")
+            raise InvalidInputError(f"curve {self.id!r}: needs at least one observation")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError(f"curve {self.id!r}: times and values must be finite")
+            raise InvalidInputError(f"curve {self.id!r}: times and values must be finite")
         if np.any(np.diff(times) < 0):
-            raise ValueError(f"curve {self.id!r}: times must be nondecreasing")
+            raise InvalidInputError(f"curve {self.id!r}: times must be nondecreasing")
 
     @property
     def m(self) -> int:
@@ -86,10 +86,10 @@ class Dataset:
     def __init__(self, trajectories: Sequence[Trajectory], basis: SplineBasis):
         trajectories = list(trajectories)
         if not trajectories:
-            raise ValueError("dataset needs at least one trajectory")
+            raise InvalidInputError("dataset needs at least one trajectory")
         ids = [t.id for t in trajectories]
         if len(set(ids)) != len(ids):
-            raise ValueError("trajectory ids must be unique")
+            raise InvalidInputError("trajectory ids must be unique")
         a, b = basis.domain
         for t in trajectories:
             if t.times.min() < a or t.times.max() > b:
@@ -146,47 +146,27 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Fit configuration: t degrees of freedom, model dimension, penalties,
-    and EM stopping rule. ``nu=math.inf`` selects the Normal model."""
+    """Fit configuration: t degrees of freedom, model dimension, roughness
+    penalty (on the mean and every component alike) and EM stopping rule.
+    ``nu=math.inf`` selects the Normal model."""
 
     nu: float = 1.0
     d: int = 0
-    mean_penalty: float = 0.0
-    component_penalties: float | Sequence[float] = 0.0
+    penalty: float = 0.0
     max_iter: int = 2000
     tol: float = 1e-8
-    deep_convergence: bool = False
 
     def __post_init__(self):
         if not (self.nu > 0):
             raise InvalidInputError(f"nu must be positive or inf, got {self.nu}")
         if self.d < 0:
             raise InvalidInputError(f"d must be >= 0, got {self.d}")
-        if self.mean_penalty < 0:
-            raise InvalidInputError("mean_penalty must be >= 0")
-        if np.any(np.asarray(self.component_penalties, dtype=float) < 0):
-            raise InvalidInputError("component_penalties must be >= 0")
+        if not (self.penalty >= 0):
+            raise InvalidInputError(f"penalty must be >= 0, got {self.penalty}")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         if not (self.tol > 0):
             raise InvalidInputError("tol must be positive")
-
-    def component_penalty_vector(self, d: int | None = None) -> np.ndarray:
-        d = self.d if d is None else d
-        alphas = np.asarray(self.component_penalties, dtype=float)
-        if alphas.ndim == 0:
-            return np.full(d, float(alphas))
-        if alphas.size < d:
-            raise InvalidInputError(
-                f"component_penalties has {alphas.size} entries, need {d}"
-            )
-        return alphas[:d].astype(float)
-
-    @property
-    def penalized(self) -> bool:
-        return self.mean_penalty > 0 or np.any(
-            np.asarray(self.component_penalties, dtype=float) > 0
-        )
 
 
 @dataclass(frozen=True)
@@ -442,8 +422,9 @@ def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
     return bt_sinv_r, bt_sinv_b
 
 
-def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
-    """Closed-form updates, all E-quantities held at the current parameters."""
+def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, P):
+    """Closed-form updates, all E-quantities held at the current parameters;
+    ``P`` is the penalty matrix, None when the fit is unpenalized."""
     n, p = stats.btx.shape
     d = xi.shape[1]
     w = e.w
@@ -469,10 +450,10 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
             .reshape(d * p, d * p)
         )
         rhs = ((w[:, None] * e.zhat).T @ e.btr).reshape(d * p)
-        for k in range(d):
-            if alphas[k] > 0:
+        if alpha > 0:
+            for k in range(d):
                 blk = slice(k * p, (k + 1) * p)
-                lhs[blk, blk] += 2.0 * alphas[k] * P
+                lhs[blk, blk] += 2.0 * alpha * P
         try:
             vec = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
@@ -483,23 +464,22 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, alphas, P):
 
     trace = e.Vinv.reshape(-1) @ e.xtbx.transpose(0, 2, 1).reshape(-1)
     num = float(w @ _resid2(e) + trace)
-    if alpha > 0 or np.any(alphas > 0):
+    if alpha > 0:
         # keep the penalized objective ascending: the penalty enters the scale
         # update with the same 1/sigma2 weighting as the residual sum
-        num += 2.0 * _penalty_value(theta, xi, alpha, alphas, P)
+        num += 2.0 * _penalty_value(theta, xi, alpha, P)
     sigma2_new = num / stats.total_obs
     if sigma2_new <= 0:
         raise DegenerateFitError("sigma2 update is nonpositive; residuals vanished")
     return theta_new, xi_new, sigma2_new
 
 
-def _penalty_value(theta, xi, alpha, alphas, P) -> float:
+def _penalty_value(theta, xi, alpha, P) -> float:
     if P is None:
         return 0.0
     val = alpha * float(theta @ P @ theta)
     for k in range(xi.shape[1]):
-        if alphas[k] > 0:
-            val += alphas[k] * float(xi[:, k] @ P @ xi[:, k])
+        val += alpha * float(xi[:, k] @ P @ xi[:, k])
     return val
 
 
@@ -511,34 +491,17 @@ def _check_finite(ll_curve: np.ndarray, data: Dataset) -> None:
         )
 
 
-_AITKEN_RATE_CAP = 0.999  # treat slower apparent rates as noise in the gap estimate
-
-
-def _converged(trace: list, tol: float, deep: bool) -> bool:
-    """EM stopping rule.
-
-    The base rule stops once the relative objective change drops below tol,
-    the classical EM criterion. In deep mode the Aitken-extrapolated
-    remaining ascent (step * rate / (1 - rate)) must also fall below tol:
-    the objective converges geometrically while parameters lag behind as the
-    square root of the remaining ascent, so the base rule alone can stop far
-    from the stationary point. Deep mode is what makes a tol=1e-10 fit land
-    on the estimating equations to fixed-point accuracy.
-    """
+def _converged(trace: list, tol: float) -> bool:
+    """EM stops once the relative objective change drops below tol. The
+    parameters lag behind the objective as the square root of the remaining
+    ascent: landing on the estimating equations takes tol=1e-14."""
     if len(trace) < 3:
         return False
     step = abs(trace[-1] - trace[-2])
-    if step / (abs(trace[-2]) + 1.0) >= tol:
-        return False
-    if not deep:
-        return True
-    prev = abs(trace[-2] - trace[-3])
-    rate = min(step / prev, _AITKEN_RATE_CAP) if prev > 0 else 0.0
-    return step * rate / (1.0 - rate) < tol
+    return step / (abs(trace[-2]) + 1.0) < tol
 
 
-def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, alphas, P, max_iter, tol,
-             deep: bool = False):
+def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, P, max_iter, tol):
     """Iterate EM updates until the objective stabilizes.
 
     Returns (theta, xi, sigma2, trace, converged, final E-step). The trace
@@ -551,13 +514,13 @@ def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, alphas, P, max_iter, t
     for it in range(max_iter + 1):
         e = _estep(data, theta, xi, sigma2, nu)
         _check_finite(e.ll_curve, data)
-        obj = e.loglik - _penalty_value(theta, xi, alpha, alphas, P) / sigma2
+        obj = e.loglik - _penalty_value(theta, xi, alpha, P) / sigma2
         trace.append(obj)
-        if _converged(trace, tol, deep):
+        if _converged(trace, tol):
             return theta, xi, sigma2, np.array(trace), True, e
         if it == max_iter:
             break
-        theta, xi, sigma2 = _mstep(stats, e, theta, xi, sigma2, alpha, alphas, P)
+        theta, xi, sigma2 = _mstep(stats, e, theta, xi, sigma2, alpha, P)
     return theta, xi, sigma2, np.array(trace), False, e
 
 
@@ -582,20 +545,18 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
         raise DimensionMismatchError(
             f"params have d={params.d} but config requests d={config.d}"
         )
-    alpha, alphas, P = _penalty_terms(config, data.basis, params.d)
+    alpha, P = _penalty_terms(config, data.basis)
     e = _estep(data, params.theta, params.xi, params.sigma2, config.nu)
     _check_finite(e.ll_curve, data)
     theta, xi, sigma2 = _mstep(
-        data.design_stats, e, params.theta, params.xi, params.sigma2, alpha, alphas, P
+        data.design_stats, e, params.theta, params.xi, params.sigma2, alpha, P
     )
     return ModelParams.from_xi(theta, xi, sigma2, config.nu, data.basis)
 
 
-def _penalty_terms(config: ModelConfig, basis: SplineBasis, d: int):
-    alpha = float(config.mean_penalty)
-    alphas = config.component_penalty_vector(d)
-    P = basis.penalty_matrix if (alpha > 0 or np.any(alphas > 0)) else None
-    return alpha, alphas, P
+def _penalty_terms(config: ModelConfig, basis: SplineBasis):
+    alpha = float(config.penalty)
+    return alpha, (basis.penalty_matrix if alpha > 0 else None)
 
 
 _INIT_TRIM = 0.25  # fraction of highest-distance curves excluded from the init scatter
@@ -675,10 +636,7 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
         raise DegenerateFitError("all observed values are zero; nothing to fit")
     theta = np.zeros(p)
     xi = np.zeros((p, 0))
-    alpha = float(config.mean_penalty)
-    alphas_full = config.component_penalty_vector()
-    need_pen = alpha > 0 or np.any(alphas_full > 0)
-    P = data.basis.penalty_matrix if need_pen else None
+    alpha, P = _penalty_terms(config, data.basis)
 
     stages: list[FitResult] = []
     e = None
@@ -691,9 +649,7 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
             # masks outlying curves during the stage's early iterations
             sigma2 = sigma2 / 2.0
         theta, xi, sigma2, trace, converged, e = _em_loop(
-            data, theta, xi, sigma2, config.nu,
-            alpha, alphas_full[:d_cur], P, config.max_iter, config.tol,
-            deep=config.deep_convergence,
+            data, theta, xi, sigma2, config.nu, alpha, P, config.max_iter, config.tol
         )
         stage = _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
         stages.append(stage)
@@ -717,11 +673,9 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
         raise DimensionMismatchError(
             f"init params have d={init.d} but config requests d={config.d}"
         )
-    alpha, alphas, P = _penalty_terms(config, data.basis, config.d)
+    alpha, P = _penalty_terms(config, data.basis)
     theta, xi, sigma2, trace, converged, e = _em_loop(
-        data, init.theta, init.xi, init.sigma2, config.nu,
-        alpha, alphas, P, config.max_iter, config.tol,
-        deep=config.deep_convergence,
+        data, init.theta, init.xi, init.sigma2, config.nu, alpha, P, config.max_iter, config.tol
     )
     return _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
 

@@ -44,7 +44,7 @@ def degrees_of_freedom(p: int, d: int) -> int:
     component variances and the noise variance, minus the d(d+1)/2
     orthonormality restrictions."""
     if d < 0 or d > p:
-        raise ValueError(f"d must be in [0, {p}], got {d}")
+        raise DimensionMismatchError(f"d must be in [0, {p}], got {d}")
     return p + p * d + d + 1 - d * (d + 1) // 2
 
 
@@ -65,15 +65,14 @@ def bic(fit_result: FitResult, data: Dataset) -> float:
 def cross_validate(
     data: Dataset,
     config: ModelConfig,
-    warm_start: bool = True,
     full_fit: FitResult | None = None,
     return_details: bool = False,
 ):
     """Leave-one-curve-out log predictive score at the configured dimension.
 
-    Performs exactly n refits, each warm-started at the full-data fit
-    (``warm_start=False`` refits from scratch instead). A refit that hits the
-    iteration cap still contributes its last iterate, with a warning.
+    Performs exactly n refits, each warm-started at the full-data fit. A
+    refit that hits the iteration cap still contributes its last iterate,
+    with a warning.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
@@ -83,10 +82,7 @@ def cross_validate(
     details = []
     for i in range(data.n):
         sub = data.drop(i)
-        if warm_start:
-            refit = fit_from(sub, config, full_fit.params)
-        else:
-            refit = fit(sub, config)
+        refit = fit_from(sub, config, full_fit.params)
         held_out = Dataset([data.trajectories[i]], data.basis)
         term = log_likelihood(refit.params, held_out)
         if not refit.converged:
@@ -114,7 +110,7 @@ def select_dimension(
     criterion = str(criterion).lower()
     if criterion not in CRITERIA:
         raise InvalidInputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if criterion in ("aic", "bic") and config.penalized:
+    if criterion in ("aic", "bic") and config.penalty > 0:
         raise InvalidInputError(
             "information criteria are unavailable for penalized fits; use cv"
         )

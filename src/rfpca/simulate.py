@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad, simpson
 
 from .basis import SplineBasis, build_basis
-from .errors import InvalidInputError, RfpcaError
+from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
 from .model import Dataset, FitResult, ModelConfig, Trajectory, fit
 from .selection import degrees_of_freedom
 
@@ -86,9 +86,9 @@ class TrueModel:
 
     def __post_init__(self):
         if len(self.phis) != len(self.lambdas):
-            raise ValueError("phis and lambdas must have equal length")
+            raise DimensionMismatchError("phis and lambdas must have equal length")
         if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+            raise InvalidParamsError("sigma2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ class GridDesign:
 
     def __post_init__(self):
         if self.kind not in ("fixed_uniform", "random_uniform", "poisson_uniform"):
-            raise ValueError(f"unknown grid design {self.kind!r}")
+            raise InvalidInputError(f"unknown grid design {self.kind!r}")
         if self.kind != "poisson_uniform" and self.m < 2:
-            raise ValueError("m must be >= 2")
+            raise InvalidInputError("m must be >= 2")
         if self.kind == "poisson_uniform" and self.mean_count <= 0:
-            raise ValueError("mean_count must be positive")
+            raise InvalidInputError("mean_count must be positive")
 
     @classmethod
     def fixed_uniform(cls, m: int = 20) -> "GridDesign":
@@ -272,7 +272,7 @@ def error_norms(fit_result: FitResult, truth: TrueModel) -> dict:
     """L2 errors of the fitted mean and (sign-aligned) leading component."""
     params = fit_result.params
     if params.basis.domain != tuple(truth.domain):
-        raise ValueError("fit domain differs from truth domain")
+        raise InvalidInputError("fit domain differs from truth domain")
     out = {"mu_err": l2_error(lambda t: params.mean(t), truth.mu, truth.domain)}
     if params.d >= 1 and truth.phis:
         out["phi1_err"] = l2_error(

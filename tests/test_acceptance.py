@@ -298,7 +298,7 @@ def test_criterion_7_fixed_point():
         )
         res = fit(
             data,
-            ModelConfig(nu=nu, d=d, tol=1e-10, max_iter=100000, deep_convergence=True),
+            ModelConfig(nu=nu, d=d, tol=1e-14, max_iter=100000),
         )
         worst = max(worst, estimating_equation_residuals(res.params, data).max())
     ok = worst < 1e-5

@@ -281,6 +281,19 @@ def test_missing_file_is_reported(tmp_path):
             ["diagnose", "--data", "{csv}", "--model", "{model}", "--level", "1.5"],
             id="level-above-1",
         ),
+        pytest.param(
+            ["diagnose", "--data", "{csv}", "--model", "{model}", "--grid", "0"], id="grid-0"
+        ),
+        pytest.param(
+            ["diagnose", "--data", "{csv}", "--model", "{model}", "--grid", "-3"], id="grid-neg"
+        ),
+        pytest.param(
+            ["diagnose", "--data", "{csv}", "--model", "{not_json}"], id="model-not-json"
+        ),
+        pytest.param(
+            ["diagnose", "--data", "{csv}", "--model", "{model_no_basis}"], id="model-no-basis"
+        ),
+        pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
     ],
 )
@@ -290,6 +303,13 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     model = tmp_path / "model.json"
     save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=0)))
     paths = {"one": one, "csv": sim_csv, "model": model}
+    for name, text in [
+        ("not_json", "not json"),
+        ("model_no_basis", '{"version": 1}'),
+        ("study_no_estimators", '{"scenarios": []}'),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err

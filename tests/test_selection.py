@@ -99,7 +99,7 @@ def test_doppler_column_gain_exceeds_bic_hurdle():
         )
         study_fit = fit(data, ModelConfig(nu=1.0, d=2, tol=1e-4))
         deep_config = ModelConfig(
-            nu=1.0, d=2, tol=1e-10, max_iter=100000, deep_convergence=True
+            nu=1.0, d=2, tol=1e-14, max_iter=100000
         )
         deep_fit = fit_from(data, deep_config, study_fit.params)
         assert deep_fit.converged
@@ -215,7 +215,7 @@ def test_select_dimension_rejects_ic_for_penalized():
     data, _ = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(10), 10, Contamination.none(), seed=5
     )
-    config = ModelConfig(nu=1.0, mean_penalty=1.0)
+    config = ModelConfig(nu=1.0, penalty=1.0)
     with pytest.raises(ValueError):
         select_dimension(data, 1, "bic", config)
 
