@@ -58,29 +58,42 @@ def g_weight(nu: float, m, s):
     return 2.0 * (nu + m) * s / (m * (nu + s) ** 2) - (nu + m) / (nu + s)
 
 
+def _pooled_fitted(params: ModelParams, data: Dataset, zhat_dn: np.ndarray) -> np.ndarray:
+    """B_i (theta + xi zhat_i) for every curve, stacked in pooled row order.
+
+    One product of ``[theta | xi]^T`` with the pooled design gives the mean
+    and component rows; each curve's zhat_i is then repeated over its rows.
+    The pooled temporaries die on return, which keeps the peak memory of
+    ``curve_diagnostics`` near that of a per-curve loop.
+    """
+    rows = np.column_stack([params.theta, params.xi]).T @ data.pooled_design.T
+    zrep = np.repeat(zhat_dn, data.design_stats.m, axis=1)
+    zrep *= rows[1:]
+    return rows[0] + zrep.sum(axis=0)
+
+
 def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnostics]:
-    """Fitted values, residuals, distances, weights and outlier flags."""
+    """Fitted values, residuals, distances, weights and outlier flags.
+
+    Fitted values come from one pooled design product; residual norms from
+    segment sums over the pooled rows.
+    """
     _require_same_basis(params, data)
     e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
-    designs = data.design_matrices
-    cutoffs = chi2.ppf(OUTLIER_QUANTILE, data.design_stats.m)
-    out = []
-    for i, traj in enumerate(data.trajectories):
-        B = designs[i]
-        fitted = B @ (params.theta + params.xi @ e.zhat[i])
-        resid = traj.values - fitted
-        out.append(
-            CurveDiagnostics(
-                id=traj.id,
-                fitted_values=fitted,
-                residuals=resid,
-                residual_norm=float(np.linalg.norm(resid)),
-                s=float(e.s[i]),
-                weight=float(e.w[i]),
-                outlier_flag=bool(e.s[i] > cutoffs[i]),
-            )
+    m = data.design_stats.m
+    fitted = _pooled_fitted(params, data, e.zhat_dn)
+    resid = np.concatenate([t.values for t in data.trajectories]) - fitted
+    ends = np.cumsum(m)
+    starts = ends - m
+    norms = np.sqrt(np.add.reduceat(resid * resid, starts))
+    flags = e.s > chi2.ppf(OUTLIER_QUANTILE, m)
+    return [
+        CurveDiagnostics(traj.id, fitted[a:b], resid[a:b], norm, s, w, flag)
+        for traj, a, b, norm, s, w, flag in zip(
+            data.trajectories, starts.tolist(), ends.tolist(), norms.tolist(),
+            e.s.tolist(), e.w.tolist(), flags.tolist(),
         )
-    return out
+    ]
 
 
 def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:

@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -98,6 +98,7 @@ class Dataset:
                 )
         self.trajectories = trajectories
         self.basis = basis
+        self._density_constants: dict[float, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -107,12 +108,15 @@ class Dataset:
         return self.n
 
     @cached_property
+    def pooled_design(self) -> np.ndarray:
+        """Design matrix of all curves' times stacked in curve order."""
+        return self.basis.design_matrix(np.concatenate([t.times for t in self.trajectories]))
+
+    @cached_property
     def design_matrices(self) -> list[np.ndarray]:
-        # One basis evaluation on the pooled time vector, then split per curve.
-        times = np.concatenate([t.times for t in self.trajectories])
-        B = self.basis.design_matrix(times)
+        """Per-curve row blocks (views) of ``pooled_design``."""
         offsets = np.cumsum([t.m for t in self.trajectories])[:-1]
-        return np.split(B, offsets, axis=0)
+        return np.split(self.pooled_design, offsets, axis=0)
 
     @cached_property
     def design_stats(self) -> _DesignStats:
@@ -129,18 +133,38 @@ class Dataset:
             xtx[i] = traj.values @ traj.values
         return _DesignStats(m, btb, btx, xtx, int(m.sum()))
 
+    def log_density_constant(self, nu: float) -> np.ndarray:
+        """Per-curve terms of the log density that depend only on (m_i, nu),
+        computed once per nu: m_i log(2 pi) for the Normal model, else
+        log Gamma((nu+m_i)/2) - log Gamma(nu/2) - (m_i/2) log(nu pi)."""
+        const = self._density_constants.get(nu)
+        if const is None:
+            m = self.design_stats.m
+            if math.isinf(nu):
+                const = m * LOG_2PI
+            else:
+                const = (
+                    gammaln(0.5 * (nu + m))
+                    - gammaln(0.5 * nu)
+                    - 0.5 * m * math.log(nu * math.pi)
+                )
+            self._density_constants[nu] = const
+        return const
+
     def drop(self, index: int) -> "Dataset":
-        """Dataset without curve ``index``, reusing cached design statistics."""
+        """Dataset without curve ``index``, reusing cached design statistics
+        and log-density constants."""
         sub = Dataset(
             self.trajectories[:index] + self.trajectories[index + 1 :], self.basis
         )
+        keep = np.arange(self.n) != index
         if "design_stats" in self.__dict__:
             s = self.design_stats
-            keep = np.arange(self.n) != index
             sub.__dict__["design_stats"] = _DesignStats(
                 s.m[keep], s.btb[keep], s.btx[keep], s.xtx[keep],
                 int(s.total_obs - s.m[index]),
             )
+        sub._density_constants = {nu: c[keep] for nu, c in self._density_constants.items()}
         return sub
 
 
@@ -204,8 +228,10 @@ class ModelParams:
                 raise InvalidParamsError("H is not orthonormal in the J metric")
             hlh = (self.H * self.lam) @ self.H.T
             xxt = self.xi @ self.xi.T
-            scale = max(1.0, np.linalg.norm(xxt))
-            if np.linalg.norm(xxt - hlh) > 1e-8 * scale:
+            # ||xxt - hlh|| <= 1e-8 max(1, ||xxt||), with both matrices divided
+            # by max|xxt| first so the Frobenius norms cannot overflow
+            c = float(np.abs(xxt).max()) or 1.0
+            if np.linalg.norm(xxt / c - hlh / c) > 1e-8 * max(1.0 / c, np.linalg.norm(xxt / c)):
                 raise InvalidParamsError("xi and (H, lam) are inconsistent")
 
     @property
@@ -332,93 +358,123 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _EStep(NamedTuple):
-    A: np.ndarray        # (n, p, d) BtB @ xi
-    xtbx: np.ndarray     # (n, d, d) Xi^T BtB Xi
-    Vinv: np.ndarray     # (n, d, d)
+    """Conditional quantities of every curve. Per-curve blocks of size d keep
+    the curve axis last, so every d x d operation runs on contiguous (n,) rows
+    and every sum over curves is one flat product."""
+
+    A: np.ndarray        # (d, n, p) BtB @ xi
+    xtbx: np.ndarray     # (d, d, n) Xi^T BtB Xi
+    Vinv: np.ndarray     # (d, d, n)
     btr: np.ndarray      # (n, p) B^T (x - B theta)
-    u: np.ndarray        # (n, d) Xi^T btr
-    zhat: np.ndarray     # (n, d)
+    u: np.ndarray        # (d, n) Xi^T btr
+    zhat_dn: np.ndarray  # (d, n) posterior means of z
     rtr: np.ndarray      # (n,) squared residual norms
     s: np.ndarray        # (n,)
     w: np.ndarray        # (n,)
     ll_curve: np.ndarray # (n,) per-curve log density
     loglik: float
 
+    @property
+    def zhat(self) -> np.ndarray:
+        """Posterior means of z, shape (n, d) (a transposed view)."""
+        return self.zhat_dn.T
 
-def _log_density(m: np.ndarray, nu: float, logdet: np.ndarray, s: np.ndarray) -> np.ndarray:
+
+def _log_density(const, m, nu: float, logdet, s) -> np.ndarray:
+    """Per-curve log density; ``const`` is ``Dataset.log_density_constant(nu)``."""
     if math.isinf(nu):
-        return -0.5 * (m * LOG_2PI + logdet + s)
+        return -0.5 * (const + logdet + s)
     # multivariate t_nu in dimension m:
-    #   log Gamma((nu+m)/2) - log Gamma(nu/2) - (m/2) log(nu pi)
-    #   - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
-    return (
-        gammaln(0.5 * (nu + m))
-        - gammaln(0.5 * nu)
-        - 0.5 * m * math.log(nu * math.pi)
-        - 0.5 * logdet
-        - 0.5 * (nu + m) * np.log1p(s / nu)
-    )
+    #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
+    return const - 0.5 * logdet - 0.5 * (nu + m) * np.log1p(s / nu)
 
 
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-curve matrix-vector products: (n, a, b) x (n, b) -> (n, a)."""
-    return (M @ v[:, :, None])[:, :, 0]
+def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Invert a (d, d, n) stack of symmetric positive definite matrices by
+    sweeping its d pivots in order (Goodnight 1979, Am. Stat. 33:149).
+
+    Returns (V^{-1}, log det V), both from the one elimination: the pivots are
+    the successive Schur complements, whose product is det V. ``V`` is
+    overwritten. A nonpositive pivot raises ``ConditioningError`` naming the
+    first such curve, ``curve_id(index)``, before any division by it.
+    """
+    d, _, n = V.shape
+    pivots = np.empty((d, n))
+    for k in range(d):
+        D = V[k, k].copy()
+        if np.any(D <= 0):
+            bad = int(np.flatnonzero(D <= 0)[0])
+            raise ConditioningError(
+                "V_i is numerically singular or indefinite for curve "
+                f"{curve_id(bad)!r}"
+            )
+        pivots[k] = D
+        r = 1.0 / D
+        row = V[k] * r
+        col = V[:, k].copy()
+        V -= col[:, None] * row[None]  # rank-1 update: the Schur complement
+        V[k] = row
+        V[:, k] = -col * r
+        V[k, k] = r
+    return V, np.log(pivots).sum(axis=0)
 
 
 def _estep(data: Dataset, theta, xi, sigma2, nu) -> _EStep:
     """Conditional quantities of every curve at the given parameters.
 
-    All products over the (n, p, p) design blocks are flat matrix products
-    over ``btb.reshape(n * p, p)``; only the d x d solves are batched.
+    One pass over the (n, p, p) design blocks gives BtB xi and BtB theta: a
+    product of ``[xi | theta]^T`` with ``btb.reshape(n * p, p)^T`` (each block
+    is symmetric), which lands curve-axis-last without a transpose copy.
     """
     stats = data.design_stats
     n, p = stats.btx.shape
     d = xi.shape[1]
     btb_rows = stats.btb.reshape(n * p, p)
-    A = (btb_rows @ xi).reshape(n, p, d)
-    # xtbx[i, k, l] = sum_p xi[p, k] A[i, p, l]: one product with xi (x) I_d,
-    # whose row (p, j) and column (k, l) hold xi[p, k] [j == l]
-    xi_kron_eye = (xi[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(p * d, d * d)
-    xtbx = (A.reshape(n, p * d) @ xi_kron_eye).reshape(n, d, d)
+    prods = np.column_stack([xi, theta]).T @ btb_rows.T  # (d + 1, n * p)
+    A = prods[:d].reshape(d, n, p)
+    btheta = prods[d].reshape(n, p)
+    # xtbx[k, l, i] = xi[:, k] . A[l, i, :]
+    xtbx = (xi.T @ A.reshape(d * n, p).T).reshape(d, d, n)
     V = xtbx / sigma2
-    V.reshape(n, d * d)[:, :: d + 1] += 1.0
-    # slogdet and inv run the same LU factorization: a zero pivot, the only
-    # case in which inv raises, shows here first as a zero sign
-    sign, logdet_v = np.linalg.slogdet(V)
-    if np.any(sign <= 0):
-        bad = int(np.flatnonzero(sign <= 0)[0])
-        raise ConditioningError(
-            "V_i is numerically singular or indefinite for curve "
-            f"{data.trajectories[bad].id!r}"
-        )
-    Vinv = np.linalg.inv(V)
-    btheta = (btb_rows @ theta).reshape(n, p)
+    V.reshape(d * d, n)[:: d + 1] += 1.0
+    Vinv, logdet_v = _sweep(V, lambda i: data.trajectories[i].id)
     btr = stats.btx - btheta
-    u = btr @ xi
-    zhat = _matvec(Vinv, u) / sigma2
+    u = xi.T @ btr.T
+    zhat = (Vinv * u[None]).sum(axis=1) / sigma2
     rtr = stats.xtx - 2.0 * (stats.btx @ theta) + btheta @ theta
-    s = np.maximum((rtr - (u * zhat).sum(axis=1)) / sigma2, 0.0)
+    s = np.maximum((rtr - (u * zhat).sum(axis=0)) / sigma2, 0.0)
     w = robust_weight(nu, stats.m, s)
     logdet = stats.m * math.log(sigma2) + logdet_v
-    ll = _log_density(stats.m, nu, logdet, s)
+    ll = _log_density(data.log_density_constant(nu), stats.m, nu, logdet, s)
     return _EStep(A, xtbx, Vinv, btr, u, zhat, rtr, s, w, ll, float(ll.sum()))
 
 
 def _resid2(e: _EStep) -> np.ndarray:
     """Squared norms of the curves' residuals from their predicted fits."""
+    z = e.zhat_dn
     return np.maximum(
         e.rtr
-        - 2.0 * (e.zhat * e.u).sum(axis=1)
-        + (e.zhat * _matvec(e.xtbx, e.zhat)).sum(axis=1),
+        - 2.0 * (z * e.u).sum(axis=0)
+        + (z * (e.xtbx * z[None]).sum(axis=1)).sum(axis=0),
         0.0,
     )
+
+
+def _model_btr(e: _EStep) -> np.ndarray:
+    """Per-curve B_i^T (x_i - B_i theta - B_i Xi zhat_i), shape (n, p)."""
+    return e.btr - (e.A * e.zhat_dn[:, :, None]).sum(axis=0)
 
 
 def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
     """Per-curve B_i^T Sigma_i^{-1} r_i, shape (n, p), and B_i^T Sigma_i^{-1} B_i,
     shape (n, p, p), by the low-rank identity behind ``sigma_solve``."""
-    bt_sinv_r = (e.btr - _matvec(e.A, e.zhat)) / sigma2
-    bt_sinv_b = (stats.btb - (e.A @ e.Vinv) @ e.A.transpose(0, 2, 1) / sigma2) / sigma2
+    bt_sinv_r = _model_btr(e) / sigma2
+    A = e.A.transpose(1, 2, 0)  # (n, p, d)
+    # (BtB - A V^{-1} A^T / sigma2) / sigma2, in place in one (n, p, p) array
+    bt_sinv_b = (A @ e.Vinv.transpose(2, 0, 1)) @ A.transpose(0, 2, 1)
+    bt_sinv_b /= -sigma2
+    bt_sinv_b += stats.btb
+    bt_sinv_b /= sigma2
     return bt_sinv_r, bt_sinv_b
 
 
@@ -428,10 +484,19 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, P):
     n, p = stats.btx.shape
     d = xi.shape[1]
     w = e.w
-    btb_flat = stats.btb.reshape(n, p * p)
+    wz = w * e.zhat_dn  # (d, n)
 
-    lhs_theta = (w @ btb_flat).reshape(p, p)
-    rhs_theta = w @ (stats.btx - _matvec(e.A, e.zhat))
+    # one pass over the design blocks: rows [w; C] with C_i = Vinv_i +
+    # w_i zhat_i zhat_i^T give sum_i w_i BtB_i and sum_i C_i (x) BtB_i
+    wc = np.empty((1 + d * d, n))
+    wc[0] = w
+    C = wc[1:].reshape(d, d, n)
+    np.multiply(wz[:, None], e.zhat_dn[None], out=C)
+    C += e.Vinv
+    sums = wc @ stats.btb.reshape(n, p * p)
+
+    lhs_theta = sums[0].reshape(p, p)
+    rhs_theta = w @ stats.btx - wz.reshape(d * n) @ e.A.reshape(d * n, p)
     if alpha > 0:
         lhs_theta = lhs_theta + 2.0 * alpha * P
     try:
@@ -440,16 +505,14 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, P):
         raise ConditioningError(f"theta update system is singular: {exc}") from exc
 
     if d > 0:
-        C = e.Vinv + w[:, None, None] * e.zhat[:, :, None] * e.zhat[:, None, :]
-        # sum_i C_i (x) BtB_i: one (d*d x n)(n x p*p) product, blocks reordered
-        # from (k, l, p, q) to (k, p, l, q)
+        # blocks reordered from (k, l, p, q) to (k, p, l, q)
         lhs = (
-            (C.reshape(n, d * d).T @ btb_flat)
+            sums[1:]
             .reshape(d, d, p, p)
             .transpose(0, 2, 1, 3)
             .reshape(d * p, d * p)
         )
-        rhs = ((w[:, None] * e.zhat).T @ e.btr).reshape(d * p)
+        rhs = (wz @ e.btr).reshape(d * p)
         if alpha > 0:
             for k in range(d):
                 blk = slice(k * p, (k + 1) * p)
@@ -462,7 +525,7 @@ def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, P):
     else:
         xi_new = xi
 
-    trace = e.Vinv.reshape(-1) @ e.xtbx.transpose(0, 2, 1).reshape(-1)
+    trace = e.Vinv.reshape(-1) @ e.xtbx.reshape(-1)
     num = float(w @ _resid2(e) + trace)
     if alpha > 0:
         # keep the penalized objective ascending: the penalty enters the scale
@@ -578,7 +641,7 @@ def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
     """
     stats = data.design_stats
     p = data.basis.dimension
-    btr_model = e.btr - _matvec(e.A, e.zhat)
+    btr_model = _model_btr(e)
     # ridge at the scale of the average design diagonal: boundary basis
     # directions with little data support would otherwise dominate the
     # projected-residual scatter through noise amplification
@@ -710,7 +773,7 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
         eq2 = np.zeros((params.p, 0))
         eq3 = np.zeros(0)
 
-    tr_sinv = (stats.m - (d - np.trace(e.Vinv, axis1=1, axis2=2))) / sigma2
+    tr_sinv = (stats.m - (d - np.trace(e.Vinv, axis1=0, axis2=1))) / sigma2
     eq4 = -0.5 * tr_sinv.sum() + 0.5 * float(e.w @ (_resid2(e) / sigma2**2))
 
     return np.array(

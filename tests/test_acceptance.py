@@ -1,12 +1,12 @@
 """Acceptance suite.
 
-Each test prints one PASS/FAIL line (run with ``pytest -v -s``). Monte Carlo
+Each test records one ``ACCEPTANCE`` PASS/FAIL line, which pytest's terminal
+summary prints under any capture mode (see ``tests/conftest.py``). Monte Carlo
 checks use 200 replications with a fixed seed, so their outcomes are
 deterministic. The whole module is budgeted to run in a few minutes.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -44,12 +44,6 @@ from oracles import added_column_gain, dense_covariance, doppler_projection, ran
 
 SEED = 0
 REPS = 200
-
-
-def _report(name: str, ok: bool, detail: str) -> bool:
-    # written to the real stdout so the line survives pytest's capture
-    print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})", file=sys.__stdout__)
-    return ok
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +152,7 @@ def exo10_replay():
 
 
 @pytest.mark.slow
-def test_criterion_1_clean_efficiency(estimation_rows):
+def test_criterion_1_clean_efficiency(estimation_rows, acceptance_report):
     targets = {
         ("normal", "rmse_mu"): 0.142,
         ("cauchy", "rmse_mu"): 0.169,
@@ -176,11 +170,11 @@ def test_criterion_1_clean_efficiency(estimation_rows):
         f"{e}/{m}: {estimation_rows[(e, 'clean', m)]:.3f} vs {ref:.3f}"
         for (e, m), ref in targets.items()
     )
-    assert _report("1 clean-data efficiency", ok, detail)
+    assert acceptance_report("1 clean-data efficiency", ok, detail)
 
 
 @pytest.mark.slow
-def test_criterion_2_mean_contamination(estimation_rows):
+def test_criterion_2_mean_contamination(estimation_rows, acceptance_report):
     exo_n = estimation_rows[("normal", "exo_mean_10", "rmse_mu")]
     exo_c = estimation_rows[("cauchy", "exo_mean_10", "rmse_mu")]
     endo_n = estimation_rows[("normal", "endo_mean_30", "rmse_mu")]
@@ -195,11 +189,11 @@ def test_criterion_2_mean_contamination(estimation_rows):
         f"exo10: normal {exo_n:.3f} in [0.30,0.45], cauchy {exo_c:.3f} <= 0.22; "
         f"endo30: normal {endo_n:.3f} in [1.05,1.35], cauchy {endo_c:.3f} <= 0.45"
     )
-    assert _report("2 mean contamination", ok, detail)
+    assert acceptance_report("2 mean contamination", ok, detail)
 
 
 @pytest.mark.slow
-def test_criterion_3_component_contamination(estimation_rows):
+def test_criterion_3_component_contamination(estimation_rows, acceptance_report):
     endo_n = estimation_rows[("normal", "endo_pc_20", "rmse_phi1")]
     endo_c = estimation_rows[("cauchy", "endo_pc_20", "rmse_phi1")]
     exo_c = estimation_rows[("cauchy", "exo_pc_20", "rmse_phi1")]
@@ -208,7 +202,7 @@ def test_criterion_3_component_contamination(estimation_rows):
         f"endo20: normal {endo_n:.3f} >= 1.2, cauchy {endo_c:.3f} <= 0.80; "
         f"exo20: cauchy {exo_c:.3f} <= 0.30"
     )
-    assert _report("3 component contamination", ok, detail)
+    assert acceptance_report("3 component contamination", ok, detail)
 
 
 def _percent(records, keep) -> float:
@@ -223,7 +217,7 @@ def _keeps_true_components(record) -> bool:
 
 
 @pytest.mark.slow
-def test_criterion_4_selection(selection_rows, exo10_replay):
+def test_criterion_4_selection(selection_rows, exo10_replay, acceptance_report):
     """BIC selection resists exogenous outliers.
 
     Under exo_pc_10 the chosen model must keep the true components as its
@@ -257,15 +251,15 @@ def test_criterion_4_selection(selection_rows, exo10_replay):
         f"Doppler column beats BIC hurdle {hurdle:.2f}: "
         f"{int((gains > hurdle).sum())}/{gains.size}"
     )
-    assert _report("4 dimension selection", ok, detail)
+    assert acceptance_report("4 dimension selection", ok, detail)
 
 
-def test_criterion_5_degrees_of_freedom():
+def test_criterion_5_degrees_of_freedom(acceptance_report):
     ok = degrees_of_freedom(9, 2) == 27
-    assert _report("5 degrees of freedom", ok, f"df(9,2) = {degrees_of_freedom(9, 2)}")
+    assert acceptance_report("5 degrees of freedom", ok, f"df(9,2) = {degrees_of_freedom(9, 2)}")
 
 
-def test_criterion_6_em_ascent():
+def test_criterion_6_em_ascent(acceptance_report):
     rng = np.random.default_rng(SEED)
     violations = 0
     for k in range(100):
@@ -281,10 +275,10 @@ def test_criterion_6_em_ascent():
             if np.any(np.diff(stage.loglik_trace) < -1e-8):
                 violations += 1
     ok = violations == 0
-    assert _report("6 EM ascent", ok, f"{violations} violations on 100 datasets")
+    assert acceptance_report("6 EM ascent", ok, f"{violations} violations on 100 datasets")
 
 
-def test_criterion_7_fixed_point():
+def test_criterion_7_fixed_point(acceptance_report):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for k in range(20):
@@ -302,10 +296,10 @@ def test_criterion_7_fixed_point():
         )
         worst = max(worst, estimating_equation_residuals(res.params, data).max())
     ok = worst < 1e-5
-    assert _report("7 fixed-point residuals", ok, f"max norm {worst:.2e} < 1e-5")
+    assert acceptance_report("7 fixed-point residuals", ok, f"max norm {worst:.2e} < 1e-5")
 
 
-def test_criterion_8_woodbury():
+def test_criterion_8_woodbury(acceptance_report):
     rng = np.random.default_rng(SEED)
     basis = build_basis(4, 5, (0, 1))
     worst = 0.0
@@ -322,10 +316,10 @@ def test_criterion_8_woodbury():
         err = max(err, abs(logdet - np.linalg.slogdet(sigma)[1]) / max(abs(logdet), 1.0))
         worst = max(worst, err)
     ok = worst < 1e-10
-    assert _report("8 Woodbury oracle", ok, f"max relative error {worst:.2e} over 500")
+    assert acceptance_report("8 Woodbury oracle", ok, f"max relative error {worst:.2e} over 500")
 
 
-def test_criterion_9_influence_boundedness():
+def test_criterion_9_influence_boundedness(acceptance_report):
     rng = np.random.default_rng(SEED)
     base, _ = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(20), 100, Contamination.none(), seed=SEED
@@ -350,10 +344,10 @@ def test_criterion_9_influence_boundedness():
         f"cauchy K=4..32: {np.round(cauchy, 4).tolist()}; "
         f"normal K=32: {normal[3]:.4f} >= 5x cauchy K=32"
     )
-    assert _report("9 influence boundedness", ok, detail)
+    assert acceptance_report("9 influence boundedness", ok, detail)
 
 
-def test_criterion_10_ratio_consistency():
+def test_criterion_10_ratio_consistency(acceptance_report):
     hits = 0
     for rep in range(50):
         data, _ = simulate_dataset(
@@ -364,10 +358,10 @@ def test_criterion_10_ratio_consistency():
         ratio = res.params.lam[0] / res.params.lam[1]
         hits += 1.6 <= ratio <= 2.4
     ok = hits >= 45  # 90% of 50
-    assert _report("10 ratio consistency", ok, f"{hits}/50 in [1.6, 2.4]")
+    assert acceptance_report("10 ratio consistency", ok, f"{hits}/50 in [1.6, 2.4]")
 
 
-def test_criterion_11_band_coverage():
+def test_criterion_11_band_coverage(acceptance_report):
     truth = TrueModel(phis=(), lambdas=(), sigma2=0.25)
     hits = 0
     reps = 300
@@ -383,4 +377,4 @@ def test_criterion_11_band_coverage():
         hits += lo <= 0.0 <= hi
     coverage = hits / reps
     ok = 0.91 <= coverage <= 0.98
-    assert _report("11 band coverage", ok, f"coverage {coverage:.3f} in [0.91, 0.98]")
+    assert acceptance_report("11 band coverage", ok, f"coverage {coverage:.3f} in [0.91, 0.98]")

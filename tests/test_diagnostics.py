@@ -16,6 +16,7 @@ from rfpca import (
     mean_covariance,
     simulate_dataset,
 )
+from rfpca.model import _estep
 from rfpca.simulate import Contamination, GridDesign, TrueModel
 
 
@@ -47,6 +48,23 @@ def test_curve_diagnostics_d0_fitted_values():
         B = data.basis.design_matrix(traj.times)
         np.testing.assert_allclose(diag.fitted_values, B @ res.params.theta, atol=1e-12)
         assert abs(diag.residual_norm - np.linalg.norm(traj.values - diag.fitted_values)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_curve_diagnostics_matches_per_curve_loop(d):
+    res, data = _clean_fit(n=40, d=d)
+    params = res.params
+    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
+    diags = curve_diagnostics(params, data)
+    assert [g.id for g in diags] == [t.id for t in data.trajectories]
+    for i, (g, traj) in enumerate(zip(diags, data.trajectories)):
+        B = data.basis.design_matrix(traj.times)
+        fitted = B @ (params.theta + params.xi @ e.zhat[i])
+        resid = traj.values - fitted
+        np.testing.assert_allclose(g.fitted_values, fitted, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.residuals, resid, rtol=0, atol=1e-12)
+        assert abs(g.residual_norm - np.linalg.norm(resid)) <= 1e-12 * np.linalg.norm(resid)
+        assert g.s == float(e.s[i]) and g.weight == float(e.w[i])
 
 
 def test_curve_diagnostics_near_noiseless():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from rfpca import (
     ConditioningError,
     Dataset,
     DegenerateFitError,
+    InvalidParamsError,
     ModelConfig,
     ModelParams,
     Trajectory,
@@ -24,7 +27,7 @@ from rfpca import (
     sigma_solve,
     simulate_dataset,
 )
-from rfpca.model import _estep
+from rfpca.model import _estep, _sweep
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
 
@@ -108,6 +111,43 @@ def test_estep_matches_dense(rng, d, nu):
         if d == 0:
             assert abs(e.s[i] - r @ r / params.sigma2) < 1e-12
     np.testing.assert_array_equal(e.w, robust_weight(nu, data.design_stats.m, e.s))
+
+
+def _spd_stack(rng, d, n):
+    """(d, d, n) stack of matrices I + X^T X shaped like the E-step's V_i, the
+    columns of X scaled over four decades so cond(V_i) reaches about 1e8."""
+    X = rng.normal(size=(n, d + 3, d)) * np.logspace(0, 4, d)
+    V = np.eye(d) + X.transpose(0, 2, 1) @ X
+    return np.ascontiguousarray(V.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, BASIS.dimension])
+def test_sweep_matches_slogdet_and_inv(rng, d, n):
+    V = _spd_stack(rng, d, n)
+    dense = V.transpose(2, 0, 1).copy()
+    if d > 1:
+        assert np.linalg.cond(dense).max() > 1e7
+    with np.errstate(all="raise"):
+        Vinv, logdet = _sweep(V.copy(), str)
+    assert Vinv.shape == (d, d, n) and logdet.shape == (n,)
+    sign, ref_logdet = np.linalg.slogdet(dense)
+    assert np.all(sign == 1)
+    np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12, atol=1e-12)
+    ref_inv = np.linalg.inv(dense)
+    for i in range(n):
+        err = np.linalg.norm(Vinv[:, :, i] - ref_inv[i])
+        assert err <= 1e-12 * np.linalg.norm(ref_inv[i])
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_sweep_nonpositive_pivot_names_curve(rng, d):
+    V = _spd_stack(rng, d, 6)
+    # curve 3, and no curve before it, gets an indefinite matrix
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    V[:, :, 3] = Q @ np.diag(np.append(np.full(d - 1, 2.0), -1.0)) @ Q.T
+    with np.errstate(all="raise"), pytest.raises(ConditioningError, match="'3'"):
+        _sweep(V, str)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +248,17 @@ def test_orthonormalize_deterministic(rng):
     assert np.array_equal(H1, H2) and np.array_equal(l1, l2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150])
+def test_params_consistency_check_holds_at_large_scale(rng, scale):
+    xi = rng.normal(size=(9, 2)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = ModelParams.from_xi(np.zeros(9), xi, 1.0, 1.0, BASIS)
+    # swapped, rescaled columns describe other loadings than (H, lam)
+    with pytest.raises(InvalidParamsError, match="inconsistent"):
+        dataclasses.replace(params, xi=params.xi[:, ::-1] * [2.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # EM step: manual assembly oracle, ascent, closed forms
 # ---------------------------------------------------------------------------
@@ -305,6 +356,17 @@ def test_em_step_on_dropped_dataset_matches_manual_assembly(rng):
     assert "design_stats" in sub.__dict__
     params = random_params(rng, basis, d=2, sigma2=0.6)
     _assert_matches_manual(params, sub, ModelConfig(nu=1.0, d=2))
+
+
+def test_dropped_dataset_slices_density_constants(rng):
+    data = random_dataset(rng, BASIS, n=9, m_range=(2, 12))
+    for nu in (1.0, 5.0, math.inf):
+        data.log_density_constant(nu)
+    sub = data.drop(4)
+    assert set(sub._density_constants) == {1.0, 5.0, math.inf}
+    fresh = Dataset(sub.trajectories, BASIS)
+    for nu in (1.0, 5.0, math.inf):
+        assert np.array_equal(sub.log_density_constant(nu), fresh.log_density_constant(nu))
 
 
 def test_loglik_singular_posterior_precision_is_conditioning_error():
