@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from .errors import ConditioningError, DimensionMismatchError, InvalidInputError
-from .model import Dataset, ModelParams, _estep, _whitened_terms
+from .model import Dataset, ModelParams, _estep_at, _whitened_terms
 
 # Curves whose squared distance exceeds this chi-square quantile (with m_i
 # degrees of freedom) are flagged. Under the Normal model s_i is approximately
@@ -79,7 +79,7 @@ def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnosti
     segment sums over the pooled rows.
     """
     _require_same_basis(params, data)
-    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
+    e = _estep_at(params, data)
     m = data.design_stats.m
     fitted = _pooled_fitted(params, data, e.zhat_dn)
     resid = np.concatenate([t.values for t in data.trajectories]) - fitted
@@ -108,7 +108,7 @@ def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:
     n = data.n
     stats = data.design_stats
     sigma2 = params.sigma2
-    e = _estep(data, params.theta, params.xi, sigma2, params.nu)
+    e = _estep_at(params, data)
     bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
     g = g_weight(params.nu, stats.m, e.s)
     p = params.p

@@ -354,61 +354,124 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Batched E-step / M-step over the whole dataset
+# Model-batched E-step / M-step over the whole dataset
 # ---------------------------------------------------------------------------
 
-class _EStep(NamedTuple):
-    """Conditional quantities of every curve. Per-curve blocks of size d keep
-    the curve axis last, so every d x d operation runs on contiguous (n,) rows
-    and every sum over curves is one flat product."""
+class _Batch(NamedTuple):
+    """G models fitted in lockstep to one dataset's design statistics.
 
-    A: np.ndarray        # (d, n, p) BtB @ xi
-    xtbx: np.ndarray     # (d, d, n) Xi^T BtB Xi
-    Vinv: np.ndarray     # (d, d, n)
-    btr: np.ndarray      # (n, p) B^T (x - B theta)
-    u: np.ndarray        # (d, n) Xi^T btr
-    zhat_dn: np.ndarray  # (d, n) posterior means of z
-    rtr: np.ndarray      # (n,) squared residual norms
-    s: np.ndarray        # (n,)
-    w: np.ndarray        # (n,)
-    ll_curve: np.ndarray # (n,) per-curve log density
-    loglik: float
+    Model g counts curve i in its objective, its M-step sums and its
+    observation count when ``include[g, i]`` is 1; its E-step still evaluates
+    every curve, so a left-out curve's log density is there to be read. The
+    per-curve constants are repeated as (G, n) rows so that the E-step's
+    elementwise operations meet operands of their own shape.
+    """
+
+    data: Dataset
+    nu: float
+    include: np.ndarray    # (G, n) 0/1
+    wnum: np.ndarray       # (G, n) robust-weight numerators nu + m_i (1 when
+                           # nu is inf), 0 at left-out curves
+    const: np.ndarray      # (G, n) rows of Dataset.log_density_constant(nu)
+    half_nu_m: np.ndarray  # (G, n) (nu + m_i) / 2; unused when nu is inf
+    m: np.ndarray          # (G, n) observation counts, as floats
+    xtx: np.ndarray        # (G, n) x_i^T x_i
+    total_obs: np.ndarray  # (G,) observations each model counts
+    btb_rows: np.ndarray   # (p, n * p) view of the design blocks, for the E-step
+    btb_flat: np.ndarray   # (n, p * p) view of the design blocks, for the M-step
+    btx: np.ndarray        # (1, n, p) view of B_i^T x_i
+
+    def select(self, keep) -> "_Batch":
+        """The batch of the models ``keep`` selects."""
+        return self._replace(
+            include=self.include[keep], wnum=self.wnum[keep], const=self.const[keep],
+            half_nu_m=self.half_nu_m[keep], m=self.m[keep], xtx=self.xtx[keep],
+            total_obs=self.total_obs[keep],
+        )
+
+
+def _batch(data: Dataset, nu: float, include: np.ndarray | None = None) -> _Batch:
+    """Batch over ``data``; the default is one model counting every curve."""
+    stats = data.design_stats
+    if include is None:
+        include = np.ones((1, data.n))
+    m = stats.m.astype(float)
+    nu_m = nu + m
+    const, half_nu_m, m_rows, xtx = np.repeat(
+        np.stack([data.log_density_constant(nu), 0.5 * nu_m, m, stats.xtx])[:, None],
+        include.shape[0], axis=1,
+    )
+    wnum = include if math.isinf(nu) else nu_m * include
+    n, p = stats.btx.shape
+    return _Batch(
+        data, nu, include, wnum, const, half_nu_m, m_rows, xtx, (include * m).sum(axis=1),
+        stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), stats.btx[None],
+    )
+
+
+def _phi(theta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """One model's parameter rows [xi^T; theta], shape (1, d + 1, p)."""
+    return np.concatenate([xi.T, theta[None]])[None]
+
+
+class _EStep(NamedTuple):
+    """Conditional quantities of every (model, curve) slot of a batch.
+
+    Slots are model-major, and blocks of size d come first with the slot
+    axes (G, n) last, so every d x d operation, the sweep included, runs on
+    contiguous rows of G * n slots. ``A`` and ``btr`` are per-model design
+    products and keep the model axis first. ``model(g)`` drops the model
+    axis.
+    """
+
+    A: np.ndarray        # (G, d, n, p) BtB @ xi
+    xtbx: np.ndarray     # (d, d, G, n) Xi^T BtB Xi
+    Vinv: np.ndarray     # (d, d, G, n), 0 at left-out curves
+    btr: np.ndarray      # (G, n, p) B^T (x - B theta)
+    u: np.ndarray        # (d, G, n) Xi^T btr
+    zhat_dn: np.ndarray  # (d, G, n) posterior means of z
+    uz: np.ndarray       # (G, n) u . zhat
+    rtr: np.ndarray      # (G, n) squared residual norms
+    s: np.ndarray        # (G, n)
+    w: np.ndarray        # (G, n), 0 at left-out curves
+    ll_curve: np.ndarray # (G, n) per-curve log density
+    loglik: np.ndarray   # (G,) sum over each model's counted curves
 
     @property
     def zhat(self) -> np.ndarray:
-        """Posterior means of z, shape (n, d) (a transposed view)."""
+        """One model's posterior means of z, shape (n, d) (a transposed view)."""
         return self.zhat_dn.T
 
-
-def _log_density(const, m, nu: float, logdet, s) -> np.ndarray:
-    """Per-curve log density; ``const`` is ``Dataset.log_density_constant(nu)``."""
-    if math.isinf(nu):
-        return -0.5 * (const + logdet + s)
-    # multivariate t_nu in dimension m:
-    #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
-    return const - 0.5 * logdet - 0.5 * (nu + m) * np.log1p(s / nu)
+    def model(self, g: int) -> "_EStep":
+        """Model g's quantities without the model axis (views)."""
+        return _EStep(
+            self.A[g], self.xtbx[:, :, g], self.Vinv[:, :, g], self.btr[g],
+            self.u[:, g], self.zhat_dn[:, g], self.uz[g], self.rtr[g], self.s[g],
+            self.w[g], self.ll_curve[g], self.loglik[g],
+        )
 
 
 def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a (d, d, n) stack of symmetric positive definite matrices by
+    """Invert a (d, d, ...) stack of symmetric positive definite matrices by
     sweeping its d pivots in order (Goodnight 1979, Am. Stat. 33:149).
 
     Returns (V^{-1}, log det V), both from the one elimination: the pivots are
     the successive Schur complements, whose product is det V. ``V`` is
     overwritten. A nonpositive pivot raises ``ConditioningError`` naming the
-    first such curve, ``curve_id(index)``, before any division by it.
+    first such curve, ``curve_id(flat index into the trailing axes)``, before
+    any division by it.
     """
-    d, _, n = V.shape
-    pivots = np.empty((d, n))
+    d = V.shape[0]
+    pivots = np.empty((d,) + V.shape[2:])
     for k in range(d):
-        D = V[k, k].copy()
-        if np.any(D <= 0):
+        pivots[k] = V[k, k]
+        D = pivots[k]
+        if (D <= 0).any():
             bad = int(np.flatnonzero(D <= 0)[0])
             raise ConditioningError(
                 "V_i is numerically singular or indefinite for curve "
                 f"{curve_id(bad)!r}"
             )
-        pivots[k] = D
         r = 1.0 / D
         row = V[k] * r
         col = V[:, k].copy()
@@ -419,55 +482,74 @@ def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, n
     return V, np.log(pivots).sum(axis=0)
 
 
-def _estep(data: Dataset, theta, xi, sigma2, nu) -> _EStep:
-    """Conditional quantities of every curve at the given parameters.
+def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
+    """Conditional quantities of every model's curves at its parameters.
 
-    One pass over the (n, p, p) design blocks gives BtB xi and BtB theta: a
-    product of ``[xi | theta]^T`` with ``btb.reshape(n * p, p)^T`` (each block
-    is symmetric), which lands curve-axis-last without a transpose copy.
+    ``phi`` (G, d + 1, p) holds each model's rows [xi^T; theta] and ``sigma2``
+    is (G,). One pass over the (n, p, p) design blocks gives every model's
+    BtB xi and BtB theta: a product of the stacked rows with
+    ``btb.reshape(n * p, p)^T`` (each block is symmetric), which lands
+    curve-axis-last without a transpose copy.
     """
+    data = batch.data
     stats = data.design_stats
     n, p = stats.btx.shape
-    d = xi.shape[1]
-    btb_rows = stats.btb.reshape(n * p, p)
-    prods = np.column_stack([xi, theta]).T @ btb_rows.T  # (d + 1, n * p)
-    A = prods[:d].reshape(d, n, p)
-    btheta = prods[d].reshape(n, p)
-    # xtbx[k, l, i] = xi[:, k] . A[l, i, :]
-    xtbx = (xi.T @ A.reshape(d * n, p).T).reshape(d, d, n)
-    V = xtbx / sigma2
-    V.reshape(d * d, n)[:: d + 1] += 1.0
-    Vinv, logdet_v = _sweep(V, lambda i: data.trajectories[i].id)
-    btr = stats.btx - btheta
-    u = xi.T @ btr.T
-    zhat = (Vinv * u[None]).sum(axis=1) / sigma2
-    rtr = stats.xtx - 2.0 * (stats.btx @ theta) + btheta @ theta
-    s = np.maximum((rtr - (u * zhat).sum(axis=0)) / sigma2, 0.0)
-    w = robust_weight(nu, stats.m, s)
-    logdet = stats.m * math.log(sigma2) + logdet_v
-    ll = _log_density(data.log_density_constant(nu), stats.m, nu, logdet, s)
-    return _EStep(A, xtbx, Vinv, btr, u, zhat, rtr, s, w, ll, float(ll.sum()))
+    G, d1, _ = phi.shape
+    d = d1 - 1
+    prods = (phi.reshape(G * d1, p) @ batch.btb_rows).reshape(G, d1, n, p)
+    A = prods[:, :d]
+    btheta = prods[:, d]
+    xi_rows = phi[:, :d]
+    # xtbx[k, l, g, i] = xi_g[:, k] . A[g, l, i, :], a view of (G, d, d, n) rows
+    xtbx = (
+        (xi_rows @ A.reshape(G, d * n, p).transpose(0, 2, 1))
+        .reshape(G, d, d, n)
+        .transpose(1, 2, 0, 3)
+    )
+    V = np.divide(xtbx, sigma2[:, None], order="C")
+    V.reshape(d * d, G * n)[:: d + 1] += 1.0
+    Vinv, logdet_v = _sweep(V, lambda slot: data.trajectories[slot % n].id)
+    rtr = batch.xtx - 2.0 * (phi[:, d] @ stats.btx.T) + (btheta @ phi[:, d, :, None])[..., 0]
+    btr = np.subtract(batch.btx, btheta, out=btheta)  # BtB theta is not needed again
+    u = (xi_rows @ btr.transpose(0, 2, 1)).transpose(1, 0, 2)
+    zhat = (Vinv * u[None]).sum(axis=1) / sigma2[:, None]
+    Vinv *= batch.include
+    uz = (u * zhat).sum(axis=0)
+    s = np.maximum((rtr - uz) / sigma2[:, None], 0.0)
+    # libm's log, as for a scalar sigma2: numpy's vectorized log differs
+    # from it in the last bit for about 0.1% of inputs
+    log_sigma2 = np.array([math.log(v) for v in sigma2.tolist()])
+    logdet = batch.m * log_sigma2[:, None] + logdet_v
+    nu = batch.nu
+    if math.isinf(nu):
+        w = batch.wnum.copy()
+        ll = -0.5 * (batch.const + logdet + s)
+    else:
+        w = batch.wnum / (nu + s)
+        # multivariate t_nu in dimension m:
+        #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
+        ll = batch.const - 0.5 * logdet - batch.half_nu_m * np.log1p(s / nu)
+    loglik = (ll * batch.include).sum(axis=1)
+    return _EStep(A, xtbx, Vinv, btr, u, zhat, uz, rtr, s, w, ll, loglik)
 
 
 def _resid2(e: _EStep) -> np.ndarray:
     """Squared norms of the curves' residuals from their predicted fits."""
     z = e.zhat_dn
     return np.maximum(
-        e.rtr
-        - 2.0 * (z * e.u).sum(axis=0)
-        + (z * (e.xtbx * z[None]).sum(axis=1)).sum(axis=0),
-        0.0,
+        e.rtr - 2.0 * e.uz + (z * (e.xtbx * z[None]).sum(axis=1)).sum(axis=0), 0.0
     )
 
 
 def _model_btr(e: _EStep) -> np.ndarray:
-    """Per-curve B_i^T (x_i - B_i theta - B_i Xi zhat_i), shape (n, p)."""
+    """One model's per-curve B_i^T (x_i - B_i theta - B_i Xi zhat_i), shape (n, p)."""
     return e.btr - (e.A * e.zhat_dn[:, :, None]).sum(axis=0)
 
 
 def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
     """Per-curve B_i^T Sigma_i^{-1} r_i, shape (n, p), and B_i^T Sigma_i^{-1} B_i,
-    shape (n, p, p), by the low-rank identity behind ``sigma_solve``."""
+    shape (n, p, p), by the low-rank identity behind ``sigma_solve``; ``e`` is
+    one model's E-step."""
     bt_sinv_r = _model_btr(e) / sigma2
     A = e.A.transpose(1, 2, 0)  # (n, p, d)
     # (BtB - A V^{-1} A^T / sigma2) / sigma2, in place in one (n, p, p) array
@@ -478,79 +560,96 @@ def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
     return bt_sinv_r, bt_sinv_b
 
 
-def _mstep(stats: _DesignStats, e: _EStep, theta, xi, sigma2, alpha, P):
-    """Closed-form updates, all E-quantities held at the current parameters;
-    ``P`` is the penalty matrix, None when the fit is unpenalized."""
+def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve the (G, k, k) systems lhs x = rhs for (G, k) right-hand sides."""
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"{what} update system is singular: {exc}") from exc
+
+
+def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
+    """Closed-form updates of every model in the batch, all E-quantities held
+    at the current parameters; ``P`` is the penalty matrix, None when the fit
+    is unpenalized, and ``pen`` the models' penalty values (``_penalty``).
+    Left-out curves enter through their zero weights and V^{-1} blocks."""
+    stats = batch.data.design_stats
     n, p = stats.btx.shape
-    d = xi.shape[1]
+    G, d1, _ = phi.shape
+    d = d1 - 1
     w = e.w
-    wz = w * e.zhat_dn  # (d, n)
+    wz = w * e.zhat_dn  # (d, G, n)
 
     # one pass over the design blocks: rows [w; C] with C_i = Vinv_i +
-    # w_i zhat_i zhat_i^T give sum_i w_i BtB_i and sum_i C_i (x) BtB_i
-    wc = np.empty((1 + d * d, n))
+    # w_i zhat_i zhat_i^T give every model's sum_i w_i BtB_i and
+    # sum_i C_i (x) BtB_i
+    wc = np.empty((1 + d * d, G, n))
     wc[0] = w
-    C = wc[1:].reshape(d, d, n)
+    C = wc[1:].reshape(d, d, G, n)
     np.multiply(wz[:, None], e.zhat_dn[None], out=C)
     C += e.Vinv
-    sums = wc @ stats.btb.reshape(n, p * p)
+    sums = (wc.reshape((1 + d * d) * G, n) @ batch.btb_flat).reshape(1 + d * d, G, p, p)
 
-    lhs_theta = sums[0].reshape(p, p)
-    rhs_theta = w @ stats.btx - wz.reshape(d * n) @ e.A.reshape(d * n, p)
+    lhs_theta = sums[0]
+    wz = wz.transpose(1, 0, 2)  # (G, d, n)
+    rhs_theta = w @ stats.btx - (wz.reshape(G, 1, d * n) @ e.A.reshape(G, d * n, p))[:, 0]
     if alpha > 0:
         lhs_theta = lhs_theta + 2.0 * alpha * P
-    try:
-        theta_new = np.linalg.solve(lhs_theta, rhs_theta)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"theta update system is singular: {exc}") from exc
+    theta_new = _solve(lhs_theta, rhs_theta, "theta")
 
     if d > 0:
-        # blocks reordered from (k, l, p, q) to (k, p, l, q)
+        # blocks reordered from (k, l, g, p, q) to (g, k, p, l, q)
         lhs = (
             sums[1:]
-            .reshape(d, d, p, p)
-            .transpose(0, 2, 1, 3)
-            .reshape(d * p, d * p)
+            .reshape(d, d, G, p, p)
+            .transpose(2, 0, 3, 1, 4)
+            .reshape(G, d * p, d * p)
         )
-        rhs = (wz @ e.btr).reshape(d * p)
+        rhs = (wz @ e.btr).reshape(G, d * p)
         if alpha > 0:
             for k in range(d):
                 blk = slice(k * p, (k + 1) * p)
-                lhs[blk, blk] += 2.0 * alpha * P
-        try:
-            vec = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"xi update system is singular: {exc}") from exc
-        xi_new = vec.reshape(d, p).T
+                lhs[:, blk, blk] += 2.0 * alpha * P
+        vec = _solve(lhs, rhs, "xi")
+        phi_new = np.concatenate([vec.reshape(G, d, p), theta_new[:, None]], axis=1)
     else:
-        xi_new = xi
+        phi_new = theta_new[:, None]
 
-    trace = e.Vinv.reshape(-1) @ e.xtbx.reshape(-1)
-    num = float(w @ _resid2(e) + trace)
+    trace = np.vecdot(
+        e.Vinv.transpose(2, 0, 1, 3).reshape(G, d * d * n),
+        e.xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n),
+    )
+    num = np.vecdot(w, _resid2(e)) + trace
     if alpha > 0:
         # keep the penalized objective ascending: the penalty enters the scale
         # update with the same 1/sigma2 weighting as the residual sum
-        num += 2.0 * _penalty_value(theta, xi, alpha, P)
-    sigma2_new = num / stats.total_obs
-    if sigma2_new <= 0:
+        num += 2.0 * pen
+    sigma2_new = num / batch.total_obs
+    if min(sigma2_new.tolist()) <= 0:
         raise DegenerateFitError("sigma2 update is nonpositive; residuals vanished")
-    return theta_new, xi_new, sigma2_new
+    return phi_new, sigma2_new
 
 
-def _penalty_value(theta, xi, alpha, P) -> float:
+def _penalty(phi: np.ndarray, alpha: float, P) -> np.ndarray | float:
+    """alpha (theta^T P theta + sum_k xi_k^T P xi_k) for each model, 0.0 when
+    the fit is unpenalized."""
     if P is None:
         return 0.0
-    val = alpha * float(theta @ P @ theta)
-    for k in range(xi.shape[1]):
-        val += alpha * float(xi[:, k] @ P @ xi[:, k])
+    d = phi.shape[1] - 1
+    quad = (phi[:, :, None] @ P @ phi[..., None])[..., 0, 0]  # (G, d + 1)
+    val = alpha * quad[:, d]
+    for k in range(d):
+        val = val + alpha * quad[:, k]
     return val
 
 
-def _check_finite(ll_curve: np.ndarray, data: Dataset) -> None:
-    if not np.all(np.isfinite(ll_curve)):
-        bad = int(np.flatnonzero(~np.isfinite(ll_curve))[0])
+def _check_finite(e: _EStep, data: Dataset) -> None:
+    """Raise ``NumericalOverflowError`` naming the first curve, in slot
+    order, whose log density is not finite."""
+    bad = np.flatnonzero(~np.isfinite(e.ll_curve))
+    if bad.size:
         raise NumericalOverflowError(
-            f"log-likelihood is non-finite for curve {data.trajectories[bad].id!r}"
+            f"log-likelihood is non-finite for curve {data.trajectories[bad[0] % data.n].id!r}"
         )
 
 
@@ -564,27 +663,63 @@ def _converged(trace: list, tol: float) -> bool:
     return step / (abs(trace[-2]) + 1.0) < tol
 
 
-def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, P, max_iter, tol):
-    """Iterate EM updates until the objective stabilizes.
+class _Stop(NamedTuple):
+    """Where one model of a batch stopped."""
 
-    Returns (theta, xi, sigma2, trace, converged, final E-step). The trace
-    holds the (penalized) log-likelihood at each visited parameter value, so
-    its last entry corresponds to the returned parameters.
+    phi: np.ndarray       # (d + 1, p) parameters at its last E-step
+    sigma2: float
+    trace: np.ndarray     # (penalized) log-likelihood at each visited iterate
+    converged: bool
+    ll_curve: np.ndarray  # (n,) per-curve log densities at its last E-step
+
+
+def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol):
+    """Iterate EM updates of the batch's models in lockstep until each one's
+    objective stabilizes.
+
+    Each model stops on its own trace, by ``_converged`` or after
+    ``max_iter`` updates, and leaves the batch; later iterations update only
+    the models still running. Returns the models' ``_Stop`` records in batch
+    order and the E-step of the models that stopped last, which for a single
+    model is its final E-step.
     """
-    stats = data.design_stats
-    trace = []
-    e = None
-    for it in range(max_iter + 1):
-        e = _estep(data, theta, xi, sigma2, nu)
-        _check_finite(e.ll_curve, data)
-        obj = e.loglik - _penalty_value(theta, xi, alpha, P) / sigma2
-        trace.append(obj)
-        if _converged(trace, tol):
-            return theta, xi, sigma2, np.array(trace), True, e
-        if it == max_iter:
-            break
-        theta, xi, sigma2 = _mstep(stats, e, theta, xi, sigma2, alpha, P)
-    return theta, xi, sigma2, np.array(trace), False, e
+    G = phi.shape[0]
+    traces = [[] for _ in range(G)]
+    stops = [None] * G
+    running = list(range(G))
+    while True:
+        e = _estep(batch, phi, sigma2)
+        pen = _penalty(phi, alpha, P)
+        obj = e.loglik if P is None else e.loglik - pen / sigma2
+        stopped = []
+        for j, value in enumerate(obj.tolist()):
+            if not math.isfinite(value):
+                _check_finite(e, batch.data)
+            g = running[j]
+            trace = traces[g]
+            trace.append(value)
+            converged = _converged(trace, tol)
+            if converged or len(trace) > max_iter:
+                stops[g] = _Stop(
+                    phi[j], float(sigma2[j]), np.array(trace), converged, e.ll_curve[j]
+                )
+                stopped.append(j)
+        if len(stopped) == len(running):
+            return stops, e
+        phi, sigma2 = _mstep(batch, e, phi, sigma2, alpha, P, pen)
+        del e  # free this E-step before the next one is computed
+        if stopped:
+            keep = np.ones(len(running), dtype=bool)
+            keep[stopped] = False
+            phi, sigma2, batch = phi[keep], sigma2[keep], batch.select(keep)
+            running = [g for g, k in zip(running, keep.tolist()) if k]
+
+
+def _estep_at(params: "ModelParams", data: Dataset, nu: float | None = None) -> _EStep:
+    """One model's E-step over every curve of ``data`` (model axis dropped);
+    ``nu`` defaults to the parameters' own."""
+    batch = _batch(data, params.nu if nu is None else nu)
+    return _estep(batch, _phi(params.theta, params.xi), np.array([params.sigma2])).model(0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +728,9 @@ def _em_loop(data: Dataset, theta, xi, sigma2, nu, alpha, P, max_iter, tol):
 
 def log_likelihood(params: ModelParams, data: Dataset) -> float:
     """Sum of per-curve t (or Gaussian, nu=inf) log densities."""
-    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
-    _check_finite(e.ll_curve, data)
-    return e.loglik
+    e = _estep_at(params, data)
+    _check_finite(e, data)
+    return float(e.loglik)
 
 
 def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelParams:
@@ -609,12 +744,12 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
             f"params have d={params.d} but config requests d={config.d}"
         )
     alpha, P = _penalty_terms(config, data.basis)
-    e = _estep(data, params.theta, params.xi, params.sigma2, config.nu)
-    _check_finite(e.ll_curve, data)
-    theta, xi, sigma2 = _mstep(
-        data.design_stats, e, params.theta, params.xi, params.sigma2, alpha, P
-    )
-    return ModelParams.from_xi(theta, xi, sigma2, config.nu, data.basis)
+    batch = _batch(data, config.nu)
+    phi, sigma2 = _phi(params.theta, params.xi), np.array([params.sigma2])
+    e = _estep(batch, phi, sigma2)
+    _check_finite(e, data)
+    phi, sigma2 = _mstep(batch, e, phi, sigma2, alpha, P, _penalty(phi, alpha, P))
+    return ModelParams.from_xi(phi[0, -1], phi[0, :-1].T, sigma2[0], config.nu, data.basis)
 
 
 def _penalty_terms(config: ModelConfig, basis: SplineBasis):
@@ -666,18 +801,30 @@ def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
     return v * math.sqrt(sigma2 / 2.0)
 
 
-def _stage_result(data, theta, xi, sigma2, nu, trace, converged, e: _EStep) -> FitResult:
-    """Canonicalize a stage; ``e`` is the E-step at (theta, xi, sigma2), and the
-    log-likelihood, distances and weights taken from it are rotation invariant."""
-    return FitResult(
-        params=ModelParams.from_xi(theta, xi, sigma2, nu, data.basis),
-        loglik_trace=trace,
-        converged=converged,
-        iterations=len(trace) - 1,
-        loglik=e.loglik,
+def _stage(batch: _Batch, theta, xi, sigma2, alpha, P, config: ModelConfig):
+    """Run one model's EM from (theta, xi, sigma2) and canonicalize the result.
+
+    Returns the stage's ``FitResult`` and its final E-step, which is at the
+    raw (uncanonicalized) parameters; the log-likelihood, distances and
+    weights taken from it are rotation invariant.
+    """
+    (stop,), e = _em_loop(
+        batch, _phi(theta, xi), np.array([sigma2]), alpha, P, config.max_iter, config.tol
+    )
+    e = e.model(0)
+    d = stop.phi.shape[0] - 1
+    result = FitResult(
+        params=ModelParams.from_xi(
+            stop.phi[d], stop.phi[:d].T, stop.sigma2, config.nu, batch.data.basis
+        ),
+        loglik_trace=stop.trace,
+        converged=stop.converged,
+        iterations=len(stop.trace) - 1,
+        loglik=float(e.loglik),
         s=e.s,
         weights=e.w,
     )
+    return result, e
 
 
 def fit(data: Dataset, config: ModelConfig) -> FitResult:
@@ -700,6 +847,7 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
     theta = np.zeros(p)
     xi = np.zeros((p, 0))
     alpha, P = _penalty_terms(config, data.basis)
+    batch = _batch(data, config.nu)
 
     stages: list[FitResult] = []
     e = None
@@ -711,10 +859,7 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
             # noise budget; without the deduction the inflated noise level
             # masks outlying curves during the stage's early iterations
             sigma2 = sigma2 / 2.0
-        theta, xi, sigma2, trace, converged, e = _em_loop(
-            data, theta, xi, sigma2, config.nu, alpha, P, config.max_iter, config.tol
-        )
-        stage = _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
+        stage, e = _stage(batch, theta, xi, sigma2, alpha, P, config)
         stages.append(stage)
         theta, xi, sigma2 = stage.params.theta, stage.params.xi, stage.params.sigma2
 
@@ -737,10 +882,39 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
             f"init params have d={init.d} but config requests d={config.d}"
         )
     alpha, P = _penalty_terms(config, data.basis)
-    theta, xi, sigma2, trace, converged, e = _em_loop(
-        data, init.theta, init.xi, init.sigma2, config.nu, alpha, P, config.max_iter, config.tol
+    batch = _batch(data, config.nu)
+    return _stage(batch, init.theta, init.xi, init.sigma2, alpha, P, config)[0]
+
+
+def _refits_without(data: Dataset, config: ModelConfig, init: ModelParams, left_out):
+    """Refit the ``config`` model once without each curve index in
+    ``left_out``, every refit started at ``init``, all in one lockstep batch.
+
+    Refit g is model g of a batch over the whole dataset that leaves curve
+    ``left_out[g]`` out of its objective, M-step sums and observation count.
+    Returns per refit the left-out curve's log density at the refit's final
+    E-step, which is at its returned parameters; its EM iteration count; and
+    whether it converged.
+    """
+    if init.d != config.d:
+        raise DimensionMismatchError(
+            f"init params have d={init.d} but config requests d={config.d}"
+        )
+    G = len(left_out)
+    include = np.ones((G, data.n))
+    include[np.arange(G), left_out] = 0.0
+    alpha, P = _penalty_terms(config, data.basis)
+    stops, _ = _em_loop(
+        _batch(data, config.nu, include),
+        np.repeat(_phi(init.theta, init.xi), G, axis=0),
+        np.full(G, init.sigma2),
+        alpha, P, config.max_iter, config.tol,
     )
-    return _stage_result(data, theta, xi, sigma2, config.nu, trace, converged, e)
+    return (
+        [float(stop.ll_curve[i]) for stop, i in zip(stops, left_out)],
+        [len(stop.trace) - 1 for stop in stops],
+        [stop.converged for stop in stops],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +932,7 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
     stats = data.design_stats
     n = data.n
     sigma2, d = params.sigma2, params.d
-    e = _estep(data, params.theta, params.xi, sigma2, params.nu)
+    e = _estep_at(params, data)
 
     bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
     eq1 = e.w @ bt_sinv_r

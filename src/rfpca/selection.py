@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
-from .model import Dataset, FitResult, ModelConfig, fit, fit_from, log_likelihood
+from .model import Dataset, FitResult, ModelConfig, _refits_without, fit, log_likelihood
 
 CRITERIA = ("aic", "bic", "cv")
 
@@ -62,6 +62,14 @@ def bic(fit_result: FitResult, data: Dataset) -> float:
     return information_criterion(fit_result, data, math.log(data.n) / 2.0)
 
 
+# Cap on the bytes of each cross-validation batch's (G, d + 1, n, p) E-step
+# product, which sets how many refits run in lockstep: 12 at n = 100, d = 2,
+# p = 9. Measured on a 2-vCPU host, twice this cap added about 1 MB to the
+# select_small benchmark's peak RSS and, at d = 0, let BLAS worker threads
+# preempt the main thread.
+_BATCH_BYTES = 256 * 1024
+
+
 def cross_validate(
     data: Dataset,
     config: ModelConfig,
@@ -70,33 +78,38 @@ def cross_validate(
 ):
     """Leave-one-curve-out log predictive score at the configured dimension.
 
-    Performs exactly n refits, each warm-started at the full-data fit. A
-    refit that hits the iteration cap still contributes its last iterate,
-    with a warning.
+    The n refits, each on every curve but one and started at the full-data
+    fit, run as batches of models that iterate EM in lockstep over the
+    dataset's shared design statistics; each refit stops on its own trace.
+    Curve i's held-out term is its log density at the E-step where refit i
+    stopped, which is at that refit's returned parameters. A refit that hits
+    the iteration cap still contributes its last iterate, with a warning.
+    Details, one record per curve, give the term, the refit's EM iteration
+    count and whether it converged.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
     if full_fit is None:
         full_fit = fit(data, config)
+    n, p = data.n, data.basis.dimension
+    size = max(1, _BATCH_BYTES // (8 * (config.d + 1) * n * p))
     score = 0.0
     details = []
-    for i in range(data.n):
-        sub = data.drop(i)
-        refit = fit_from(sub, config, full_fit.params)
-        held_out = Dataset([data.trajectories[i]], data.basis)
-        term = log_likelihood(refit.params, held_out)
-        if not refit.converged:
-            warnings.warn(
-                f"held-out refit without curve {data.trajectories[i].id!r} "
-                "did not converge; using its last iterate",
-                stacklevel=2,
+    for start in range(0, n, size):
+        left_out = np.arange(start, min(start + size, n))
+        terms, iterations, converged = _refits_without(data, config, full_fit.params, left_out)
+        for i, term, iters, ok in zip(left_out.tolist(), terms, iterations, converged):
+            curve_id = data.trajectories[i].id
+            if not ok:
+                warnings.warn(
+                    f"held-out refit without curve {curve_id!r} "
+                    "did not converge; using its last iterate",
+                    stacklevel=2,
+                )
+            details.append(
+                {"id": curve_id, "loglik": term, "converged": ok, "iterations": iters}
             )
-        details.append({
-            "id": data.trajectories[i].id,
-            "loglik": term,
-            "converged": refit.converged,
-        })
-        score += term
+            score += term
     if return_details:
         return score, details
     return score
@@ -147,6 +160,7 @@ def select_dimension(
                 row["cv_refits_nonconverged"] = sum(
                     1 for rec in details if not rec["converged"]
                 )
+                row["cv_refit_iterations"] = sum(rec["iterations"] for rec in details)
             rows.append(row)
     except RfpcaError as exc:
         partial = SelectionReport(per_d=tuple(rows), chosen_d=None, criterion=criterion)

@@ -195,6 +195,28 @@ def test_select_command(tmp_path, sim_csv):
     assert report["chosen_d"] in (0, 1, 2)
 
 
+def test_select_command_cv_records_refit_iterations(tmp_path, sim_csv):
+    out = tmp_path / "sel"
+    code = main([
+        "select", "--data", str(sim_csv), "--dmax", "1", "--criterion", "cv",
+        "--nu", "1", "--tol", "1e-6", "--domain", "0,1", "--out", str(out),
+    ])
+    assert code == 0
+    text = (out / "selection.json").read_text()
+    report = json.loads(text)
+    assert report["criterion"] == "cv"
+    for row in report["per_d"]:
+        # 40 refits, each at least one EM update past its warm start
+        assert row["cv_refit_iterations"] >= 40
+        assert row["cv_refits_nonconverged"] == 0
+    # the same input writes the same bytes
+    main([
+        "select", "--data", str(sim_csv), "--dmax", "1", "--criterion", "cv",
+        "--nu", "1", "--tol", "1e-6", "--domain", "0,1", "--out", str(out),
+    ])
+    assert (out / "selection.json").read_text() == text
+
+
 def test_simulate_command_deterministic(tmp_path):
     study = {
         "mode": "estimation",

@@ -16,7 +16,7 @@ from rfpca import (
     mean_covariance,
     simulate_dataset,
 )
-from rfpca.model import _estep
+from rfpca.model import _estep_at
 from rfpca.simulate import Contamination, GridDesign, TrueModel
 
 
@@ -54,7 +54,7 @@ def test_curve_diagnostics_d0_fitted_values():
 def test_curve_diagnostics_matches_per_curve_loop(d):
     res, data = _clean_fit(n=40, d=d)
     params = res.params
-    e = _estep(data, params.theta, params.xi, params.sigma2, params.nu)
+    e = _estep_at(params, data)
     diags = curve_diagnostics(params, data)
     assert [g.id for g in diags] == [t.id for t in data.trajectories]
     for i, (g, traj) in enumerate(zip(diags, data.trajectories)):

@@ -27,7 +27,7 @@ from rfpca import (
     sigma_solve,
     simulate_dataset,
 )
-from rfpca.model import _estep, _sweep
+from rfpca.model import _estep_at, _sweep
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
 
@@ -99,7 +99,7 @@ def test_estep_matches_dense(rng, d, nu):
         [Trajectory(first.id, first.times, params.mean(first.times))] + data.trajectories[1:],
         BASIS,
     )
-    e = _estep(data, params.theta, params.xi, params.sigma2, nu)
+    e = _estep_at(params, data)
     assert e.s[0] == 0.0
     np.testing.assert_allclose(e.zhat[0], 0.0, atol=1e-12)
     for i, traj in enumerate(data.trajectories[1:], start=1):
@@ -474,7 +474,7 @@ def test_fit_structure_and_invariants():
     assert abs(res.loglik - log_likelihood(res.params, data)) < 1e-9 * abs(res.loglik)
     m = np.array([t.m for t in data.trajectories])
     np.testing.assert_array_equal(res.weights, robust_weight(1.0, m, res.s))
-    e = _estep(data, res.params.theta, res.params.xi, res.params.sigma2, res.params.nu)
+    e = _estep_at(res.params, data)
     np.testing.assert_allclose(res.s, e.s, rtol=0, atol=1e-8)
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from rfpca import (
     select_dimension,
     simulate_dataset,
 )
+from rfpca import selection
+from rfpca.errors import ConditioningError, NumericalOverflowError
+from rfpca.model import FitResult, ModelParams, _batch, _estep, _phi
 from rfpca.selection import SelectionError
 from rfpca.simulate import Contamination, GridDesign, TrueModel
 from oracles import (
@@ -144,6 +149,200 @@ def test_cross_validate_manual_oracle():
         sigma = dense_covariance(refit.params, B)
         manual += dense_t_logpdf(held.values, B @ refit.params.theta, sigma, 1.0)
     assert abs(cross_validate(data, config) - manual) < 1e-9
+
+
+def _reference_cross_validation(data, config, full):
+    """Leave-one-out CV the slow way: one solo warm-started refit per curve on
+    the dataset without it, then the held-out curve's log density at the
+    refit's parameters. Returns per-curve terms, iteration counts and
+    convergence flags."""
+    terms, iterations, converged = [], [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(data.n):
+            refit = fit_from(data.drop(i), config, full.params)
+            held_out = Dataset([data.trajectories[i]], data.basis)
+            terms.append(log_likelihood(refit.params, held_out))
+            iterations.append(refit.iterations)
+            converged.append(refit.converged)
+    return np.array(terms), iterations, converged
+
+
+def _lockstep_cross_validation(data, config, full):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        score, details = cross_validate(data, config, full_fit=full, return_details=True)
+    return score, details, [str(w.message) for w in caught]
+
+
+def _cv_data(n=10, seed=9):
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(8), n,
+        Contamination("exogenous_mean", 0.2, 4.0), seed=seed, basis=BASIS,
+    )
+    return data
+
+
+@pytest.mark.parametrize("penalty", [0.0, 0.3])
+@pytest.mark.parametrize("nu", [1.0, 5.0, math.inf])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_cross_validate_matches_solo_refit_loop(d, nu, penalty):
+    data = _cv_data()
+    config = ModelConfig(nu=nu, d=d, penalty=penalty)
+    full = fit(data, config)
+    ref_terms, ref_iters, ref_conv = _reference_cross_validation(data, config, full)
+    score, details, messages = _lockstep_cross_validation(data, config, full)
+    assert [rec["id"] for rec in details] == [t.id for t in data.trajectories]
+    assert [rec["iterations"] for rec in details] == ref_iters
+    assert [rec["converged"] for rec in details] == ref_conv
+    terms = np.array([rec["loglik"] for rec in details])
+    np.testing.assert_allclose(terms, ref_terms, rtol=1e-10, atol=0)
+    assert abs(score - ref_terms.sum()) <= 1e-10 * abs(ref_terms.sum())
+    assert len(messages) == ref_conv.count(False)
+
+
+def test_cross_validate_capped_refits_warn_like_solo_loop():
+    data = _cv_data()
+    config = ModelConfig(nu=1.0, d=1, max_iter=3)
+    full = fit(data, ModelConfig(nu=1.0, d=1, tol=1e-3))
+    ref_terms, ref_iters, ref_conv = _reference_cross_validation(data, config, full)
+    score, details, messages = _lockstep_cross_validation(data, config, full)
+    assert [rec["iterations"] for rec in details] == ref_iters == [3] * data.n
+    assert [rec["converged"] for rec in details] == ref_conv == [False] * data.n
+    np.testing.assert_allclose([rec["loglik"] for rec in details], ref_terms, rtol=1e-10, atol=0)
+    assert messages == [
+        f"held-out refit without curve {t.id!r} did not converge; using its last iterate"
+        for t in data.trajectories
+    ]
+
+
+@pytest.mark.parametrize("models_per_batch", [1, 7, None])
+def test_cross_validate_independent_of_batch_size(monkeypatch, models_per_batch):
+    data = _cv_data(n=15, seed=11)
+    config = ModelConfig(nu=1.0, d=2)
+    full = fit(data, config)
+    _, reference = cross_validate(data, config, full_fit=full, return_details=True)
+    per_model = 8 * (config.d + 1) * data.n * BASIS.dimension
+    budget = per_model * (models_per_batch or data.n)
+    monkeypatch.setattr(selection, "_BATCH_BYTES", budget + per_model - 1)
+    _, details = cross_validate(data, config, full_fit=full, return_details=True)
+    assert [rec["iterations"] for rec in details] == [rec["iterations"] for rec in reference]
+    np.testing.assert_allclose(
+        [rec["loglik"] for rec in details], [rec["loglik"] for rec in reference],
+        rtol=1e-12, atol=0,
+    )
+
+
+def test_cross_validate_traced_memory_is_bounded():
+    # n = 100, d = 2, as in the select_small benchmark workload: refits run
+    # in batches capped by selection._BATCH_BYTES, and each E-step is freed
+    # before the next one is computed, so the peak stays near one batch's
+    # E-step and M-step arrays whatever n is
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 100, Contamination.none(), seed=21
+    )
+    config = ModelConfig(nu=1.0, d=2)
+    full = fit(data, config)
+    tracemalloc.start()
+    try:
+        cross_validate(data, config, full_fit=full)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+def _singular_late_params():
+    # the loadings of test_loglik_singular_posterior_precision_is_conditioning_error:
+    # V_i rounds to a singular matrix for a curve observed at t = 1
+    J = BASIS.gram_matrix
+    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
+    H = np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])])
+    return ModelParams(
+        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70, H=H,
+        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
+    )
+
+
+def _stub_fit(params, n):
+    return FitResult(
+        params=params, loglik_trace=np.zeros(1), converged=True, iterations=0,
+        loglik=0.0, s=np.zeros(n), weights=np.ones(n),
+    )
+
+
+def _late_curve_data():
+    return Dataset(
+        [
+            Trajectory("early", np.array([0.01, 0.05]), np.array([0.3, -0.2])),
+            Trajectory("mid", np.array([0.4, 0.5]), np.array([0.1, 0.2])),
+            Trajectory("late", np.array([1.0]), np.array([0.4])),
+        ],
+        BASIS,
+    )
+
+
+def test_batched_singular_posterior_precision_names_curve_not_slot():
+    data = _late_curve_data()
+    good = ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS)
+    bad = _singular_late_params()
+    # model 1 is the singular one, so the first bad slot is n + 2, not 2
+    phi = np.concatenate([_phi(good.theta, good.xi), _phi(bad.theta, bad.xi)])
+    with pytest.raises(ConditioningError, match="'late'"):
+        _estep(_batch(data, 1.0, np.ones((2, data.n))), phi, np.ones(2))
+    with pytest.raises(ConditioningError, match="'late'"):
+        cross_validate(data, ModelConfig(nu=1.0, d=2), full_fit=_stub_fit(bad, data.n))
+
+
+def test_cross_validate_nonfinite_density_names_curve():
+    data = Dataset(
+        [
+            Trajectory("a", np.array([0.1, 0.3]), np.array([0.3, -0.2])),
+            Trajectory("huge", np.array([0.5, 0.6]), np.array([1e200, -1e200])),
+            Trajectory("b", np.array([0.7, 0.9]), np.array([0.1, 0.2])),
+        ],
+        BASIS,
+    )
+    params = ModelParams(
+        theta=np.zeros(9), xi=np.zeros((9, 0)), H=np.zeros((9, 0)), lam=np.zeros(0),
+        sigma2=1.0, nu=1.0, basis=BASIS,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflowError, match="'huge'"):
+            cross_validate(data, ModelConfig(nu=1.0, d=0), full_fit=_stub_fit(params, 3))
+
+
+def test_select_dimension_cv_failure_keeps_partial_report():
+    # only curve "edge" observes the right end of the domain, so every
+    # refit without it has a singular mean-coefficient system
+    rng = np.random.default_rng(4)
+    trajs = [
+        Trajectory(f"c{i}", np.sort(rng.uniform(0, 0.45, 12)), rng.normal(size=12))
+        for i in range(4)
+    ]
+    trajs.append(Trajectory("edge", np.linspace(0, 1, 15), rng.normal(size=15)))
+    data = Dataset(trajs, BASIS)
+    config = ModelConfig(nu=1.0, d=1)
+    fit(data, config)  # the full-data fit itself is fine
+    with pytest.raises(SelectionError) as exc_info:
+        select_dimension(data, 1, "cv", config)
+    assert isinstance(exc_info.value.__cause__, ConditioningError)
+    partial = exc_info.value.partial_report
+    assert partial is not None and partial.chosen_d is None
+    assert partial.per_d == ()
+
+
+def test_select_dimension_cv_records_refit_iterations():
+    data = _cv_data()
+    config = ModelConfig(nu=5.0, d=1)
+    report = select_dimension(data, 1, "cv", config)
+    chain = fit(data, config)
+    for row, stage in zip(report.per_d, chain.stages):
+        _, details = cross_validate(
+            data, ModelConfig(nu=5.0, d=row["d"]), full_fit=stage, return_details=True
+        )
+        assert row["cv_refit_iterations"] == sum(rec["iterations"] for rec in details) > 0
+        assert row["cv_refits_nonconverged"] == sum(not rec["converged"] for rec in details)
 
 
 def test_cross_validate_needs_three_curves():
