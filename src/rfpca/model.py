@@ -363,8 +363,8 @@ class _Batch(NamedTuple):
     Model g counts curve i in its objective, its M-step sums and its
     observation count when ``include[g, i]`` is 1; its E-step still evaluates
     every curve, so a left-out curve's log density is there to be read. The
-    per-curve constants are repeated as (G, n) rows so that the E-step's
-    elementwise operations meet operands of their own shape.
+    per-curve constants are shared (n,) rows that broadcast against the
+    models' (G, n) rows.
     """
 
     data: Dataset
@@ -372,11 +372,9 @@ class _Batch(NamedTuple):
     include: np.ndarray    # (G, n) 0/1
     wnum: np.ndarray       # (G, n) robust-weight numerators nu + m_i (1 when
                            # nu is inf), 0 at left-out curves
-    const: np.ndarray      # (G, n) rows of Dataset.log_density_constant(nu)
-    half_nu_m: np.ndarray  # (G, n) (nu + m_i) / 2; unused when nu is inf
-    m: np.ndarray          # (G, n) observation counts, as floats
-    xtx: np.ndarray        # (G, n) x_i^T x_i
     total_obs: np.ndarray  # (G,) observations each model counts
+    const: np.ndarray      # (n,) Dataset.log_density_constant(nu)
+    half_nu_m: np.ndarray  # (n,) (nu + m_i) / 2; unused when nu is inf
     btb_rows: np.ndarray   # (p, n * p) view of the design blocks, for the E-step
     btb_flat: np.ndarray   # (n, p * p) view of the design blocks, for the M-step
     btx: np.ndarray        # (1, n, p) view of B_i^T x_i
@@ -384,9 +382,7 @@ class _Batch(NamedTuple):
     def select(self, keep) -> "_Batch":
         """The batch of the models ``keep`` selects."""
         return self._replace(
-            include=self.include[keep], wnum=self.wnum[keep], const=self.const[keep],
-            half_nu_m=self.half_nu_m[keep], m=self.m[keep], xtx=self.xtx[keep],
-            total_obs=self.total_obs[keep],
+            include=self.include[keep], wnum=self.wnum[keep], total_obs=self.total_obs[keep]
         )
 
 
@@ -395,16 +391,11 @@ def _batch(data: Dataset, nu: float, include: np.ndarray | None = None) -> _Batc
     stats = data.design_stats
     if include is None:
         include = np.ones((1, data.n))
-    m = stats.m.astype(float)
-    nu_m = nu + m
-    const, half_nu_m, m_rows, xtx = np.repeat(
-        np.stack([data.log_density_constant(nu), 0.5 * nu_m, m, stats.xtx])[:, None],
-        include.shape[0], axis=1,
-    )
+    nu_m = nu + stats.m
     wnum = include if math.isinf(nu) else nu_m * include
     n, p = stats.btx.shape
     return _Batch(
-        data, nu, include, wnum, const, half_nu_m, m_rows, xtx, (include * m).sum(axis=1),
+        data, nu, include, wnum, include @ stats.m, data.log_density_constant(nu), 0.5 * nu_m,
         stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), stats.btx[None],
     )
 
@@ -506,20 +497,22 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
         .reshape(G, d, d, n)
         .transpose(1, 2, 0, 3)
     )
-    V = np.divide(xtbx, sigma2[:, None], order="C")
+    sigma2_col = sigma2[:, None]
+    V = np.divide(xtbx, sigma2_col, order="C")
     V.reshape(d * d, G * n)[:: d + 1] += 1.0
     Vinv, logdet_v = _sweep(V, lambda slot: data.trajectories[slot % n].id)
-    rtr = batch.xtx - 2.0 * (phi[:, d] @ stats.btx.T) + (btheta @ phi[:, d, :, None])[..., 0]
+    theta = phi[:, d]
+    rtr = stats.xtx - 2.0 * (theta @ stats.btx.T) + (btheta @ theta[..., None])[..., 0]
     btr = np.subtract(batch.btx, btheta, out=btheta)  # BtB theta is not needed again
     u = (xi_rows @ btr.transpose(0, 2, 1)).transpose(1, 0, 2)
-    zhat = (Vinv * u[None]).sum(axis=1) / sigma2[:, None]
+    zhat = (Vinv * u[None]).sum(axis=1) / sigma2_col
     Vinv *= batch.include
     uz = (u * zhat).sum(axis=0)
-    s = np.maximum((rtr - uz) / sigma2[:, None], 0.0)
+    s = np.maximum((rtr - uz) / sigma2_col, 0.0)
     # libm's log, as for a scalar sigma2: numpy's vectorized log differs
     # from it in the last bit for about 0.1% of inputs
-    log_sigma2 = np.array([math.log(v) for v in sigma2.tolist()])
-    logdet = batch.m * log_sigma2[:, None] + logdet_v
+    log_sigma2 = np.array([[math.log(v)] for v in sigma2.tolist()])
+    logdet = stats.m * log_sigma2 + logdet_v
     nu = batch.nu
     if math.isinf(nu):
         w = batch.wnum.copy()
@@ -566,6 +559,12 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} update system is singular: {exc}") from exc
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching rows of two (G, k) arrays; each is the
+    BLAS dot that ``a[g] @ b[g]`` computes."""
+    return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
 def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
@@ -615,11 +614,11 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
     else:
         phi_new = theta_new[:, None]
 
-    trace = np.vecdot(
+    trace = _rowdot(
         e.Vinv.transpose(2, 0, 1, 3).reshape(G, d * d * n),
         e.xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n),
     )
-    num = np.vecdot(w, _resid2(e)) + trace
+    num = _rowdot(w, _resid2(e)) + trace
     if alpha > 0:
         # keep the penalized objective ascending: the penalty enters the scale
         # update with the same 1/sigma2 weighting as the residual sum
@@ -715,10 +714,9 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol):
             running = [g for g, k in zip(running, keep.tolist()) if k]
 
 
-def _estep_at(params: "ModelParams", data: Dataset, nu: float | None = None) -> _EStep:
-    """One model's E-step over every curve of ``data`` (model axis dropped);
-    ``nu`` defaults to the parameters' own."""
-    batch = _batch(data, params.nu if nu is None else nu)
+def _estep_at(params: "ModelParams", data: Dataset) -> _EStep:
+    """One model's E-step over every curve of ``data`` (model axis dropped)."""
+    batch = _batch(data, params.nu)
     return _estep(batch, _phi(params.theta, params.xi), np.array([params.sigma2])).model(0)
 
 

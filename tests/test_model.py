@@ -27,7 +27,7 @@ from rfpca import (
     sigma_solve,
     simulate_dataset,
 )
-from rfpca.model import _estep_at, _sweep
+from rfpca.model import _estep_at, _rowdot, _sweep
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
 
@@ -148,6 +148,18 @@ def test_sweep_nonpositive_pivot_names_curve(rng, d):
     V[:, :, 3] = Q @ np.diag(np.append(np.full(d - 1, 2.0), -1.0)) @ Q.T
     with np.errstate(all="raise"), pytest.raises(ConditioningError, match="'3'"):
         _sweep(V, str)
+
+
+@pytest.mark.parametrize("G", [1, 3])
+@pytest.mark.parametrize("k", [0, 1, 37, 1000])
+def test_rowdot_is_each_rows_dot(rng, G, k):
+    # the scale update of a one-model batch must equal the single-model dot
+    # product to the bit, so each row must be the product a[g] @ b[g] computes
+    a = rng.normal(size=(G, k)) * 10.0 ** rng.uniform(-6, 6, size=(G, k))
+    b = rng.normal(size=(G, k))
+    out = _rowdot(a, b)
+    assert out.shape == (G,)
+    assert np.array_equal(out, [a[g] @ b[g] for g in range(G)])
 
 
 # ---------------------------------------------------------------------------
