@@ -342,19 +342,22 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.study:
-        result = sim.monte_carlo(_study_from_json(args.study, args.reps, args.seed))
-        result.to_csv(out / "study.csv")
-        return 0
-    if args.table == 1:
-        result = sim.monte_carlo(sim.efficiency_study(reps=args.reps, seed=args.seed))
-        result.to_csv(out / "table1.csv")
-        return 0
-    rows = []
-    for n in (20, 60):
-        result = sim.monte_carlo(sim.selection_study(reps=args.reps, seed=args.seed, n=n))
-        for row in result.rows:
-            rows.append({"n": n, **row})
-    sim.StudyResult(mode="selection", rows=tuple(rows)).to_csv(out / "table2.csv")
+        name = "study.csv"
+        rows = sim.monte_carlo(_study_from_json(args.study, args.reps, args.seed)).rows
+    elif args.table == 1:
+        name = "table1.csv"
+        rows = sim.monte_carlo(sim.efficiency_study(reps=args.reps, seed=args.seed)).rows
+    else:
+        name = "table2.csv"
+        rows = [
+            {"n": n, **row}
+            for n in (20, 60)
+            for row in sim.monte_carlo(
+                sim.selection_study(reps=args.reps, seed=args.seed, n=n)
+            ).rows
+        ]
+    header = list(rows[0])
+    _write_csv(out / name, header, ([row[k] for k in header] for row in rows))
     return 0
 
 

@@ -15,7 +15,8 @@ from .model import Dataset, ModelParams, _estep_at, _whitened_terms
 # Curves whose squared distance exceeds this chi-square quantile (with m_i
 # degrees of freedom) are flagged. Under the Normal model s_i is approximately
 # chi2(m_i); under a t fit the distances are inflated by a common factor, so
-# the rule errs conservative. A heuristic, not a formal test.
+# the rule is liberal: on clean simulated curves at nu = 1 it flags about 3-4%
+# against the nominal 1%. A heuristic, not a formal test.
 OUTLIER_QUANTILE = 0.99
 
 

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .basis import SplineBasis
@@ -150,22 +149,6 @@ class Dataset:
                 )
             self._density_constants[nu] = const
         return const
-
-    def drop(self, index: int) -> "Dataset":
-        """Dataset without curve ``index``, reusing cached design statistics
-        and log-density constants."""
-        sub = Dataset(
-            self.trajectories[:index] + self.trajectories[index + 1 :], self.basis
-        )
-        keep = np.arange(self.n) != index
-        if "design_stats" in self.__dict__:
-            s = self.design_stats
-            sub.__dict__["design_stats"] = _DesignStats(
-                s.m[keep], s.btb[keep], s.btx[keep], s.xtx[keep],
-                int(s.total_obs - s.m[index]),
-            )
-        sub._density_constants = {nu: c[keep] for nu, c in self._density_constants.items()}
-        return sub
 
 
 @dataclass(frozen=True)
@@ -328,7 +311,7 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
 
     Uses the low-rank identity Sigma^{-1} = (I - G V^{-1} G^T / sigma2) / sigma2
     with G = B Xi and V = I + G^T G / sigma2, so the m x m covariance is never
-    formed.
+    formed; V^{-1} and log det V come from the E-step's pivot sweep.
     """
     B = np.asarray(design, dtype=float)
     m, p = B.shape
@@ -341,16 +324,10 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
         raise InvalidParamsError("sigma2 must be positive")
     sigma2 = params.sigma2
     G = B @ params.xi
-    V = np.eye(params.d) + (G.T @ G) / sigma2
-    if params.d == 0:
-        return rhs / sigma2, m * math.log(sigma2)
-    try:
-        chol = cho_factor(V, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"V_i is not positive definite: {exc}") from exc
-    sol = (rhs - G @ cho_solve(chol, G.T @ rhs) / sigma2) / sigma2
-    logdet = m * math.log(sigma2) + 2.0 * np.log(np.diag(chol[0])).sum()
-    return sol, logdet
+    V = (np.eye(params.d) + (G.T @ G) / sigma2)[:, :, None]
+    Vinv, logdet_v = _sweep(V, lambda _: "design")
+    sol = (rhs - G @ (Vinv[:, :, 0] @ (G.T @ rhs)) / sigma2) / sigma2
+    return sol, m * math.log(sigma2) + float(logdet_v[0])
 
 
 # ---------------------------------------------------------------------------

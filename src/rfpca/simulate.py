@@ -19,10 +19,10 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.integrate import quad, simpson
 
+from . import selection
 from .basis import SplineBasis, build_basis
 from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
 from .model import Dataset, FitResult, ModelConfig, Trajectory, fit
-from .selection import degrees_of_freedom
 
 ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms
 
@@ -217,6 +217,15 @@ def simulate_dataset(
         z[plus, 1] = level
         z[minus, 1] = -level
 
+    # signed multiple of the Doppler direction added to each curve
+    shift = np.zeros(n)
+    if contamination.kind in ("exogenous_mean", "exogenous_pc"):
+        phi3 = doppler_phi3()
+        level = K * math.sqrt(lambdas[0]) if n_comp else K
+        shift[selected if contamination.kind == "exogenous_mean" else plus] = level
+        if contamination.kind == "exogenous_pc":
+            shift[minus] = -level
+
     sigma = math.sqrt(truth.sigma2)
     sq_lam = np.sqrt(lambdas)
     trajectories = []
@@ -224,19 +233,9 @@ def simulate_dataset(
         x = truth.mu(times) + sigma * noise[i]
         for k in range(n_comp):
             x = x + z[i, k] * sq_lam[k] * truth.phis[k](times)
+        if shift[i]:
+            x = x + shift[i] * phi3(times)
         trajectories.append(Trajectory(id=f"curve{i:04d}", times=times, values=x))
-
-    if contamination.kind in ("exogenous_mean", "exogenous_pc"):
-        phi3 = doppler_phi3()
-        shift = K * math.sqrt(lambdas[0]) if n_comp else K
-        add_plus = selected if contamination.kind == "exogenous_mean" else plus
-        for i in add_plus:
-            t = trajectories[i]
-            trajectories[i] = Trajectory(t.id, t.times, t.values + shift * phi3(t.times))
-        if contamination.kind == "exogenous_pc":
-            for i in minus:
-                t = trajectories[i]
-                trajectories[i] = Trajectory(t.id, t.times, t.values - shift * phi3(t.times))
 
     if basis is None:
         basis = build_basis(4, 5, truth.domain)
@@ -336,32 +335,21 @@ class MonteCarloStudy:
             raise InvalidInputError(f"unknown study mode {self.mode!r}")
         if self.reps < 1:
             raise InvalidInputError("reps must be >= 1")
+        if not self.scenarios or not self.estimators:
+            raise InvalidInputError("a study needs at least one scenario and one estimator")
+        if not self.criteria or not set(self.criteria) <= {"aic", "bic"}:
+            raise InvalidInputError(
+                f"criteria must be drawn from ('aic', 'bic'), got {self.criteria!r}"
+            )
+        p = _study_basis(self).dimension
+        if not 0 <= self.d_max <= p:
+            raise InvalidInputError(f"d_max must be in [0, {p}], got {self.d_max}")
 
 
 @dataclass(frozen=True)
 class StudyResult:
     mode: str
     rows: tuple[dict, ...]
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if not self.rows:
-                return
-            header = list(self.rows[0].keys())
-            writer.writerow(header)
-            for row in self.rows:
-                writer.writerow([_csv_cell(row[k]) for k in header])
-
-
-def _csv_cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 def _study_basis(study: MonteCarloStudy) -> SplineBasis:
@@ -400,33 +388,28 @@ def _estimation_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
 
 def _selection_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
     basis = _study_basis(study)
-    c_bic = math.log(study.n) / 2.0
     out = []
     for scen in study.scenarios:
         data, _ = simulate_dataset(
             study.truth, study.design, study.n, scen.contamination,
             seed=study.seed + rep, basis=basis,
         )
-        p = basis.dimension
         for nu in study.estimators:
             config = ModelConfig(nu=nu, d=study.d_max, max_iter=study.max_iter, tol=study.tol)
             try:
-                chain = fit(data, config)
-                ok = all(stage.converged for stage in chain.stages)
-                dfs = [degrees_of_freedom(p, d) for d in range(study.d_max + 1)]
-                for criterion in study.criteria:
-                    c_n = 1.0 if criterion == "aic" else c_bic
-                    scores = [st.loglik - c_n * df for st, df in zip(chain.stages, dfs)]
-                    out.append({
-                        "scenario": scen.name, "nu": nu, "criterion": criterion,
-                        "chosen_d": int(np.argmax(scores)), "ok": ok,
-                    })
+                # every row of the report carries both the AIC and BIC scores
+                per_d = selection.select_dimension(
+                    data, study.d_max, study.criteria[0], config
+                ).per_d
+                ok = all(row["converged"] for row in per_d)
+                chosen = {c: int(np.argmax([row[c] for row in per_d])) for c in study.criteria}
             except RfpcaError:
-                for criterion in study.criteria:
-                    out.append({
-                        "scenario": scen.name, "nu": nu, "criterion": criterion,
-                        "chosen_d": None, "ok": False,
-                    })
+                ok, chosen = False, dict.fromkeys(study.criteria)
+            for criterion in study.criteria:
+                out.append({
+                    "scenario": scen.name, "nu": nu, "criterion": criterion,
+                    "chosen_d": chosen[criterion], "ok": ok,
+                })
     return out
 
 

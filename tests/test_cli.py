@@ -316,6 +316,7 @@ def test_missing_file_is_reported(tmp_path):
             ["diagnose", "--data", "{csv}", "--model", "{model_no_basis}"], id="model-no-basis"
         ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
+        pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
         pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
     ],
 )
@@ -329,6 +330,11 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
         ("not_json", "not json"),
         ("model_no_basis", '{"version": 1}'),
         ("study_no_estimators", '{"scenarios": []}'),
+        (
+            "study_dmax_20",
+            '{"mode": "selection", "scenarios": [{"name": "clean"}], '
+            '"estimators": [1.0], "n": 20, "d_max": 20}',
+        ),
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

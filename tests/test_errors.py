@@ -1,4 +1,5 @@
-"""Every error the package raises is a typed ``RfpcaError``."""
+"""Source checks: every error the package raises is a typed ``RfpcaError``,
+and the package uses no NumPy name newer than the declared minimum."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,72 @@ def test_no_builtin_error_raised(path):
         if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
             bare.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert not bare, bare
+
+
+# Names that exist only from NumPy 2.0 (or later); pyproject.toml declares
+# numpy >= 1.24, so src/ must not use them. Array methods of the same name
+# (``x.astype``) are older and allowed: only lookups on the numpy module count.
+NUMPY2_ONLY = {
+    "vecdot", "matrix_transpose", "permute_dims", "concat", "pow", "astype",
+    "unique_values", "unique_counts", "unique_inverse", "unique_all",
+    "cumulative_sum", "cumulative_prod", "isdtype", "unstack", "matvec", "vecmat",
+    "acos", "acosh", "asin", "asinh", "atan", "atanh", "atan2",
+    "bitwise_left_shift", "bitwise_right_shift", "bitwise_invert",
+}
+NUMPY2_ONLY_LINALG = {
+    "vecdot", "matrix_transpose", "matrix_norm", "vector_norm", "svdvals",
+    "diagonal", "trace", "outer", "cross", "matmul", "tensordot",
+}
+
+
+def _numpy_path(node) -> str | None:
+    """'numpy' or 'numpy.linalg' for a lookup through np / numpy, else None."""
+    if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+        return "numpy"
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "linalg"
+        and _numpy_path(node.value) == "numpy"
+    ):
+        return "numpy.linalg"
+    return None
+
+
+def _numpy2_uses(source: str, filename: str) -> list[str]:
+    forbidden = {"numpy": NUMPY2_ONLY, "numpy.linalg": NUMPY2_ONLY_LINALG}
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Attribute):
+            module, names = _numpy_path(node.value), [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            module, names = node.module, [alias.name for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{filename}:{node.lineno} uses {module}.{name}"
+            for name in names
+            if name in forbidden.get(module, ())
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy2_only_names(path):
+    found = _numpy2_uses(path.read_text(), path.name)
+    assert not found, found
+
+
+def test_numpy2_guard_sees_module_lookups_only():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svdvals\n"
+        "np.vecdot(a, b)\n"
+        "np.linalg.vector_norm(a)\n"
+        "x.astype(float)\n"
+        "pow(2, 3)\n"
+    )
+    assert _numpy2_uses(source, "t.py") == [
+        "t.py:2 uses numpy.linalg.svdvals",
+        "t.py:3 uses numpy.vecdot",
+        "t.py:4 uses numpy.linalg.vector_norm",
+    ]

@@ -358,29 +358,6 @@ def test_em_step_penalized_matches_manual_assembly(rng, d):
     _assert_matches_manual(params, data, config, penalty=0.3)
 
 
-def test_em_step_on_dropped_dataset_matches_manual_assembly(rng):
-    # the cross-validation path: design statistics sliced from the full dataset
-    basis = build_basis(4, 1, (0, 1))
-    truth = random_params(rng, basis, d=2, sigma2=0.4)
-    data = random_dataset(rng, basis, n=9, m_range=(4, 8), params=truth, noise=0.4)
-    data.design_stats
-    sub = data.drop(4)
-    assert "design_stats" in sub.__dict__
-    params = random_params(rng, basis, d=2, sigma2=0.6)
-    _assert_matches_manual(params, sub, ModelConfig(nu=1.0, d=2))
-
-
-def test_dropped_dataset_slices_density_constants(rng):
-    data = random_dataset(rng, BASIS, n=9, m_range=(2, 12))
-    for nu in (1.0, 5.0, math.inf):
-        data.log_density_constant(nu)
-    sub = data.drop(4)
-    assert set(sub._density_constants) == {1.0, 5.0, math.inf}
-    fresh = Dataset(sub.trajectories, BASIS)
-    for nu in (1.0, 5.0, math.inf):
-        assert np.array_equal(sub.log_density_constant(nu), fresh.log_density_constant(nu))
-
-
 def test_loglik_singular_posterior_precision_is_conditioning_error():
     # Two identical loading columns 2^70 e_9 on the last basis function, which
     # is exactly 1 at the right endpoint: for a curve observed there,

@@ -143,12 +143,16 @@ def test_cross_validate_manual_oracle():
     full = fit(data, config)
     manual = 0.0
     for i in range(3):
-        refit = fit_from(data.drop(i), config, full.params)
+        refit = fit_from(_without(data, i), config, full.params)
         held = data.trajectories[i]
         B = basis.design_matrix(held.times)
         sigma = dense_covariance(refit.params, B)
         manual += dense_t_logpdf(held.values, B @ refit.params.theta, sigma, 1.0)
     assert abs(cross_validate(data, config) - manual) < 1e-9
+
+
+def _without(data, i):
+    return Dataset(data.trajectories[:i] + data.trajectories[i + 1 :], data.basis)
 
 
 def _reference_cross_validation(data, config, full):
@@ -160,7 +164,7 @@ def _reference_cross_validation(data, config, full):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i in range(data.n):
-            refit = fit_from(data.drop(i), config, full.params)
+            refit = fit_from(_without(data, i), config, full.params)
             held_out = Dataset([data.trajectories[i]], data.basis)
             terms.append(log_likelihood(refit.params, held_out))
             iterations.append(refit.iterations)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from rfpca import ModelConfig, ModelParams, build_basis, fit
+from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
+from rfpca.errors import InvalidInputError
 from rfpca.simulate import (
     Contamination,
     GridDesign,
     MonteCarloStudy,
     StudyScenario,
     TrueModel,
+    _selection_rep,
     _sine_component,
+    _study_basis,
     doppler_phi3,
     error_norms,
     l2_error,
@@ -83,6 +86,28 @@ def test_simulate_zero_epsilon_is_clean():
     for a, b in zip(clean.trajectories, also_clean.trajectories):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("kind", ["exogenous_mean", "exogenous_pc"])
+def test_exogenous_curves_add_signed_doppler(kind):
+    truth = TrueModel()
+    clean, _ = simulate_dataset(
+        truth, GridDesign.random_uniform(12), 30, Contamination.none(), seed=11
+    )
+    dirty, rec = simulate_dataset(
+        truth, GridDesign.random_uniform(12), 30, Contamination(kind, 0.2, 4.0), seed=11
+    )
+    shift = 4.0 * math.sqrt(truth.lambdas[0])
+    phi3 = doppler_phi3()
+    minus = set(rec.minus.tolist()) if kind == "exogenous_pc" else set()
+    for i, (a, b) in enumerate(zip(clean.trajectories, dirty.trajectories)):
+        if i not in rec.contaminated:
+            expected = a.values
+        elif i in minus:
+            expected = a.values - shift * phi3(a.times)
+        else:
+            expected = a.values + shift * phi3(a.times)
+        assert np.array_equal(b.values, expected)
 
 
 def test_simulate_contamination_count_contract():
@@ -170,14 +195,10 @@ def _tiny_study(**kwargs):
     return MonteCarloStudy(**defaults)
 
 
-def test_monte_carlo_deterministic(tmp_path):
+def test_monte_carlo_deterministic():
     r1 = monte_carlo(_tiny_study())
     r2 = monte_carlo(_tiny_study())
     assert r1.rows == r2.rows
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    r1.to_csv(p1)
-    r2.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_monte_carlo_excludes_nonconverged():
@@ -211,6 +232,84 @@ def test_study_validation():
         _tiny_study(mode="bogus")
     with pytest.raises(ValueError):
         _tiny_study(reps=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(scenarios=()),
+        dict(estimators=()),
+        dict(criteria=()),
+        dict(criteria=("aicc", "cv")),
+        dict(criteria=("bic", "cv")),
+        dict(criteria="aic"),
+        dict(d_max=-1),
+        dict(d_max=10),  # the default basis has dimension 9
+    ],
+    ids=repr,
+)
+def test_misconfigured_study_is_input_error(kwargs):
+    with pytest.raises(InvalidInputError):
+        _tiny_study(**kwargs)
+
+
+def test_study_accepts_d_max_up_to_basis_dimension():
+    study = _tiny_study(d_max=9)
+    assert _study_basis(study).dimension == 9
+
+
+def _selection_study(**kwargs):
+    defaults = dict(
+        mode="selection",
+        scenarios=(
+            StudyScenario("clean", Contamination.none()),
+            StudyScenario("exo_pc_20", Contamination("exogenous_pc", 0.20, 4.0)),
+        ),
+        n=30,
+        reps=3,
+        estimators=(math.inf, 1.0),
+        seed=4,
+        d_max=2,
+    )
+    defaults.update(kwargs)
+    return MonteCarloStudy(**defaults)
+
+
+def test_selection_rep_matches_criterion_oracle():
+    # a weak second component puts the d = 2 gain between the AIC and BIC
+    # hurdles, so the two criteria disagree on some fits
+    study = _selection_study(truth=TrueModel(lambdas=(1.0, 0.03)))
+    rep = 0
+    rows = _selection_rep(study, rep)
+    basis = _study_basis(study)
+    p = basis.dimension
+    expected = []
+    for scen in study.scenarios:
+        data, _ = simulate_dataset(
+            study.truth, study.design, study.n, scen.contamination,
+            seed=study.seed + rep, basis=basis,
+        )
+        for nu in study.estimators:
+            config = ModelConfig(nu=nu, d=study.d_max, max_iter=study.max_iter, tol=study.tol)
+            stages = fit(data, config).stages
+            for criterion, c_n in (("aic", 1.0), ("bic", math.log(study.n) / 2.0)):
+                scores = [
+                    stage.loglik - c_n * degrees_of_freedom(p, d)
+                    for d, stage in enumerate(stages)
+                ]
+                expected.append((scen.name, nu, criterion, int(np.argmax(scores))))
+    assert [(r["scenario"], r["nu"], r["criterion"], r["chosen_d"]) for r in rows] == expected
+    assert all(r["ok"] for r in rows)
+    assert {d for *_, d in expected} == {1, 2}
+
+
+def test_worker_pool_matches_serial(monkeypatch):
+    study = _selection_study(scenarios=(StudyScenario("clean", Contamination.none()),))
+    monkeypatch.setenv("RFPCA_THREADS", "1")
+    serial = monte_carlo(study).rows
+    monkeypatch.setenv("RFPCA_THREADS", "2")
+    pooled = monte_carlo(study).rows
+    assert pooled == serial
 
 
 def test_heavy_exogenous_mean_bias_tracks_eps_k():
