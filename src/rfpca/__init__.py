@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .model import (
+    Curves,
     Dataset,
     FitResult,
     ModelConfig,

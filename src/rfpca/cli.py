@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import simulate as sim
 from .basis import SplineBasis, build_basis
 from .diagnostics import curve_diagnostics, mean_confidence_band
 from .errors import CsvParseError, InvalidInputError, RfpcaError
-from .model import Dataset, FitResult, ModelConfig, ModelParams, Trajectory, fit
+from .model import Curves, Dataset, FitResult, ModelConfig, ModelParams, fit
 from .selection import select_dimension
 
 MODEL_FILE_VERSION = 1
@@ -33,58 +34,89 @@ LONG_CSV_HEADER = "id,time,value"
 # Long-format CSV ingestion
 # ---------------------------------------------------------------------------
 
-def read_long_csv(path) -> list[Trajectory]:
-    """Parse an id,time,value file into trajectories.
+_CSV_DTYPE = [("id", object), ("time", float), ("value", float)]
 
-    Rows may arrive in any order; they are grouped by id (in order of first
-    appearance) and sorted by time within each id.
+
+def read_long_csv(path) -> Curves:
+    """Parse an id,time,value file into pooled curves.
+
+    After the header, each nonblank line is three comma-separated fields,
+    optionally double-quoted. Times and values must be finite ASCII decimal
+    numbers; ``1_000``, which ``float`` accepts, is rejected. Rows may come in
+    any order: curves are numbered by first appearance of their ids, and a
+    stable sort puts each curve's rows in time order, so tied times keep
+    their file order. One ``np.loadtxt`` call parses the rows; only if it
+    fails, or a number is not finite, is the file scanned again line by line,
+    so that the ``CsvParseError`` names the first offending line.
     """
-    groups: dict[str, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         header = fh.readline()
         if header.rstrip("\r\n") != LONG_CSV_HEADER:
             raise CsvParseError(
                 f"{path}: line 1: expected header {LONG_CSV_HEADER!r}"
             )
-        reader = csv.reader(fh)
-        lineno = 1
-        for row in reader:
-            lineno += 1
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, as a CsvParseError
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"',
+                    ndmin=1,
+                )
+        except ValueError as exc:
+            raise _first_bad_line(path) or CsvParseError(f"{path}: {exc}") from None
+    time, value = rows["time"], rows["value"]
+    if not (np.isfinite(time).all() and np.isfinite(value).all()):
+        raise _first_bad_line(path) or CsvParseError(f"{path}: non-finite time or value")
+    if not rows.size:
+        raise CsvParseError(f"{path}: line 2: no data rows")
+    ids, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique ids in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    curve = rank[inverse]
+    perm = np.lexsort((time, curve))
+    return Curves(ids[order].tolist(), time[perm], value[perm], np.bincount(curve))
+
+
+def _first_bad_line(path) -> CsvParseError | None:
+    """The error of the first data line that breaks ``read_long_csv``'s
+    rules, or None; a slow scan, made only after the fast parse failed."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != 3:
-                raise CsvParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            cid, time_str, value_str = row
-            try:
-                t, v = float(time_str), float(value_str)
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric time or value"
-                ) from None
+                return CsvParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            t, v = _number(row[1]), _number(row[2])
+            if t is None or v is None:
+                return CsvParseError(f"{path}: line {lineno}: non-numeric time or value")
             if not (math.isfinite(t) and math.isfinite(v)):
-                raise CsvParseError(f"{path}: line {lineno}: non-finite time or value")
-            groups.setdefault(cid, []).append((t, v))
-    if not groups:
-        raise CsvParseError(f"{path}: line 2: no data rows")
-    trajectories = []
-    for cid, obs in groups.items():
-        obs.sort(key=lambda tv: tv[0])
-        times = np.array([t for t, _ in obs])
-        values = np.array([v for _, v in obs])
-        trajectories.append(Trajectory(id=cid, times=times, values=values))
-    return trajectories
+                return CsvParseError(f"{path}: line {lineno}: non-finite time or value")
+    return None
+
+
+def _number(field: str) -> float | None:
+    """``float`` of what ``np.loadtxt`` reads as a number (ASCII text with no
+    underscores, between optional whitespace), else None."""
+    text = field.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
 
 
 def ingest(path, order: int = 4, num_interior_knots: int = 5, domain=None) -> Dataset:
     """Read a long CSV and attach a spline basis (domain defaults to the
     observed time range)."""
-    trajectories = read_long_csv(path)
+    curves = read_long_csv(path)
     if domain is None:
-        lo = min(t.times.min() for t in trajectories)
-        hi = max(t.times.max() for t in trajectories)
-        domain = (float(lo), float(hi))
+        domain = (float(curves.times.min()), float(curves.times.max()))
     basis = build_basis(order, num_interior_knots, domain)
-    return Dataset(trajectories, basis)
+    return Dataset(curves, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +320,9 @@ def cmd_select(args) -> int:
 
 def cmd_diagnose(args) -> int:
     params, _ = load_model(args.model)
-    trajectories = read_long_csv(args.data)
+    curves = read_long_csv(args.data)
     try:
-        data = Dataset(trajectories, params.basis)
+        data = Dataset(curves, params.basis)
     except ValueError as exc:
         raise RfpcaError(f"data incompatible with the saved model basis: {exc}") from exc
     if args.grid < 1:

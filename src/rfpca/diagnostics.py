@@ -68,7 +68,7 @@ def _pooled_fitted(params: ModelParams, data: Dataset, zhat_dn: np.ndarray) -> n
     ``curve_diagnostics`` near that of a per-curve loop.
     """
     rows = np.column_stack([params.theta, params.xi]).T @ data.pooled_design.T
-    zrep = np.repeat(zhat_dn, data.design_stats.m, axis=1)
+    zrep = np.repeat(zhat_dn, data.m, axis=1)
     zrep *= rows[1:]
     return rows[0] + zrep.sum(axis=0)
 
@@ -81,17 +81,15 @@ def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnosti
     """
     _require_same_basis(params, data)
     e = _estep_at(params, data)
-    m = data.design_stats.m
     fitted = _pooled_fitted(params, data, e.zhat_dn)
-    resid = np.concatenate([t.values for t in data.trajectories]) - fitted
-    ends = np.cumsum(m)
-    starts = ends - m
-    norms = np.sqrt(np.add.reduceat(resid * resid, starts))
-    flags = e.s > chi2.ppf(OUTLIER_QUANTILE, m)
+    resid = data.values - fitted
+    norms = np.sqrt(np.add.reduceat(resid * resid, data.offsets[:-1]))
+    flags = e.s > chi2.ppf(OUTLIER_QUANTILE, data.m)
+    bounds = data.offsets.tolist()
     return [
-        CurveDiagnostics(traj.id, fitted[a:b], resid[a:b], norm, s, w, flag)
-        for traj, a, b, norm, s, w, flag in zip(
-            data.trajectories, starts.tolist(), ends.tolist(), norms.tolist(),
+        CurveDiagnostics(cid, fitted[a:b], resid[a:b], norm, s, w, flag)
+        for cid, a, b, norm, s, w, flag in zip(
+            data.ids, bounds[:-1], bounds[1:], norms.tolist(),
             e.s.tolist(), e.w.tolist(), flags.tolist(),
         )
     ]

@@ -53,20 +53,39 @@ class Trajectory:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
-            raise DimensionMismatchError(
-                f"curve {self.id!r}: times and values must be equal-length vectors"
-            )
-        if times.size < 1:
-            raise InvalidInputError(f"curve {self.id!r}: needs at least one observation")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise InvalidInputError(f"curve {self.id!r}: times and values must be finite")
-        if np.any(np.diff(times) < 0):
-            raise InvalidInputError(f"curve {self.id!r}: times must be nondecreasing")
+        _check_columns([self.id], times, values, np.array([times.size]))
 
     @property
     def m(self) -> int:
         return self.times.size
+
+
+def _check_columns(ids, times, values, m) -> np.ndarray:
+    """Check curves given as pooled columns, raising for the first curve
+    that fails; returns the curve index of each pooled row."""
+    n = len(ids)
+    if times.ndim != 1 or times.shape != values.shape or m.shape != (n,) or (
+        m.sum() != times.size
+    ):
+        raise DimensionMismatchError(
+            "times and values must be equal-length vectors with sum(m) entries"
+        )
+    if (m < 1).any():
+        raise InvalidInputError(
+            f"curve {ids[int(np.argmax(m < 1))]!r}: needs at least one observation"
+        )
+    curve = np.repeat(np.arange(n), m)
+    bad = ~(np.isfinite(times) & np.isfinite(values))
+    if bad.any():
+        raise InvalidInputError(
+            f"curve {ids[curve[np.argmax(bad)]]!r}: times and values must be finite"
+        )
+    bad = (np.diff(times) < 0) & (curve[1:] == curve[:-1])
+    if bad.any():
+        raise InvalidInputError(
+            f"curve {ids[curve[np.argmax(bad)]]!r}: times must be nondecreasing"
+        )
+    return curve
 
 
 class _DesignStats(NamedTuple):
@@ -79,58 +98,100 @@ class _DesignStats(NamedTuple):
     total_obs: int
 
 
-class Dataset:
-    """A collection of trajectories sharing one spline basis."""
+class Curves(NamedTuple):
+    """Curves as pooled columns: curve i has id ``ids[i]`` and the next
+    ``m[i]`` entries of ``times`` and ``values``, in time order."""
 
-    def __init__(self, trajectories: Sequence[Trajectory], basis: SplineBasis):
-        trajectories = list(trajectories)
-        if not trajectories:
-            raise InvalidInputError("dataset needs at least one trajectory")
-        ids = [t.id for t in trajectories]
-        if len(set(ids)) != len(ids):
-            raise InvalidInputError("trajectory ids must be unique")
-        a, b = basis.domain
-        for t in trajectories:
-            if t.times.min() < a or t.times.max() > b:
-                raise OutOfDomainError(
-                    f"curve {t.id!r} has times outside the basis domain [{a}, {b}]"
-                )
-        self.trajectories = trajectories
+    ids: Sequence[str]  # (n,)
+    times: np.ndarray   # (N,) every curve's times, curve after curve
+    values: np.ndarray  # (N,)
+    m: np.ndarray       # (n,) observation counts, summing to N
+
+
+class Dataset:
+    """Curves sharing one spline basis, stored as pooled columns.
+
+    Takes ``Curves`` (what ``read_long_csv`` returns) or a sequence of
+    ``Trajectory``. Curve i has id ``ids[i]`` and the rows
+    ``offsets[i]:offsets[i + 1]`` of ``times`` and ``values``. Everything is
+    checked once, on the pooled arrays; ``trajectories`` are views built on
+    first use.
+    """
+
+    def __init__(self, curves: Curves | Sequence[Trajectory], basis: SplineBasis):
+        if not isinstance(curves, Curves):
+            trajs = list(curves)
+            curves = Curves(
+                [t.id for t in trajs],
+                np.concatenate([t.times for t in trajs] or [np.zeros(0)]),
+                np.concatenate([t.values for t in trajs] or [np.zeros(0)]),
+                [t.m for t in trajs],
+            )
+        self.ids = list(curves.ids)
+        self.times = np.asarray(curves.times, dtype=float)
+        self.values = np.asarray(curves.values, dtype=float)
+        self.m = np.asarray(curves.m, dtype=int)
+        self.offsets = np.concatenate([[0], np.cumsum(self.m)])
         self.basis = basis
+        self._validate()
         self._density_constants: dict[float, np.ndarray] = {}
+
+    def _validate(self) -> None:
+        ids, times = self.ids, self.times
+        if not ids:
+            raise InvalidInputError("dataset needs at least one trajectory")
+        curve = _check_columns(ids, times, self.values, self.m)
+        if len(set(ids)) != len(ids):
+            seen: set = set()
+            repeat = next(cid for cid in ids if cid in seen or seen.add(cid))
+            raise InvalidInputError(f"trajectory ids must be unique; {repeat!r} repeats")
+        a, b = self.basis.domain
+        bad = (times < a) | (times > b)
+        if bad.any():
+            raise OutOfDomainError(
+                f"curve {ids[curve[np.argmax(bad)]]!r} has times outside the basis "
+                f"domain [{a}, {b}]"
+            )
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return len(self.ids)
 
     def __len__(self) -> int:
         return self.n
 
     @cached_property
+    def trajectories(self) -> list[Trajectory]:
+        """The curves as ``Trajectory`` objects over views of the pooled arrays."""
+        bounds = self.offsets.tolist()
+        return [
+            Trajectory(cid, self.times[a:b], self.values[a:b])
+            for cid, a, b in zip(self.ids, bounds[:-1], bounds[1:])
+        ]
+
+    @cached_property
     def pooled_design(self) -> np.ndarray:
-        """Design matrix of all curves' times stacked in curve order."""
-        return self.basis.design_matrix(np.concatenate([t.times for t in self.trajectories]))
+        """Design matrix of the pooled times."""
+        return self.basis.design_matrix(self.times)
 
     @cached_property
     def design_matrices(self) -> list[np.ndarray]:
         """Per-curve row blocks (views) of ``pooled_design``."""
-        offsets = np.cumsum([t.m for t in self.trajectories])[:-1]
-        return np.split(self.pooled_design, offsets, axis=0)
+        return np.split(self.pooled_design, self.offsets[1:-1], axis=0)
 
     @cached_property
     def design_stats(self) -> _DesignStats:
         n, p = self.n, self.basis.dimension
-        m = np.array([t.m for t in self.trajectories])
         btb = np.empty((n, p, p))
         btx = np.empty((n, p))
         xtx = np.empty(n)
-        designs = self.design_matrices
-        for i, traj in enumerate(self.trajectories):
-            B = designs[i]
+        bounds = self.offsets.tolist()
+        for i, B in enumerate(self.design_matrices):
+            x = self.values[bounds[i]:bounds[i + 1]]
             btb[i] = B.T @ B
-            btx[i] = B.T @ traj.values
-            xtx[i] = traj.values @ traj.values
-        return _DesignStats(m, btb, btx, xtx, int(m.sum()))
+            btx[i] = B.T @ x
+            xtx[i] = x @ x
+        return _DesignStats(self.m, btb, btx, xtx, int(self.offsets[-1]))
 
     def log_density_constant(self, nu: float) -> np.ndarray:
         """Per-curve terms of the log density that depend only on (m_i, nu),
@@ -477,7 +538,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
     sigma2_col = sigma2[:, None]
     V = np.divide(xtbx, sigma2_col, order="C")
     V.reshape(d * d, G * n)[:: d + 1] += 1.0
-    Vinv, logdet_v = _sweep(V, lambda slot: data.trajectories[slot % n].id)
+    Vinv, logdet_v = _sweep(V, lambda slot: data.ids[slot % n])
     theta = phi[:, d]
     rtr = stats.xtx - 2.0 * (theta @ stats.btx.T) + (btheta @ theta[..., None])[..., 0]
     btr = np.subtract(batch.btx, btheta, out=btheta)  # BtB theta is not needed again
@@ -625,7 +686,7 @@ def _check_finite(e: _EStep, data: Dataset) -> None:
     bad = np.flatnonzero(~np.isfinite(e.ll_curve))
     if bad.size:
         raise NumericalOverflowError(
-            f"log-likelihood is non-finite for curve {data.trajectories[bad[0] % data.n].id!r}"
+            f"log-likelihood is non-finite for curve {data.ids[bad[0] % data.n]!r}"
         )
 
 

@@ -99,7 +99,7 @@ def cross_validate(
         left_out = np.arange(start, min(start + size, n))
         terms, iterations, converged = _refits_without(data, config, full_fit.params, left_out)
         for i, term, iters, ok in zip(left_out.tolist(), terms, iterations, converged):
-            curve_id = data.trajectories[i].id
+            curve_id = data.ids[i]
             if not ok:
                 warnings.warn(
                     f"held-out refit without curve {curve_id!r} "

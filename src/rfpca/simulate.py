@@ -22,7 +22,7 @@ from scipy.integrate import quad, simpson
 from . import selection
 from .basis import SplineBasis, build_basis
 from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
-from .model import Dataset, FitResult, ModelConfig, Trajectory, fit
+from .model import Curves, Dataset, FitResult, ModelConfig, fit
 
 ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms
 
@@ -199,7 +199,9 @@ def simulate_dataset(
     grids = design.sample(rng, n, truth.domain)
     n_comp = len(truth.lambdas)
     z = rng.standard_normal((n, n_comp))
-    noise = [rng.standard_normal(g.size) for g in grids]
+    m = np.array([g.size for g in grids])
+    # one draw of every curve's noise: the same stream as one draw per curve
+    noise = rng.standard_normal(int(m.sum()))
 
     n_bad = int(round(contamination.epsilon * n))
     selected = rng.permutation(n)[:n_bad] if contamination.kind != "none" else np.array([], dtype=int)
@@ -226,16 +228,18 @@ def simulate_dataset(
         if contamination.kind == "exogenous_pc":
             shift[minus] = -level
 
-    sigma = math.sqrt(truth.sigma2)
+    # every term is evaluated once on the pooled times, row by row as the
+    # per-curve sums x_i = mu + sigma eps_i + sum_k z_ik sqrt(lam_k) phi_k
+    times = np.concatenate(grids)
+    x = truth.mu(times) + math.sqrt(truth.sigma2) * noise
     sq_lam = np.sqrt(lambdas)
-    trajectories = []
-    for i, times in enumerate(grids):
-        x = truth.mu(times) + sigma * noise[i]
-        for k in range(n_comp):
-            x = x + z[i, k] * sq_lam[k] * truth.phis[k](times)
-        if shift[i]:
-            x = x + shift[i] * phi3(times)
-        trajectories.append(Trajectory(id=f"curve{i:04d}", times=times, values=x))
+    for k in range(n_comp):
+        x = x + np.repeat(z[:, k] * sq_lam[k], m) * truth.phis[k](times)
+    row_shift = np.repeat(shift, m)
+    hit = row_shift != 0
+    if hit.any():
+        x[hit] = x[hit] + row_shift[hit] * phi3(times[hit])
+    curves = Curves([f"curve{i:04d}" for i in range(n)], times, x, m)
 
     if basis is None:
         basis = build_basis(4, 5, truth.domain)
@@ -243,7 +247,7 @@ def simulate_dataset(
         seed=seed, z=z, contaminated=np.sort(selected),
         plus=np.sort(plus), minus=np.sort(minus),
     )
-    return Dataset(trajectories, basis), record
+    return Dataset(curves, basis), record
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +418,15 @@ def _selection_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
 
 
 def _worker_count(reps: int) -> int:
-    cap = int(os.environ.get("RFPCA_THREADS", "1"))
-    return max(1, min(cap, reps))
+    """Workers for ``reps`` replications: at most RFPCA_THREADS (default 1)."""
+    text = os.environ.get("RFPCA_THREADS", "1")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidInputError(f"RFPCA_THREADS must be an integer >= 1, got {text!r}")
+    return min(cap, reps)
 
 
 def _map_reps(func, study: MonteCarloStudy):
@@ -424,7 +435,9 @@ def _map_reps(func, study: MonteCarloStudy):
     if workers == 1:
         return [func(study, rep) for rep in reps]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(func, study), reps, chunksize=8))
+        # one chunk per worker, so every worker gets reps however few there are
+        chunk = math.ceil(study.reps / workers)
+        return list(pool.map(partial(func, study), reps, chunksize=chunk))
 
 
 def _rms_and_se(errors: np.ndarray) -> tuple[float, float]:

@@ -169,3 +169,71 @@ def random_dataset(rng, basis, n, m_range=(5, 15), params=None, noise=0.5):
         for i in range(n)
     ]
     return Dataset(trajs, basis)
+
+
+def reference_read_long_csv(path):
+    """A well-formed long CSV read row by row with ``csv.reader``.
+
+    Returns (ids, times, values, m) as lists: ids in order of first
+    appearance, each curve's rows sorted by time with a stable sort.
+    """
+    import csv
+
+    groups = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row:
+                cid, t, v = row
+                groups.setdefault(cid, []).append((float(t), float(v)))
+    curves = [sorted(obs, key=lambda tv: tv[0]) for obs in groups.values()]
+    return (
+        list(groups),
+        [t for obs in curves for t, _ in obs],
+        [v for obs in curves for _, v in obs],
+        [len(obs) for obs in curves],
+    )
+
+
+def reference_simulate(truth, design, n, contamination, seed):
+    """Curves of ``simulate_dataset``, drawn one curve at a time.
+
+    Draw order: the design's grids, the (n, d) scores, one noise vector per
+    curve, then the permutation choosing the contaminated curves. Returns
+    a list of (id, times, values).
+    """
+    rng = np.random.default_rng(seed)
+    grids = design.sample(rng, n, truth.domain)
+    z = rng.standard_normal((n, len(truth.lambdas)))
+    noise = [rng.standard_normal(g.size) for g in grids]
+    n_bad = int(round(contamination.epsilon * n))
+    kind, K = contamination.kind, contamination.K
+    selected = rng.permutation(n)[:n_bad] if kind != "none" else np.array([], dtype=int)
+    plus, minus = selected[: n_bad // 2], selected[n_bad // 2 :]
+    lambdas = np.asarray(truth.lambdas, dtype=float)
+    if kind == "endogenous_mean":
+        z[selected, 0] = K
+    elif kind == "endogenous_pc":
+        if not contamination.literal_scores:
+            z[selected, :] = 0.0
+        z[plus, 1] = K * math.sqrt(lambdas[1])
+        z[minus, 1] = -K * math.sqrt(lambdas[1])
+    shift = np.zeros(n)
+    if kind in ("exogenous_mean", "exogenous_pc"):
+        level = K * math.sqrt(lambdas[0]) if lambdas.size else K
+        shift[selected if kind == "exogenous_mean" else plus] = level
+        if kind == "exogenous_pc":
+            shift[minus] = -level
+    from rfpca.simulate import doppler_phi3
+
+    phi3 = doppler_phi3()
+    out = []
+    for i, times in enumerate(grids):
+        x = truth.mu(times) + math.sqrt(truth.sigma2) * noise[i]
+        for k, phi in enumerate(truth.phis):
+            x = x + z[i, k] * math.sqrt(lambdas[k]) * phi(times)
+        if shift[i]:
+            x = x + shift[i] * phi3(times)
+        out.append((f"curve{i:04d}", times, x))
+    return out

@@ -1,15 +1,21 @@
 import csv
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpca import CsvParseError
 from rfpca.cli import ingest, load_model, main, read_long_csv, save_model
-from rfpca.model import ModelConfig, fit, log_likelihood
+from rfpca.diagnostics import curve_diagnostics, mean_confidence_band
+from rfpca.model import ModelConfig, Trajectory, fit, log_likelihood
+from rfpca.selection import cross_validate, select_dimension
 from rfpca.simulate import Contamination, GridDesign, TrueModel, simulate_dataset
+from oracles import reference_read_long_csv
 
 
 def _write_csv(path, rows, header="id,time,value"):
@@ -105,6 +111,112 @@ def test_ingest_errors(tmp_path):
     empty.write_text("id,time,value\n")
     with pytest.raises(CsvParseError, match="no data rows"):
         read_long_csv(empty)
+
+
+@st.composite
+def long_csv_text(draw):
+    """A small well-formed long CSV: ids with commas and quotes (quoted, and
+    in half the files every field quoted), rows shuffled, tied times within
+    an id, blank lines anywhere."""
+    ids = draw(st.lists(
+        st.text(alphabet='ab ,"1', min_size=0, max_size=4), min_size=1, max_size=5, unique=True,
+    ))
+    rows = [
+        [cid, repr(t), repr(draw(st.floats(-1e6, 1e6, allow_nan=False)))]
+        for cid in ids
+        for t in draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6))
+    ]
+    rows = draw(st.permutations(rows))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=draw(
+        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC])
+    ))
+    out.write("id,time,value\n")
+    blank_after = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3))
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i in blank_after:
+            out.write("\n")
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(text=long_csv_text())
+def test_read_long_csv_matches_reference_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text)
+    ids, times, values, m = reference_read_long_csv(path)
+    curves = read_long_csv(path)
+    assert curves.ids == ids
+    assert curves.m.tolist() == m
+    # bit patterns, so -0.0 and 0.0 must keep their file order within a tie
+    assert curves.times.tobytes() == np.array(times).tobytes()
+    assert curves.values.tobytes() == np.array(values).tobytes()
+
+
+_GOOD_ROW = "a,0.1,1.0"
+
+
+@pytest.mark.parametrize("blank_before", [False, True], ids=["", "after-blank"])
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        pytest.param("b,0.2", "expected 3 fields, got 2", id="too-few-fields"),
+        pytest.param("b,0.2,1.0,9", "expected 3 fields, got 4", id="too-many-fields"),
+        pytest.param("   ", "expected 3 fields, got 1", id="spaces-only"),
+        pytest.param("b,oops,1.0", "non-numeric time or value", id="non-numeric"),
+        pytest.param("b,0.2,", "non-numeric time or value", id="empty-field"),
+        pytest.param("b,1_000,1.0", "non-numeric time or value", id="underscore"),
+        pytest.param("b,0.2,\u0661", "non-numeric time or value", id="non-ascii-digit"),
+        pytest.param("b,nan,1.0", "non-finite time or value", id="nan"),
+        pytest.param("b,0.2,-inf", "non-finite time or value", id="inf"),
+    ],
+)
+def test_malformed_line_is_named(tmp_path, bad_row, message, blank_before):
+    path = tmp_path / "bad.csv"
+    lines = ["id,time,value", _GOOD_ROW] + [""] * blank_before + [bad_row, "c,0.3,1.0", "d,x,y"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lineno = 3 + blank_before
+    with pytest.raises(CsvParseError, match=rf"bad\.csv: line {lineno}: {message}$"):
+        read_long_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("id,t,value\na,0.1,1\n", "line 1: expected header", id="bad-header"),
+        pytest.param("", "line 1: expected header", id="empty-file"),
+        pytest.param("id,time,value\n", "line 2: no data rows", id="header-only"),
+        pytest.param("id,time,value\n\n\n", "line 2: no data rows", id="blank-lines-only"),
+    ],
+)
+def test_header_and_empty_file_errors(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(CsvParseError, match=message):
+        read_long_csv(path)
+
+
+def test_hot_paths_build_no_trajectories(sim_csv, monkeypatch):
+    built = []
+    original = Trajectory.__post_init__
+
+    def counting(self):
+        built.append(self.id)
+        original(self)
+
+    monkeypatch.setattr(Trajectory, "__post_init__", counting)
+    data = ingest(sim_csv, domain=(0, 1))
+    config = ModelConfig(nu=1.0, d=1, tol=1e-6)
+    result = fit(data, config)
+    curve_diagnostics(result.params, data)
+    mean_confidence_band(result.params, data, np.linspace(0, 1, 11))
+    select_dimension(data, 1, "bic", config)
+    cross_validate(data, config, full_fit=result)
+    simulate_dataset(TrueModel(), GridDesign.random_uniform(5), 30, Contamination.none(), seed=2)
+    assert built == []
+    # the counter sees the on-demand views
+    assert len(data.trajectories) == len(built) == data.n
 
 
 # ---------------------------------------------------------------------------
@@ -342,4 +454,25 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("rfpca: error:")
+    assert "Traceback" not in err
+
+
+def test_diagnose_rejects_data_outside_model_domain(tmp_path, sim_csv, capsys):
+    model = tmp_path / "model.json"
+    save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=0)))
+    wide = tmp_path / "wide.csv"
+    _write_csv(wide, [("a", 0.1, 1.0), ("late", 0.5, 1.0), ("late", 1.5, 2.0)])
+    assert main(["diagnose", "--data", str(wide), "--model", str(model), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rfpca: error: data incompatible with the saved model basis")
+    assert "'late'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_simulate_bad_thread_setting_exits_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RFPCA_THREADS", value)
+    code = main(["simulate", "--table", "1", "--reps", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rfpca: error: RFPCA_THREADS must be an integer >= 1")
     assert "Traceback" not in err

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from rfpca import (
     ConditioningError,
+    Curves,
     Dataset,
     DegenerateFitError,
+    DimensionMismatchError,
+    InvalidInputError,
     InvalidParamsError,
     ModelConfig,
     ModelParams,
+    OutOfDomainError,
     Trajectory,
     build_basis,
     em_step,
@@ -676,6 +680,77 @@ def test_dataset_validation():
         Dataset([Trajectory("b", np.array([1.5]), np.array([0.0]))], BASIS)
     with pytest.raises(ValueError):
         Dataset([], BASIS)
+
+
+def _curves(ids, times, values, m):
+    return Curves(
+        ids, np.array(times, dtype=float), np.array(values, dtype=float), np.array(m, dtype=int)
+    )
+
+
+@pytest.mark.parametrize(
+    "curves, error, message",
+    [
+        pytest.param(
+            _curves(["a", "b", "c"], [0.1, 0.2, 0.3, 0.4, 0.5], [1, 1, np.nan, 1, np.inf], [2, 2, 1]),
+            InvalidInputError, "curve 'b': times and values must be finite", id="non-finite",
+        ),
+        pytest.param(
+            _curves(["a", "b", "c"], [0.1, 0.2, 0.5, 0.4, 0.3], [0, 0, 0, 0, 0], [2, 2, 1]),
+            InvalidInputError, "curve 'b': times must be nondecreasing", id="decreasing",
+        ),
+        pytest.param(
+            _curves(["a", "b", "a", "b"], [0.1, 0.2, 0.3, 0.4], [0, 0, 0, 0], [1, 1, 1, 1]),
+            InvalidInputError, "ids must be unique; 'a' repeats", id="duplicate-id",
+        ),
+        pytest.param(
+            _curves(["a", "b", "c"], [0.1, 0.2, 0.3, 1.5, 2.0], [0, 0, 0, 0, 0], [2, 2, 1]),
+            OutOfDomainError, "curve 'b' has times outside", id="outside-domain",
+        ),
+        pytest.param(
+            _curves([], [], [], []), InvalidInputError, "at least one trajectory", id="no-curves",
+        ),
+        pytest.param(
+            _curves(["a", "b"], [0.1, 0.2], [0, 0], [2, 0]),
+            InvalidInputError, "curve 'b': needs at least one observation", id="empty-curve",
+        ),
+        pytest.param(
+            _curves(["a", "b"], [0.1, 0.2], [0, 0], [1, 2]),
+            DimensionMismatchError, r"with sum\(m\) entries", id="counts-mismatch",
+        ),
+    ],
+)
+def test_dataset_checks_pooled_columns(curves, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(curves, BASIS)
+    # the same curves as Trajectory objects fail with the same message,
+    # from Trajectory's own per-curve check or from the pooled one
+    if curves.m.sum() == curves.times.size:
+        bounds = np.concatenate([[0], np.cumsum(curves.m)])
+        with pytest.raises(error, match=message):
+            Dataset(
+                [
+                    Trajectory(cid, curves.times[a:b], curves.values[a:b])
+                    for cid, a, b in zip(curves.ids, bounds[:-1], bounds[1:])
+                ],
+                BASIS,
+            )
+
+
+def test_dataset_pools_curves_and_builds_views():
+    data = Dataset(
+        _curves(["a", "b", "c"], [0.3, 0.6, 0.1, 0.2, 0.5, 0.9], [1, 2, 3, 4, 5, 6], [2, 3, 1]),
+        BASIS,
+    )
+    # a time falling back between curves is not a decrease
+    assert data.n == 3 and data.offsets.tolist() == [0, 2, 5, 6]
+    assert [t.id for t in data.trajectories] == ["a", "b", "c"]
+    b = data.trajectories[1]
+    assert b.times.tolist() == [0.1, 0.2, 0.5] and np.shares_memory(b.values, data.values)
+    same = Dataset(data.trajectories, BASIS)
+    assert same.ids == data.ids
+    assert same.times.tobytes() == data.times.tobytes()
+    assert same.values.tobytes() == data.values.tobytes()
 
 
 def test_config_validation():

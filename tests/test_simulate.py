@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
-from rfpca.errors import InvalidInputError
+from rfpca.errors import InvalidInputError, OutOfDomainError
 from rfpca.simulate import (
     Contamination,
     GridDesign,
@@ -15,12 +15,14 @@ from rfpca.simulate import (
     _selection_rep,
     _sine_component,
     _study_basis,
+    _worker_count,
     doppler_phi3,
     error_norms,
     l2_error,
     monte_carlo,
     simulate_dataset,
 )
+from oracles import reference_simulate
 
 
 def test_true_model_component_orthonormality():
@@ -108,6 +110,51 @@ def test_exogenous_curves_add_signed_doppler(kind):
         else:
             expected = a.values + shift * phi3(a.times)
         assert np.array_equal(b.values, expected)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [GridDesign.fixed_uniform(7), GridDesign.random_uniform(9), GridDesign.poisson_uniform(6.0)],
+    ids=["fixed", "random", "poisson"],
+)
+@pytest.mark.parametrize(
+    "contamination",
+    [
+        Contamination.none(),
+        Contamination("endogenous_mean", 0.2, 4.0),
+        Contamination("endogenous_pc", 0.2, 4.0),
+        Contamination("endogenous_pc", 0.2, 4.0, literal_scores=True),
+        Contamination("exogenous_mean", 0.2, 4.0),
+        Contamination("exogenous_pc", 0.3, 4.0),
+    ],
+    ids=["clean", "endo-mean", "endo-pc", "endo-pc-literal", "exo-mean", "exo-pc"],
+)
+def test_pooled_generator_matches_per_curve_draws(design, contamination):
+    # the pooled arrays hold, bit for bit, the curves drawn one at a time
+    truth = TrueModel()
+    data, _ = simulate_dataset(truth, design, 25, contamination, seed=31)
+    expected = reference_simulate(truth, design, 25, contamination, seed=31)
+    assert data.ids == [cid for cid, _, _ in expected]
+    assert data.m.tolist() == [t.size for _, t, _ in expected]
+    assert data.times.tobytes() == np.concatenate([t for _, t, _ in expected]).tobytes()
+    assert data.values.tobytes() == np.concatenate([x for _, _, x in expected]).tobytes()
+
+
+def test_simulate_errors_name_first_offending_curve():
+    design = GridDesign.random_uniform(5)
+    clean, _ = simulate_dataset(TrueModel(), design, 20, Contamination.none(), seed=3)
+    late = [i for i, t in enumerate(clean.trajectories) if t.times.max() > 0.9]
+    assert late[0] > 0  # the check below is not satisfied by curve 0 alone
+    truth = TrueModel(mu=lambda t: np.where(np.asarray(t) > 0.9, np.nan, 0.0))
+    with pytest.raises(InvalidInputError, match=rf"curve {clean.ids[late[0]]!r}: .*finite"):
+        simulate_dataset(truth, design, 20, Contamination.none(), seed=3)
+    with pytest.raises(OutOfDomainError, match=rf"curve {clean.ids[late[0]]!r} has times"):
+        simulate_dataset(
+            TrueModel(), design, 20, Contamination.none(), seed=3,
+            basis=build_basis(4, 5, (0.0, 0.9)),
+        )
+    with pytest.raises(InvalidInputError, match="n must be >= 1"):
+        simulate_dataset(TrueModel(), design, 0, Contamination.none(), seed=3)
 
 
 def test_simulate_contamination_count_contract():
@@ -301,6 +348,13 @@ def test_selection_rep_matches_criterion_oracle():
     assert [(r["scenario"], r["nu"], r["criterion"], r["chosen_d"]) for r in rows] == expected
     assert all(r["ok"] for r in rows)
     assert {d for *_, d in expected} == {1, 2}
+
+
+def test_worker_count_caps_at_reps(monkeypatch):
+    monkeypatch.setenv("RFPCA_THREADS", "8")
+    assert _worker_count(3) == 3
+    monkeypatch.delenv("RFPCA_THREADS")
+    assert _worker_count(3) == 1
 
 
 def test_worker_pool_matches_serial(monkeypatch):
