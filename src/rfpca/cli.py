@@ -42,29 +42,35 @@ def read_long_csv(path) -> Curves:
 
     After the header, each nonblank line is three comma-separated fields,
     optionally double-quoted. Times and values must be finite ASCII decimal
-    numbers; ``1_000``, which ``float`` accepts, is rejected. Rows may come in
-    any order: curves are numbered by first appearance of their ids, and a
-    stable sort puts each curve's rows in time order, so tied times keep
-    their file order. One ``np.loadtxt`` call parses the rows; only if it
-    fails, or a number is not finite, is the file scanned again line by line,
-    so that the ``CsvParseError`` names the first offending line.
+    numbers; ``1_000``, which ``float`` accepts, is rejected. The file is
+    read as UTF-8. Rows may come in any order: curves are numbered by first
+    appearance of their ids, and a stable sort puts each curve's rows in time
+    order, so tied times keep their file order. One ``np.loadtxt`` call parses
+    the rows; only if it fails, or a number is not finite, is the file scanned
+    again line by line, so that the ``CsvParseError`` names the first
+    offending line.
     """
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        if header.rstrip("\r\n") != LONG_CSV_HEADER:
-            raise CsvParseError(
-                f"{path}: line 1: expected header {LONG_CSV_HEADER!r}"
-            )
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below, as a CsvParseError
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"',
-                    ndmin=1,
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            if header.rstrip("\r\n") != LONG_CSV_HEADER:
+                raise CsvParseError(
+                    f"{path}: line 1: expected header {LONG_CSV_HEADER!r}"
                 )
-        except ValueError as exc:
-            raise _first_bad_line(path) or CsvParseError(f"{path}: {exc}") from None
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported below, as a CsvParseError
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(
+                        fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"',
+                        ndmin=1,
+                    )
+            except ValueError as exc:
+                raise _first_bad_line(path) or CsvParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        # from the header read, the parse or the rescan, whichever decodes
+        # the offending bytes first
+        raise _undecodable_line(path) from None
     time, value = rows["time"], rows["value"]
     if not (np.isfinite(time).all() and np.isfinite(value).all()):
         raise _first_bad_line(path) or CsvParseError(f"{path}: non-finite time or value")
@@ -79,10 +85,22 @@ def read_long_csv(path) -> Curves:
     return Curves(ids[order].tolist(), time[perm], value[perm], np.bincount(curve))
 
 
+def _undecodable_line(path) -> CsvParseError:
+    """The error naming the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        # a UTF-8 multibyte sequence never holds the newline byte
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return CsvParseError(f"{path}: line {lineno}: not valid UTF-8 text")
+    return CsvParseError(f"{path}: not valid UTF-8 text")
+
+
 def _first_bad_line(path) -> CsvParseError | None:
     """The error of the first data line that breaks ``read_long_csv``'s
     rules, or None; a slow scan, made only after the fast parse failed."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         fh.readline()
         for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:

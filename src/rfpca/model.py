@@ -31,6 +31,7 @@ from .errors import (
     InvalidParamsError,
     NumericalOverflowError,
     OutOfDomainError,
+    RfpcaError,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -183,15 +184,22 @@ class Dataset:
     def design_stats(self) -> _DesignStats:
         n, p = self.n, self.basis.dimension
         btb = np.empty((n, p, p))
-        btx = np.empty((n, p))
-        xtx = np.empty(n)
+        for i, B in enumerate(self.design_matrices):
+            btb[i] = B.T @ B
+        btx, xtx = self._value_stats(self.values)
+        return _DesignStats(self.m, btb, btx, xtx, int(self.offsets[-1]))
+
+    def _value_stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B_i^T x_i, shape (n, p), and x_i^T x_i, shape (n,), of pooled
+        ``values`` observed at this dataset's times."""
+        btx = np.empty((self.n, self.basis.dimension))
+        xtx = np.empty(self.n)
         bounds = self.offsets.tolist()
         for i, B in enumerate(self.design_matrices):
-            x = self.values[bounds[i]:bounds[i + 1]]
-            btb[i] = B.T @ B
+            x = values[bounds[i]:bounds[i + 1]]
             btx[i] = B.T @ x
             xtx[i] = x @ x
-        return _DesignStats(self.m, btb, btx, xtx, int(self.offsets[-1]))
+        return btx, xtx
 
     def log_density_constant(self, nu: float) -> np.ndarray:
         """Per-curve terms of the log density that depend only on (m_i, nu),
@@ -199,7 +207,7 @@ class Dataset:
         log Gamma((nu+m_i)/2) - log Gamma(nu/2) - (m_i/2) log(nu pi)."""
         const = self._density_constants.get(nu)
         if const is None:
-            m = self.design_stats.m
+            m = self.m
             if math.isinf(nu):
                 const = m * LOG_2PI
             else:
@@ -396,16 +404,18 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Batch(NamedTuple):
-    """G models fitted in lockstep to one dataset's design statistics.
+    """G models fitted in lockstep over one dataset's design blocks.
 
     Model g counts curve i in its objective, its M-step sums and its
     observation count when ``include[g, i]`` is 1; its E-step still evaluates
     every curve, so a left-out curve's log density is there to be read. The
-    per-curve constants are shared (n,) rows that broadcast against the
-    models' (G, n) rows.
+    value statistics ``btx`` and ``xtx`` have one row shared by every model
+    (cross-validation refits of one dataset) or one row per model (datasets
+    observed at the same times, fitted together). The per-curve constants
+    are shared (n,) rows that broadcast against the models' (G, n) rows.
     """
 
-    data: Dataset
+    data: Dataset          # owner of the design blocks, m and curve ids
     nu: float
     include: np.ndarray    # (G, n) 0/1
     wnum: np.ndarray       # (G, n) robust-weight numerators nu + m_i (1 when
@@ -415,27 +425,47 @@ class _Batch(NamedTuple):
     half_nu_m: np.ndarray  # (n,) (nu + m_i) / 2; unused when nu is inf
     btb_rows: np.ndarray   # (p, n * p) view of the design blocks, for the E-step
     btb_flat: np.ndarray   # (n, p * p) view of the design blocks, for the M-step
-    btx: np.ndarray        # (1, n, p) view of B_i^T x_i
+    btx: np.ndarray        # (1 or G, n, p) B_i^T x_i
+    xtx: np.ndarray        # (1 or G, n) x_i^T x_i
 
     def select(self, keep) -> "_Batch":
         """The batch of the models ``keep`` selects."""
+        values = {}
+        if self.btx.shape[0] > 1:
+            values = {"btx": self.btx[keep], "xtx": self.xtx[keep]}
         return self._replace(
-            include=self.include[keep], wnum=self.wnum[keep], total_obs=self.total_obs[keep]
+            include=self.include[keep], wnum=self.wnum[keep], total_obs=self.total_obs[keep],
+            **values,
         )
 
 
-def _batch(data: Dataset, nu: float, include: np.ndarray | None = None) -> _Batch:
-    """Batch over ``data``; the default is one model counting every curve."""
+def _batch(
+    data: Dataset, nu: float, include: np.ndarray | None = None, values=None
+) -> _Batch:
+    """Batch over ``data``'s design; the default is one model counting every
+    curve. ``values`` is a (btx, xtx) pair of per-model value statistics,
+    default ``data``'s own as one shared row."""
     stats = data.design_stats
     if include is None:
         include = np.ones((1, data.n))
+    if values is None:
+        values = (stats.btx[None], stats.xtx[None])
     nu_m = nu + stats.m
     wnum = include if math.isinf(nu) else nu_m * include
     n, p = stats.btx.shape
     return _Batch(
         data, nu, include, wnum, include @ stats.m, data.log_density_constant(nu), 0.5 * nu_m,
-        stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), stats.btx[None],
+        stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), *values,
     )
+
+
+def _per_model(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row g of the (G, k) array ``a`` times model g's matrix of the stack
+    ``x``; a stack of one matrix is shared by every model and takes one
+    product."""
+    if x.shape[0] == 1:
+        return a @ x[0]
+    return (a[:, None] @ x)[:, 0]
 
 
 def _phi(theta: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -521,8 +551,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
     curve-axis-last without a transpose copy.
     """
     data = batch.data
-    stats = data.design_stats
-    n, p = stats.btx.shape
+    n, p = batch.btx.shape[1:]
     G, d1, _ = phi.shape
     d = d1 - 1
     prods = (phi.reshape(G * d1, p) @ batch.btb_rows).reshape(G, d1, n, p)
@@ -540,7 +569,11 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
     V.reshape(d * d, G * n)[:: d + 1] += 1.0
     Vinv, logdet_v = _sweep(V, lambda slot: data.ids[slot % n])
     theta = phi[:, d]
-    rtr = stats.xtx - 2.0 * (theta @ stats.btx.T) + (btheta @ theta[..., None])[..., 0]
+    rtr = (
+        batch.xtx
+        - 2.0 * _per_model(theta, batch.btx.transpose(0, 2, 1))
+        + (btheta @ theta[..., None])[..., 0]
+    )
     btr = np.subtract(batch.btx, btheta, out=btheta)  # BtB theta is not needed again
     u = (xi_rows @ btr.transpose(0, 2, 1)).transpose(1, 0, 2)
     zhat = (Vinv * u[None]).sum(axis=1) / sigma2_col
@@ -550,7 +583,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
     # libm's log, as for a scalar sigma2: numpy's vectorized log differs
     # from it in the last bit for about 0.1% of inputs
     log_sigma2 = np.array([[math.log(v)] for v in sigma2.tolist()])
-    logdet = stats.m * log_sigma2 + logdet_v
+    logdet = data.m * log_sigma2 + logdet_v
     nu = batch.nu
     if math.isinf(nu):
         w = batch.wnum.copy()
@@ -610,8 +643,7 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
     at the current parameters; ``P`` is the penalty matrix, None when the fit
     is unpenalized, and ``pen`` the models' penalty values (``_penalty``).
     Left-out curves enter through their zero weights and V^{-1} blocks."""
-    stats = batch.data.design_stats
-    n, p = stats.btx.shape
+    n, p = batch.btx.shape[1:]
     G, d1, _ = phi.shape
     d = d1 - 1
     w = e.w
@@ -629,7 +661,9 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
 
     lhs_theta = sums[0]
     wz = wz.transpose(1, 0, 2)  # (G, d, n)
-    rhs_theta = w @ stats.btx - (wz.reshape(G, 1, d * n) @ e.A.reshape(G, d * n, p))[:, 0]
+    rhs_theta = (
+        _per_model(w, batch.btx) - (wz.reshape(G, 1, d * n) @ e.A.reshape(G, d * n, p))[:, 0]
+    )
     if alpha > 0:
         lhs_theta = lhs_theta + 2.0 * alpha * P
     theta_new = _solve(lhs_theta, rhs_theta, "theta")
@@ -701,24 +735,29 @@ def _converged(trace: list, tol: float) -> bool:
 
 
 class _Stop(NamedTuple):
-    """Where one model of a batch stopped."""
+    """Where one model of a batch stopped, and what later steps read from its
+    last E-step."""
 
     phi: np.ndarray       # (d + 1, p) parameters at its last E-step
     sigma2: float
     trace: np.ndarray     # (penalized) log-likelihood at each visited iterate
     converged: bool
-    ll_curve: np.ndarray  # (n,) per-curve log densities at its last E-step
+    loglik: float         # unpenalized log-likelihood
+    ll_curve: np.ndarray  # (n,) per-curve log densities
+    s: np.ndarray         # (n,) squared Mahalanobis distances
+    w: np.ndarray         # (n,) robust weights
+    btr: np.ndarray       # (n, p) B_i^T (x_i - B_i theta - B_i Xi zhat_i)
 
 
-def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol):
+def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop]:
     """Iterate EM updates of the batch's models in lockstep until each one's
     objective stabilizes.
 
     Each model stops on its own trace, by ``_converged`` or after
     ``max_iter`` updates, and leaves the batch; later iterations update only
     the models still running. Returns the models' ``_Stop`` records in batch
-    order and the E-step of the models that stopped last, which for a single
-    model is its final E-step.
+    order; each keeps copies of its own rows of the E-step it stopped at,
+    not the E-step's arrays.
     """
     G = phi.shape[0]
     traces = [[] for _ in range(G)]
@@ -738,11 +777,12 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol):
             converged = _converged(trace, tol)
             if converged or len(trace) > max_iter:
                 stops[g] = _Stop(
-                    phi[j], float(sigma2[j]), np.array(trace), converged, e.ll_curve[j]
+                    phi[j], float(sigma2[j]), np.array(trace), converged, float(e.loglik[j]),
+                    e.ll_curve[j].copy(), e.s[j].copy(), e.w[j].copy(), _model_btr(e.model(j)),
                 )
                 stopped.append(j)
         if len(stopped) == len(running):
-            return stops, e
+            return stops
         phi, sigma2 = _mstep(batch, e, phi, sigma2, alpha, P, pen)
         del e  # free this E-step before the next one is computed
         if stopped:
@@ -796,12 +836,12 @@ def _penalty_terms(config: ModelConfig, basis: SplineBasis):
 _INIT_TRIM = 0.25  # fraction of highest-distance curves excluded from the init scatter
 
 
-def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
+def _init_new_column(data: Dataset, stop: _Stop, sigma2, nu) -> np.ndarray:
     """Seed the next loading column from the weighted residual scatter.
 
-    ``e`` is the E-step at the previous stage's parameters; what is read from
-    it (B^T r - A zhat, distances, weights) does not depend on how those
-    loadings are rotated. Residual coefficient vectors come from a
+    ``stop`` holds what the previous stage's last E-step gave (B^T r - A zhat,
+    distances, weights), none of which depends on how that stage's loadings
+    are rotated. Residual coefficient vectors come from a
     ridge-regularized projection of each curve's current residuals onto the
     basis; the column is the leading eigenvector of their weighted scatter in
     the Gram metric, scaled so its initial variance is sigma2 / 2. Under a t
@@ -812,17 +852,16 @@ def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
     """
     stats = data.design_stats
     p = data.basis.dimension
-    btr_model = _model_btr(e)
     # ridge at the scale of the average design diagonal: boundary basis
     # directions with little data support would otherwise dominate the
     # projected-residual scatter through noise amplification
     ridge = np.trace(stats.btb, axis1=1, axis2=2) / p + 1e-12
     reg = stats.btb + ridge[:, None, None] * np.eye(p)
-    coefs = np.linalg.solve(reg, btr_model[:, :, None])[:, :, 0]
-    w = e.w
+    coefs = np.linalg.solve(reg, stop.btr[:, :, None])[:, :, 0]
+    w = stop.w
     if not math.isinf(nu) and data.n >= 8:
-        cutoff = np.quantile(e.s, 1.0 - _INIT_TRIM)
-        w = np.where(e.s <= cutoff, w, 0.0)
+        cutoff = np.quantile(stop.s, 1.0 - _INIT_TRIM)
+        w = np.where(stop.s <= cutoff, w, 0.0)
     J = data.basis.gram_matrix
     L = np.linalg.cholesky(J)
     scatter = (w[:, None] * coefs).T @ coefs
@@ -837,30 +876,33 @@ def _init_new_column(data: Dataset, e: _EStep, sigma2, nu) -> np.ndarray:
     return v * math.sqrt(sigma2 / 2.0)
 
 
-def _stage(batch: _Batch, theta, xi, sigma2, alpha, P, config: ModelConfig):
-    """Run one model's EM from (theta, xi, sigma2) and canonicalize the result.
-
-    Returns the stage's ``FitResult`` and its final E-step, which is at the
-    raw (uncanonicalized) parameters; the log-likelihood, distances and
-    weights taken from it are rotation invariant.
-    """
-    (stop,), e = _em_loop(
-        batch, _phi(theta, xi), np.array([sigma2]), alpha, P, config.max_iter, config.tol
-    )
-    e = e.model(0)
+def _stage_result(stop: _Stop, nu: float, basis: SplineBasis) -> FitResult:
+    """A stage's result with canonicalized parameters. Its log-likelihood,
+    distances and weights come from the E-step at the raw parameters, and
+    are rotation invariant."""
     d = stop.phi.shape[0] - 1
-    result = FitResult(
-        params=ModelParams.from_xi(
-            stop.phi[d], stop.phi[:d].T, stop.sigma2, config.nu, batch.data.basis
-        ),
+    return FitResult(
+        params=ModelParams.from_xi(stop.phi[d], stop.phi[:d].T, stop.sigma2, nu, basis),
         loglik_trace=stop.trace,
         converged=stop.converged,
         iterations=len(stop.trace) - 1,
-        loglik=float(e.loglik),
-        s=e.s,
-        weights=e.w,
+        loglik=stop.loglik,
+        s=stop.s,
+        weights=stop.w,
     )
-    return result, e
+
+
+# Cap on the bytes of a batch's (G, d + 1, n, p) E-step product, which sets
+# how many models run in lockstep: 12 cross-validation refits at n = 100,
+# d = 2, p = 9. Measured on a 2-vCPU host, twice this cap added about 1 MB to
+# the select_small benchmark's peak RSS and, at d = 0, let BLAS worker
+# threads preempt the main thread.
+_BATCH_BYTES = 256 * 1024
+
+
+def _models_per_batch(d: int, n: int, p: int) -> int:
+    """How many models of dimension ``d`` over n curves one batch holds."""
+    return max(1, _BATCH_BYTES // (8 * (d + 1) * n * p))
 
 
 def fit(data: Dataset, config: ModelConfig) -> FitResult:
@@ -871,40 +913,131 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
     previous one. The returned result is the final stage; ``stages`` holds
     every intermediate fit in dimension order 0..d.
     """
-    p = data.basis.dimension
+    (result,) = _fit_lockstep([data], config)
+    if isinstance(result, RfpcaError):
+        raise result
+    return result
+
+
+def _shares_design(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same curve ids observed at bitwise the
+    same times on equal bases, so that only their values differ."""
+    return (
+        a.basis == b.basis
+        and a.ids == b.ids
+        and a.m.tobytes() == b.m.tobytes()
+        and a.times.tobytes() == b.times.tobytes()
+    )
+
+
+def _fit_lockstep(
+    datasets: Sequence[Dataset], config: ModelConfig
+) -> list[FitResult | RfpcaError]:
+    """``fit`` of every dataset, returning for each its ``FitResult`` or the
+    ``RfpcaError`` its fit raises.
+
+    Datasets that share one design are fitted as the models of one batch, at
+    most ``_models_per_batch`` at a time: stage d of every model in lockstep,
+    then each model's new column from its own last E-step, then stage d + 1.
+    Each model stops every stage on its own trace, so it takes the iterations
+    its own fit takes.
+    """
+    groups: list[list[int]] = []
+    for i, data in enumerate(datasets):
+        group = next((g for g in groups if _shares_design(datasets[g[0]], data)), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+    out: list = [None] * len(datasets)
+    for group in groups:
+        base = datasets[group[0]]
+        size = _models_per_batch(config.d, base.n, base.basis.dimension)
+        for start in range(0, len(group), size):
+            chunk = group[start:start + size]
+            try:
+                results = _fit_chunk(base, [datasets[i] for i in chunk], config)
+            except RfpcaError as exc:  # raised by the shared design, for every model
+                results = [exc] * len(chunk)
+            for i, result in zip(chunk, results):
+                out[i] = result
+    return out
+
+
+def _fit_chunk(base: Dataset, members: list[Dataset], config: ModelConfig) -> list:
+    """Sequential fits of ``members``, which share ``base``'s design, in
+    lockstep; see ``_fit_lockstep``."""
+    p = base.basis.dimension
     if config.d > p:
         raise DimensionMismatchError(f"d={config.d} exceeds basis dimension p={p}")
-    if data.n < 2:
+    if base.n < 2:
         raise InvalidInputError("fit needs at least two curves")
-    stats = data.design_stats
-    sigma2 = float(stats.xtx.sum() / stats.total_obs)
-    if sigma2 <= 0:
-        raise DegenerateFitError("all observed values are zero; nothing to fit")
-    theta = np.zeros(p)
-    xi = np.zeros((p, 0))
-    alpha, P = _penalty_terms(config, data.basis)
-    batch = _batch(data, config.nu)
-
-    stages: list[FitResult] = []
-    e = None
-    for d_cur in range(config.d + 1):
-        if d_cur > 0:
-            col = _init_new_column(data, e, sigma2, config.nu)
-            xi = np.column_stack([xi, col])
-            # the new column starts with variance sigma2/2 taken out of the
-            # noise budget; without the deduction the inflated noise level
-            # masks outlying curves during the stage's early iterations
-            sigma2 = sigma2 / 2.0
-        stage, e = _stage(batch, theta, xi, sigma2, alpha, P, config)
-        stages.append(stage)
-        theta, xi, sigma2 = stage.params.theta, stage.params.xi, stage.params.sigma2
-
-    final = stages[-1]
-    return dataclasses.replace(
-        final,
-        converged=all(s.converged for s in stages),
-        stages=tuple(stages),
+    stats = base.design_stats
+    btx, xtx = zip(
+        *((stats.btx, stats.xtx) if data is base else base._value_stats(data.values)
+          for data in members)
     )
+    out: list = [None] * len(members)
+    starts: dict[int, tuple] = {}  # batch row -> the (theta, xi, sigma2) of its next stage
+    for g, x in enumerate(xtx):
+        sigma2 = float(x.sum() / stats.total_obs)
+        if sigma2 <= 0:
+            out[g] = DegenerateFitError("all observed values are zero; nothing to fit")
+        else:
+            starts[g] = (np.zeros(p), np.zeros((p, 0)), sigma2)
+    alpha, P = _penalty_terms(config, base.basis)
+    values = (np.stack(btx), np.stack(xtx))
+    batch = _batch(base, config.nu, np.ones((len(members), base.n)), values)
+
+    stages: dict[int, list[FitResult]] = {g: [] for g in starts}
+    for d in range(config.d + 1):
+        for g, stop in _lockstep_stage(batch, starts, alpha, P, config).items():
+            try:
+                if isinstance(stop, RfpcaError):
+                    raise stop
+                stage = _stage_result(stop, config.nu, base.basis)
+            except RfpcaError as exc:
+                out[g] = exc
+                del starts[g]
+                continue
+            stages[g].append(stage)
+            theta, xi, sigma2 = stage.params.theta, stage.params.xi, stage.params.sigma2
+            if d < config.d:
+                col = _init_new_column(base, stop, sigma2, config.nu)
+                # the new column starts with variance sigma2/2 taken out of the
+                # noise budget; without the deduction the inflated noise level
+                # masks outlying curves during the stage's early iterations
+                xi, sigma2 = np.column_stack([xi, col]), sigma2 / 2.0
+            starts[g] = (theta, xi, sigma2)
+    for g in starts:
+        out[g] = dataclasses.replace(
+            stages[g][-1],
+            converged=all(s.converged for s in stages[g]),
+            stages=tuple(stages[g]),
+        )
+    return out
+
+
+def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) -> dict:
+    """One stage of the batch rows ``starts`` maps to their starting
+    (theta, xi, sigma2), in lockstep. Returns per row its ``_Stop``, or the
+    ``RfpcaError`` of the stage run for that row alone: a lockstep run that
+    raises is rerun row by row, so one model's failure is not another's."""
+    rows = list(starts)
+    if not rows:
+        return {}
+    phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in starts.values()])
+    sigma2 = np.array([s2 for _, _, s2 in starts.values()])
+    run = batch if len(rows) == len(batch.include) else batch.select(rows)
+    try:
+        return dict(zip(rows, _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)))
+    except RfpcaError as exc:
+        if len(rows) == 1:
+            return {rows[0]: exc}
+    out = {}
+    for g in rows:
+        out.update(_lockstep_stage(batch, {g: starts[g]}, alpha, P, config))
+    return out
 
 
 def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult:
@@ -918,8 +1051,11 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
             f"init params have d={init.d} but config requests d={config.d}"
         )
     alpha, P = _penalty_terms(config, data.basis)
-    batch = _batch(data, config.nu)
-    return _stage(batch, init.theta, init.xi, init.sigma2, alpha, P, config)[0]
+    (stop,) = _em_loop(
+        _batch(data, config.nu), _phi(init.theta, init.xi), np.array([init.sigma2]),
+        alpha, P, config.max_iter, config.tol,
+    )
+    return _stage_result(stop, config.nu, data.basis)
 
 
 def _refits_without(data: Dataset, config: ModelConfig, init: ModelParams, left_out):
@@ -940,7 +1076,7 @@ def _refits_without(data: Dataset, config: ModelConfig, init: ModelParams, left_
     include = np.ones((G, data.n))
     include[np.arange(G), left_out] = 0.0
     alpha, P = _penalty_terms(config, data.basis)
-    stops, _ = _em_loop(
+    stops = _em_loop(
         _batch(data, config.nu, include),
         np.repeat(_phi(init.theta, init.xi), G, axis=0),
         np.full(G, init.sigma2),

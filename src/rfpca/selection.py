@@ -10,7 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
-from .model import Dataset, FitResult, ModelConfig, _refits_without, fit, log_likelihood
+from .model import (
+    Dataset,
+    FitResult,
+    ModelConfig,
+    _models_per_batch,
+    _refits_without,
+    fit,
+    log_likelihood,
+)
 
 CRITERIA = ("aic", "bic", "cv")
 
@@ -62,14 +70,6 @@ def bic(fit_result: FitResult, data: Dataset) -> float:
     return information_criterion(fit_result, data, math.log(data.n) / 2.0)
 
 
-# Cap on the bytes of each cross-validation batch's (G, d + 1, n, p) E-step
-# product, which sets how many refits run in lockstep: 12 at n = 100, d = 2,
-# p = 9. Measured on a 2-vCPU host, twice this cap added about 1 MB to the
-# select_small benchmark's peak RSS and, at d = 0, let BLAS worker threads
-# preempt the main thread.
-_BATCH_BYTES = 256 * 1024
-
-
 def cross_validate(
     data: Dataset,
     config: ModelConfig,
@@ -92,7 +92,7 @@ def cross_validate(
     if full_fit is None:
         full_fit = fit(data, config)
     n, p = data.n, data.basis.dimension
-    size = max(1, _BATCH_BYTES // (8 * (config.d + 1) * n * p))
+    size = _models_per_batch(config.d, n, p)
     score = 0.0
     details = []
     for start in range(0, n, size):
@@ -132,25 +132,9 @@ def select_dimension(
         raise DimensionMismatchError(f"d_max={d_max} exceeds basis dimension p={p}")
 
     rows: list[dict] = []
-    c_bic = math.log(data.n) / 2.0
     try:
         chain = fit(data, dataclasses.replace(config, d=d_max))
-        for d, stage in enumerate(chain.stages):
-            ll = stage.loglik
-            df = degrees_of_freedom(p, d)
-            lam = stage.params.lam
-            row = {
-                "d": d,
-                "loglik": ll,
-                "df": df,
-                "aic": ll - df,
-                "bic": ll - c_bic * df,
-                "converged": stage.converged,
-                "lambda_share": float(lam[-1] / lam.sum()) if d > 0 else None,
-                "lambda_noise_ratio": (
-                    float(lam[-1] / stage.params.sigma2) if d > 0 else None
-                ),
-            }
+        for d, (stage, row) in enumerate(zip(chain.stages, _stage_rows(chain, data.n))):
             if criterion == "cv":
                 cfg_d = dataclasses.replace(config, d=d)
                 score, details = cross_validate(
@@ -171,3 +155,26 @@ def select_dimension(
     scores = np.array([row[criterion] for row in rows])
     chosen = int(np.argmax(scores))  # first max wins: ties break toward small d
     return SelectionReport(per_d=tuple(rows), chosen_d=chosen, criterion=criterion)
+
+
+def _stage_rows(chain: FitResult, n: int) -> list[dict]:
+    """One score row per stage of a sequential fit to n curves: its
+    log-likelihood, degrees of freedom, AIC and BIC, convergence and the
+    variance share of its last component."""
+    rows = []
+    c_bic = math.log(n) / 2.0
+    for d, stage in enumerate(chain.stages):
+        ll = stage.loglik
+        df = degrees_of_freedom(stage.params.p, d)
+        lam = stage.params.lam
+        rows.append({
+            "d": d,
+            "loglik": ll,
+            "df": df,
+            "aic": ll - df,
+            "bic": ll - c_bic * df,
+            "converged": stage.converged,
+            "lambda_share": float(lam[-1] / lam.sum()) if d > 0 else None,
+            "lambda_noise_ratio": float(lam[-1] / stage.params.sigma2) if d > 0 else None,
+        })
+    return rows

@@ -22,7 +22,7 @@ from scipy.integrate import quad, simpson
 from . import selection
 from .basis import SplineBasis, build_basis
 from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
-from .model import Curves, Dataset, FitResult, ModelConfig, fit
+from .model import Curves, Dataset, FitResult, ModelConfig, _fit_lockstep
 
 ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms
 
@@ -254,16 +254,11 @@ def simulate_dataset(
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def l2_error(fhat, f, domain=(0.0, 1.0), sign_align: bool = False) -> float:
-    """L2 distance between two functions by composite Simpson quadrature.
+def _error_grid(domain) -> np.ndarray:
+    return np.linspace(domain[0], domain[1], ERROR_NORM_GRID)
 
-    With ``sign_align`` the sign of ``fhat`` is chosen to minimize the
-    distance, as appropriate for component functions that are only identified
-    up to sign.
-    """
-    grid = np.linspace(domain[0], domain[1], ERROR_NORM_GRID)
-    fh = np.asarray(fhat(grid), dtype=float)
-    fv = np.asarray(f(grid), dtype=float)
+
+def _l2_on_grid(fh, fv, grid, sign_align: bool = False) -> float:
     direct = float(simpson((fh - fv) ** 2, x=grid))
     if sign_align:
         flipped = float(simpson((fh + fv) ** 2, x=grid))
@@ -271,17 +266,42 @@ def l2_error(fhat, f, domain=(0.0, 1.0), sign_align: bool = False) -> float:
     return math.sqrt(max(direct, 0.0))
 
 
+def l2_error(fhat, f, domain=(0.0, 1.0), sign_align: bool = False) -> float:
+    """L2 distance between two functions by composite Simpson quadrature.
+
+    With ``sign_align`` the sign of ``fhat`` is chosen to minimize the
+    distance, as appropriate for component functions that are only identified
+    up to sign.
+    """
+    grid = _error_grid(domain)
+    fh = np.asarray(fhat(grid), dtype=float)
+    fv = np.asarray(f(grid), dtype=float)
+    return _l2_on_grid(fh, fv, grid, sign_align)
+
+
+@lru_cache(maxsize=8)
+def _grid_design(order: int, interior_knots: tuple, domain: tuple) -> np.ndarray:
+    """The design matrix of a basis on the error-norm grid, evaluated once per
+    basis (``SplineBasis`` is unhashable, so the cache keys on what defines it)."""
+    B = SplineBasis(order, interior_knots, domain).design_matrix(_error_grid(domain))
+    B.setflags(write=False)
+    return B
+
+
 def error_norms(fit_result: FitResult, truth: TrueModel) -> dict:
     """L2 errors of the fitted mean and (sign-aligned) leading component."""
     params = fit_result.params
-    if params.basis.domain != tuple(truth.domain):
+    basis = params.basis
+    if basis.domain != tuple(truth.domain):
         raise InvalidInputError("fit domain differs from truth domain")
-    out = {"mu_err": l2_error(lambda t: params.mean(t), truth.mu, truth.domain)}
+    grid = _error_grid(truth.domain)
+    B = _grid_design(basis.order, tuple(basis.interior_knots.tolist()), basis.domain)
+    out = {"mu_err": _l2_on_grid(B @ params.theta, np.asarray(truth.mu(grid), dtype=float), grid)}
     if params.d >= 1 and truth.phis:
-        out["phi1_err"] = l2_error(
-            lambda t: params.components(t)[:, 0],
-            truth.phis[0],
-            truth.domain,
+        out["phi1_err"] = _l2_on_grid(
+            (B @ params.H)[:, 0],  # not B @ H[:, 0], whose last bits can differ
+            np.asarray(truth.phis[0](grid), dtype=float),
+            grid,
             sign_align=True,
         )
     else:
@@ -360,55 +380,66 @@ def _study_basis(study: MonteCarloStudy) -> SplineBasis:
     return build_basis(study.basis_order, study.basis_knots, study.truth.domain)
 
 
-def _estimation_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
+def _rep_fits(study: MonteCarloStudy, rep: int, d: int) -> list[list[tuple]]:
+    """Replication ``rep``'s fits up to dimension d: per scenario, a
+    (nu, result) pair per estimator, the result being the ``FitResult`` or
+    the ``RfpcaError`` the fit raised.
+
+    Every scenario's dataset draws its time grids first from the
+    replication's seed, so the datasets share one design, and each
+    estimator fits all of them in lockstep.
+    """
     basis = _study_basis(study)
-    out = []
-    for scen in study.scenarios:
-        data, _ = simulate_dataset(
+    datasets = [
+        simulate_dataset(
             study.truth, study.design, study.n, scen.contamination,
             seed=study.seed + rep, basis=basis,
+        )[0]
+        for scen in study.scenarios
+    ]
+    per_nu = [
+        _fit_lockstep(
+            datasets, ModelConfig(nu=nu, d=d, max_iter=study.max_iter, tol=study.tol)
         )
-        for nu in study.estimators:
-            config = ModelConfig(nu=nu, d=1, max_iter=study.max_iter, tol=study.tol)
-            try:
-                result = fit(data, config)
-                stage0, stage1 = result.stages[0], result.stages[1]
-                out.append({
-                    "scenario": scen.name,
-                    "nu": nu,
-                    "mu_err": error_norms(stage0, study.truth)["mu_err"],
-                    "mu_ok": stage0.converged,
-                    "phi1_err": error_norms(stage1, study.truth)["phi1_err"],
-                    "phi1_ok": stage1.converged,
-                })
-            except RfpcaError:
+        for nu in study.estimators
+    ]
+    return [list(zip(study.estimators, fits)) for fits in zip(*per_nu)]
+
+
+def _estimation_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
+    out = []
+    for scen, fits in zip(study.scenarios, _rep_fits(study, rep, d=1)):
+        for nu, result in fits:
+            if isinstance(result, RfpcaError):
                 out.append({
                     "scenario": scen.name, "nu": nu,
                     "mu_err": np.nan, "mu_ok": False,
                     "phi1_err": np.nan, "phi1_ok": False,
                 })
+                continue
+            stage0, stage1 = result.stages
+            out.append({
+                "scenario": scen.name,
+                "nu": nu,
+                "mu_err": error_norms(stage0, study.truth)["mu_err"],
+                "mu_ok": stage0.converged,
+                "phi1_err": error_norms(stage1, study.truth)["phi1_err"],
+                "phi1_ok": stage1.converged,
+            })
     return out
 
 
 def _selection_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
-    basis = _study_basis(study)
     out = []
-    for scen in study.scenarios:
-        data, _ = simulate_dataset(
-            study.truth, study.design, study.n, scen.contamination,
-            seed=study.seed + rep, basis=basis,
-        )
-        for nu in study.estimators:
-            config = ModelConfig(nu=nu, d=study.d_max, max_iter=study.max_iter, tol=study.tol)
-            try:
-                # every row of the report carries both the AIC and BIC scores
-                per_d = selection.select_dimension(
-                    data, study.d_max, study.criteria[0], config
-                ).per_d
+    for scen, fits in zip(study.scenarios, _rep_fits(study, rep, d=study.d_max)):
+        for nu, chain in fits:
+            if isinstance(chain, RfpcaError):
+                ok, chosen = False, dict.fromkeys(study.criteria)
+            else:
+                # the rows select_dimension scores, each with AIC and BIC
+                per_d = selection._stage_rows(chain, study.n)
                 ok = all(row["converged"] for row in per_d)
                 chosen = {c: int(np.argmax([row[c] for row in per_d])) for c in study.criteria}
-            except RfpcaError:
-                ok, chosen = False, dict.fromkeys(study.criteria)
             for criterion in study.criteria:
                 out.append({
                     "scenario": scen.name, "nu": nu, "criterion": criterion,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,15 @@ from rfpca.cli import ingest, load_model, main, read_long_csv, save_model
 from rfpca.diagnostics import curve_diagnostics, mean_confidence_band
 from rfpca.model import ModelConfig, Trajectory, fit, log_likelihood
 from rfpca.selection import cross_validate, select_dimension
-from rfpca.simulate import Contamination, GridDesign, TrueModel, simulate_dataset
+from rfpca.simulate import (
+    Contamination,
+    GridDesign,
+    TrueModel,
+    efficiency_study,
+    monte_carlo,
+    selection_study,
+    simulate_dataset,
+)
 from oracles import reference_read_long_csv
 
 
@@ -170,12 +179,14 @@ _GOOD_ROW = "a,0.1,1.0"
         pytest.param("b,0.2,\u0661", "non-numeric time or value", id="non-ascii-digit"),
         pytest.param("b,nan,1.0", "non-finite time or value", id="nan"),
         pytest.param("b,0.2,-inf", "non-finite time or value", id="inf"),
+        # the surrogate is written as the single byte 0xff
+        pytest.param("b,0.2,\udcff", "not valid UTF-8 text", id="non-utf8"),
     ],
 )
 def test_malformed_line_is_named(tmp_path, bad_row, message, blank_before):
     path = tmp_path / "bad.csv"
     lines = ["id,time,value", _GOOD_ROW] + [""] * blank_before + [bad_row, "c,0.3,1.0", "d,x,y"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     lineno = 3 + blank_before
     with pytest.raises(CsvParseError, match=rf"bad\.csv: line {lineno}: {message}$"):
         read_long_csv(path)
@@ -214,6 +225,11 @@ def test_hot_paths_build_no_trajectories(sim_csv, monkeypatch):
     select_dimension(data, 1, "bic", config)
     cross_validate(data, config, full_fit=result)
     simulate_dataset(TrueModel(), GridDesign.random_uniform(5), 30, Contamination.none(), seed=2)
+    for study in (
+        efficiency_study(reps=1, n=20),
+        dataclasses.replace(selection_study(reps=1, n=20), d_max=2),
+    ):
+        monte_carlo(dataclasses.replace(study, scenarios=study.scenarios[:2]))
     assert built == []
     # the counter sees the on-demand views
     assert len(data.trajectories) == len(built) == data.n
@@ -399,6 +415,7 @@ def test_missing_file_is_reported(tmp_path):
     "argv",
     [
         pytest.param(["fit", "--data", "{one}"], id="fit-one-curve"),
+        pytest.param(["fit", "--data", "{non_utf8}"], id="non-utf8"),
         pytest.param(["fit", "--data", "{csv}", "--max-iter", "0"], id="max-iter-0"),
         pytest.param(["fit", "--data", "{csv}", "--tol", "0"], id="tol-0"),
         pytest.param(["fit", "--data", "{csv}", "--dim", "-1"], id="dim-neg"),
@@ -437,7 +454,11 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     _write_csv(one, [("a", 0.1, 1.0), ("a", 0.5, 2.0), ("a", 0.9, 1.5)])
     model = tmp_path / "model.json"
     save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=0)))
-    paths = {"one": one, "csv": sim_csv, "model": model}
+    # the byte 0xff past the reader's first chunk: the parse, not the header
+    # read, meets it
+    non_utf8 = tmp_path / "non_utf8.csv"
+    non_utf8.write_bytes(sim_csv.read_bytes() + b"late,0.5,\xff1.0\n")
+    paths = {"one": one, "csv": sim_csv, "model": model, "non_utf8": non_utf8}
     for name, text in [
         ("not_json", "not json"),
         ("model_no_basis", '{"version": 1}'),

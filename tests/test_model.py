@@ -31,7 +31,17 @@ from rfpca import (
     sigma_solve,
     simulate_dataset,
 )
-from rfpca.model import _estep_at, _rowdot, _sweep
+from rfpca import model
+from rfpca.errors import NumericalOverflowError
+from rfpca.model import (
+    _batch,
+    _estep_at,
+    _fit_lockstep,
+    _lockstep_stage,
+    _rowdot,
+    _stage_result,
+    _sweep,
+)
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
 
@@ -544,6 +554,131 @@ def test_penalized_fit_smooths():
     bend_r = rough.params.xi[:, 0] @ P @ rough.params.xi[:, 0]
     bend_s = smooth.params.xi[:, 0] @ P @ smooth.params.xi[:, 0]
     assert bend_s < bend_r
+
+
+# ---------------------------------------------------------------------------
+# lockstep fits of datasets that share one design
+# ---------------------------------------------------------------------------
+
+def _scenario_datasets(n=40, seed=8, design=GridDesign.random_uniform(10)):
+    # one Monte Carlo replication's scenarios: the same times, different values
+    return [
+        simulate_dataset(TrueModel(), design, n, contamination, seed=seed)[0]
+        for contamination in (
+            Contamination.none(),
+            Contamination("exogenous_mean", 0.2, 4.0),
+            Contamination("endogenous_pc", 0.2, 4.0),
+            Contamination("exogenous_pc", 0.3, 4.0),
+        )
+    ]
+
+
+def _assert_same_fit(result, solo, rtol=1e-12):
+    # stage by stage; a single-stage result (fit_from) is its own stage
+    stages, solo_stages = result.stages or (result,), solo.stages or (solo,)
+    assert [s.iterations for s in stages] == [s.iterations for s in solo_stages]
+    assert [s.converged for s in stages] == [s.converged for s in solo_stages]
+    for got, want in zip(stages, solo_stages):
+        for x, y in [
+            (got.params.theta, want.params.theta),
+            (got.params.xi, want.params.xi),
+            (got.params.sigma2, want.params.sigma2),
+            (got.loglik, want.loglik),
+            (got.s, want.s),
+            (got.weights, want.weights),
+        ]:
+            assert np.linalg.norm(np.subtract(x, y)) <= rtol * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("nu", [1.0, 5.0, math.inf])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_lockstep_fits_match_solo_fits(d, nu):
+    datasets = _scenario_datasets()
+    config = ModelConfig(nu=nu, d=d)
+    for result, data in zip(_fit_lockstep(datasets, config), datasets):
+        _assert_same_fit(result, fit(data, config))
+
+
+@pytest.mark.parametrize("models_per_batch", [1, None], ids=["one", "all"])
+def test_lockstep_fits_independent_of_batch_cap(monkeypatch, models_per_batch):
+    shared = _scenario_datasets()
+    other = _scenario_datasets(seed=9)[0]  # another design, fitted on its own
+    datasets = shared[:2] + [other] + shared[2:]
+    config = ModelConfig(nu=1.0, d=2)
+    solo = [fit(data, config) for data in datasets]
+    per_model = 8 * (config.d + 1) * other.n * BASIS.dimension
+    monkeypatch.setattr(model, "_BATCH_BYTES", per_model * (models_per_batch or len(shared)))
+    sizes = []
+    em_loop = model._em_loop
+
+    def recording(batch, phi, *args):
+        sizes.append(phi.shape[0])
+        return em_loop(batch, phi, *args)
+
+    monkeypatch.setattr(model, "_em_loop", recording)
+    for result, want in zip(_fit_lockstep(datasets, config), solo):
+        _assert_same_fit(result, want)
+    assert max(sizes) == (models_per_batch or len(shared))
+
+
+def _late_curve_data(values):
+    # only curve "late" sees the last basis function, which is 1 at t = 1
+    rng = np.random.default_rng(2)
+    times = [np.sort(rng.uniform(0, 0.8, 8)) for _ in range(12)] + [np.array([1.0])]
+    ids = [f"c{i}" for i in range(12)] + ["late"]
+    m = np.array([t.size for t in times])
+    return Dataset(Curves(ids, np.concatenate(times), values, m), BASIS)
+
+
+def test_lockstep_stage_error_stays_with_its_model():
+    values = np.random.default_rng(3).normal(size=97)
+    data = _late_curve_data(values)
+    J = BASIS.gram_matrix
+    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
+    # the loadings of test_loglik_singular_posterior_precision_is_conditioning_error:
+    # V_i is singular in floating point for the curve observed at t = 1
+    singular = ModelParams(
+        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70,
+        H=np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])]),
+        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
+    )
+    starts = [
+        ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS),
+        singular,
+        ModelParams.from_xi(np.full(9, 0.1), np.eye(9)[:, 1:3] * 0.3, 0.5, 1.0, BASIS),
+    ]
+    config = ModelConfig(nu=1.0, d=2, max_iter=20)
+    stats = data.design_stats
+    batch = _batch(data, 1.0, np.ones((3, data.n)), (
+        np.repeat(stats.btx[None], 3, axis=0), np.repeat(stats.xtx[None], 3, axis=0)
+    ))
+    stops = _lockstep_stage(
+        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config
+    )
+    with pytest.raises(ConditioningError, match="'late'") as solo_error:
+        fit_from(data, config, singular)
+    assert isinstance(stops[1], ConditioningError)
+    assert str(stops[1]) == str(solo_error.value)
+    for g in (0, 2):
+        _assert_same_fit(_stage_result(stops[g], 1.0, BASIS), fit_from(data, config, starts[g]))
+
+
+def test_lockstep_fit_error_stays_with_its_dataset():
+    datasets = _scenario_datasets()
+    huge = datasets[2].values.copy()
+    huge[datasets[2].offsets[3]:datasets[2].offsets[4]] = 1e200  # x^T x overflows
+    datasets[2] = Dataset(
+        Curves(datasets[2].ids, datasets[2].times, huge, datasets[2].m), BASIS
+    )
+    config = ModelConfig(nu=1.0, d=2)
+    with np.errstate(all="ignore"):
+        results = _fit_lockstep(datasets, config)
+        with pytest.raises(NumericalOverflowError) as solo_error:
+            fit(datasets[2], config)
+    assert isinstance(results[2], NumericalOverflowError)
+    assert str(results[2]) == str(solo_error.value)
+    for g in (0, 1, 3):
+        _assert_same_fit(results[g], fit(datasets[g], config))
 
 
 # ---------------------------------------------------------------------------

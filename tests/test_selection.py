@@ -21,7 +21,7 @@ from rfpca import (
     select_dimension,
     simulate_dataset,
 )
-from rfpca import selection
+from rfpca import model
 from rfpca.errors import ConditioningError, NumericalOverflowError
 from rfpca.model import FitResult, ModelParams, _batch, _estep, _phi
 from rfpca.selection import SelectionError
@@ -228,7 +228,7 @@ def test_cross_validate_independent_of_batch_size(monkeypatch, models_per_batch)
     _, reference = cross_validate(data, config, full_fit=full, return_details=True)
     per_model = 8 * (config.d + 1) * data.n * BASIS.dimension
     budget = per_model * (models_per_batch or data.n)
-    monkeypatch.setattr(selection, "_BATCH_BYTES", budget + per_model - 1)
+    monkeypatch.setattr(model, "_BATCH_BYTES", budget + per_model - 1)
     _, details = cross_validate(data, config, full_fit=full, return_details=True)
     assert [rec["iterations"] for rec in details] == [rec["iterations"] for rec in reference]
     np.testing.assert_allclose(
@@ -239,7 +239,7 @@ def test_cross_validate_independent_of_batch_size(monkeypatch, models_per_batch)
 
 def test_cross_validate_traced_memory_is_bounded():
     # n = 100, d = 2, as in the select_small benchmark workload: refits run
-    # in batches capped by selection._BATCH_BYTES, and each E-step is freed
+    # in batches capped by model._BATCH_BYTES, and each E-step is freed
     # before the next one is computed, so the peak stays near one batch's
     # E-step and M-step arrays whatever n is
     data, _ = simulate_dataset(

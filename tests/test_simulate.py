@@ -6,7 +6,9 @@ from scipy.integrate import simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
 from rfpca.errors import InvalidInputError, OutOfDomainError
+from rfpca.model import _shares_design
 from rfpca.simulate import (
+    CONTAMINATION_KINDS,
     Contamination,
     GridDesign,
     MonteCarloStudy,
@@ -138,6 +140,31 @@ def test_pooled_generator_matches_per_curve_draws(design, contamination):
     assert data.m.tolist() == [t.size for _, t, _ in expected]
     assert data.times.tobytes() == np.concatenate([t for _, t, _ in expected]).tobytes()
     assert data.values.tobytes() == np.concatenate([x for _, _, x in expected]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "design",
+    [GridDesign.fixed_uniform(7), GridDesign.random_uniform(9), GridDesign.poisson_uniform(6.0)],
+    ids=["fixed", "random", "poisson"],
+)
+def test_contamination_recipes_share_the_time_grids(design):
+    # the grids are the seed's first draws, so the Monte Carlo harness can fit
+    # a replication's scenarios as one batch; if this broke, each scenario
+    # would be fitted alone, not wrongly
+    datasets = [
+        simulate_dataset(TrueModel(), design, 30, Contamination(kind, eps, 4.0), seed=12)[0]
+        for kind, eps in zip(CONTAMINATION_KINDS, (0.0, 0.1, 0.2, 0.2, 0.3))
+    ]
+    datasets.append(simulate_dataset(
+        TrueModel(), design, 30, Contamination("endogenous_pc", 0.2, 4.0, literal_scores=True),
+        seed=12,
+    )[0])
+    first = datasets[0]
+    for data in datasets[1:]:
+        assert data.m.tobytes() == first.m.tobytes()
+        assert data.times.tobytes() == first.times.tobytes()
+        assert _shares_design(first, data)
+        assert not np.array_equal(data.values, first.values)
 
 
 def test_simulate_errors_name_first_offending_curve():
