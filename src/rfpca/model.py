@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -748,6 +749,11 @@ class _Stop(NamedTuple):
     w: np.ndarray         # (n,) robust weights
     btr: np.ndarray       # (n, p) B_i^T (x_i - B_i theta - B_i Xi zhat_i)
 
+    @property
+    def iterations(self) -> int:
+        """EM updates run: one fewer than the iterates visited."""
+        return len(self.trace) - 1
+
 
 def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop]:
     """Iterate EM updates of the batch's models in lockstep until each one's
@@ -885,7 +891,7 @@ def _stage_result(stop: _Stop, nu: float, basis: SplineBasis) -> FitResult:
         params=ModelParams.from_xi(stop.phi[d], stop.phi[:d].T, stop.sigma2, nu, basis),
         loglik_trace=stop.trace,
         converged=stop.converged,
-        iterations=len(stop.trace) - 1,
+        iterations=stop.iterations,
         loglik=stop.loglik,
         s=stop.s,
         weights=stop.w,
@@ -911,11 +917,20 @@ def fit(data: Dataset, config: ModelConfig) -> FitResult:
     Starts from the mean-only model (theta = 0, sigma2 = mean squared value)
     and adds one component at a time, warm-starting each stage from the
     previous one. The returned result is the final stage; ``stages`` holds
-    every intermediate fit in dimension order 0..d.
+    every intermediate fit in dimension order 0..d. A stage that stops at
+    ``max_iter`` is kept, with a warning naming it. An ``RfpcaError`` raised
+    at stage d carries the stages 0..d-1 fitted before it as ``stages``.
     """
     (result,) = _fit_lockstep([data], config)
     if isinstance(result, RfpcaError):
         raise result
+    if not result.converged:
+        capped = ", ".join(str(d) for d, s in enumerate(result.stages) if not s.converged)
+        warnings.warn(
+            f"fit stages that did not converge within max_iter={config.max_iter}: "
+            f"d={capped}; each keeps its last iterate",
+            stacklevel=2,
+        )
     return result
 
 
@@ -936,31 +951,25 @@ def _fit_lockstep(
     """``fit`` of every dataset, returning for each its ``FitResult`` or the
     ``RfpcaError`` its fit raises.
 
-    Datasets that share one design are fitted as the models of one batch, at
-    most ``_models_per_batch`` at a time: stage d of every model in lockstep,
-    then each model's new column from its own last E-step, then stage d + 1.
-    Each model stops every stage on its own trace, so it takes the iterations
-    its own fit takes.
+    The datasets must share one design (``_shares_design``), as a Monte
+    Carlo replication's scenarios do; mixed designs raise
+    ``InvalidInputError``. They are fitted as the models of one batch, at
+    most ``_models_per_batch`` at a time: stage d of every model in
+    lockstep, then each model's new column from its own last E-step, then
+    stage d + 1. Each model stops every stage on its own trace, so it takes
+    the iterations its own fit takes.
     """
-    groups: list[list[int]] = []
-    for i, data in enumerate(datasets):
-        group = next((g for g in groups if _shares_design(datasets[g[0]], data)), None)
-        if group is None:
-            groups.append([i])
-        else:
-            group.append(i)
-    out: list = [None] * len(datasets)
-    for group in groups:
-        base = datasets[group[0]]
-        size = _models_per_batch(config.d, base.n, base.basis.dimension)
-        for start in range(0, len(group), size):
-            chunk = group[start:start + size]
-            try:
-                results = _fit_chunk(base, [datasets[i] for i in chunk], config)
-            except RfpcaError as exc:  # raised by the shared design, for every model
-                results = [exc] * len(chunk)
-            for i, result in zip(chunk, results):
-                out[i] = result
+    base = datasets[0]
+    if not all(_shares_design(base, data) for data in datasets[1:]):
+        raise InvalidInputError("lockstep fits need datasets that share one design")
+    size = _models_per_batch(config.d, base.n, base.basis.dimension)
+    out: list = []
+    for start in range(0, len(datasets), size):
+        chunk = datasets[start:start + size]
+        try:
+            out += _fit_chunk(base, chunk, config)
+        except RfpcaError as exc:  # raised by the shared design, for every model
+            out += [exc] * len(chunk)
     return out
 
 
@@ -997,6 +1006,7 @@ def _fit_chunk(base: Dataset, members: list[Dataset], config: ModelConfig) -> li
                     raise stop
                 stage = _stage_result(stop, config.nu, base.basis)
             except RfpcaError as exc:
+                exc.stages = tuple(stages[g])
                 out[g] = exc
                 del starts[g]
                 continue
@@ -1022,7 +1032,9 @@ def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) 
     """One stage of the batch rows ``starts`` maps to their starting
     (theta, xi, sigma2), in lockstep. Returns per row its ``_Stop``, or the
     ``RfpcaError`` of the stage run for that row alone: a lockstep run that
-    raises is rerun row by row, so one model's failure is not another's."""
+    raises is rerun row by row, so one model's failure is not another's.
+    Every EM run goes through here: the stages of ``_fit_lockstep`` and the
+    warm starts of ``_warm_fits``."""
     rows = list(starts)
     if not rows:
         return {}
@@ -1044,49 +1056,44 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
     """Continue EM from given parameters at fixed dimension (no stage growth).
 
     Fits the model requested by ``config``; ``init`` only supplies the
-    starting point.
+    starting point. It is ``_warm_fits`` with no curve left out.
     """
-    if init.d != config.d:
-        raise DimensionMismatchError(
-            f"init params have d={init.d} but config requests d={config.d}"
-        )
-    alpha, P = _penalty_terms(config, data.basis)
-    (stop,) = _em_loop(
-        _batch(data, config.nu), _phi(init.theta, init.xi), np.array([init.sigma2]),
-        alpha, P, config.max_iter, config.tol,
-    )
+    (stop,) = _warm_fits(data, config, init, [None])
+    if isinstance(stop, RfpcaError):
+        raise stop
     return _stage_result(stop, config.nu, data.basis)
 
 
-def _refits_without(data: Dataset, config: ModelConfig, init: ModelParams, left_out):
-    """Refit the ``config`` model once without each curve index in
-    ``left_out``, every refit started at ``init``, all in one lockstep batch.
+def _warm_fits(
+    data: Dataset, config: ModelConfig, init: ModelParams, left_out: Sequence[int | None]
+) -> Iterator[_Stop | RfpcaError]:
+    """One ``config`` fit started at ``init`` per entry of ``left_out``: a
+    curve index that the fit leaves out of its objective, M-step sums and
+    observation count, or None to count every curve.
 
-    Refit g is model g of a batch over the whole dataset that leaves curve
-    ``left_out[g]`` out of its objective, M-step sums and observation count.
-    Returns per refit the left-out curve's log density at the refit's final
-    E-step, which is at its returned parameters; its EM iteration count; and
-    whether it converged.
+    The fits run in lockstep, ``_models_per_batch`` at a time, each stopping
+    on its own trace. Yields per entry the ``_Stop`` of its fit, whose last
+    E-step is at its returned parameters and still holds the left-out
+    curve's log density, or the ``RfpcaError`` that fit raises on its own.
+    The fits are yielded batch by batch, so only one batch's stops (each
+    with (n,) and (n, p) rows) are held at a time.
     """
     if init.d != config.d:
         raise DimensionMismatchError(
             f"init params have d={init.d} but config requests d={config.d}"
         )
-    G = len(left_out)
-    include = np.ones((G, data.n))
-    include[np.arange(G), left_out] = 0.0
     alpha, P = _penalty_terms(config, data.basis)
-    stops = _em_loop(
-        _batch(data, config.nu, include),
-        np.repeat(_phi(init.theta, init.xi), G, axis=0),
-        np.full(G, init.sigma2),
-        alpha, P, config.max_iter, config.tol,
-    )
-    return (
-        [float(stop.ll_curve[i]) for stop, i in zip(stops, left_out)],
-        [len(stop.trace) - 1 for stop in stops],
-        [stop.converged for stop in stops],
-    )
+    start = (init.theta, init.xi, init.sigma2)
+    size = _models_per_batch(config.d, data.n, data.basis.dimension)
+    for first in range(0, len(left_out), size):
+        chunk = left_out[first:first + size]
+        include = np.ones((len(chunk), data.n))
+        for g, i in enumerate(chunk):
+            if i is not None:
+                include[g, i] = 0.0
+        starts = dict.fromkeys(range(len(chunk)), start)
+        stops = _lockstep_stage(_batch(data, config.nu, include), starts, alpha, P, config)
+        yield from stops.values()
 
 
 # ---------------------------------------------------------------------------

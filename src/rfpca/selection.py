@@ -6,19 +6,12 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
-from .model import (
-    Dataset,
-    FitResult,
-    ModelConfig,
-    _models_per_batch,
-    _refits_without,
-    fit,
-    log_likelihood,
-)
+from .model import Dataset, FitResult, ModelConfig, _warm_fits, fit, log_likelihood
 
 CRITERIA = ("aic", "bic", "cv")
 
@@ -79,37 +72,37 @@ def cross_validate(
     """Leave-one-curve-out log predictive score at the configured dimension.
 
     The n refits, each on every curve but one and started at the full-data
-    fit, run as batches of models that iterate EM in lockstep over the
-    dataset's shared design statistics; each refit stops on its own trace.
-    Curve i's held-out term is its log density at the E-step where refit i
-    stopped, which is at that refit's returned parameters. A refit that hits
-    the iteration cap still contributes its last iterate, with a warning.
-    Details, one record per curve, give the term, the refit's EM iteration
-    count and whether it converged.
+    fit, run through ``model._warm_fits``: batches of models that iterate EM
+    in lockstep over the dataset's shared design statistics, each refit
+    stopping on its own trace. Curve i's held-out term is its log density at
+    the E-step where refit i stopped, which is at that refit's returned
+    parameters. A refit that hits the iteration cap still contributes its
+    last iterate, with a warning; a refit that fails raises its own error,
+    as it would alone. Details, one record per curve, give the term, the
+    refit's EM iteration count and whether it converged.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
     if full_fit is None:
         full_fit = fit(data, config)
-    n, p = data.n, data.basis.dimension
-    size = _models_per_batch(config.d, n, p)
     score = 0.0
     details = []
-    for start in range(0, n, size):
-        left_out = np.arange(start, min(start + size, n))
-        terms, iterations, converged = _refits_without(data, config, full_fit.params, left_out)
-        for i, term, iters, ok in zip(left_out.tolist(), terms, iterations, converged):
-            curve_id = data.ids[i]
-            if not ok:
-                warnings.warn(
-                    f"held-out refit without curve {curve_id!r} "
-                    "did not converge; using its last iterate",
-                    stacklevel=2,
-                )
-            details.append(
-                {"id": curve_id, "loglik": term, "converged": ok, "iterations": iters}
+    for i, stop in enumerate(_warm_fits(data, config, full_fit.params, range(data.n))):
+        if isinstance(stop, RfpcaError):
+            raise stop
+        curve_id = data.ids[i]
+        if not stop.converged:
+            warnings.warn(
+                f"held-out refit without curve {curve_id!r} "
+                "did not converge; using its last iterate",
+                stacklevel=2,
             )
-            score += term
+        term = float(stop.ll_curve[i])
+        details.append(
+            {"id": curve_id, "loglik": term, "converged": stop.converged,
+             "iterations": stop.iterations}
+        )
+        score += term
     if return_details:
         return score, details
     return score
@@ -131,39 +124,43 @@ def select_dimension(
     if d_max > p:
         raise DimensionMismatchError(f"d_max={d_max} exceeds basis dimension p={p}")
 
-    rows: list[dict] = []
+    failure = None
     try:
-        chain = fit(data, dataclasses.replace(config, d=d_max))
-        for d, (stage, row) in enumerate(zip(chain.stages, _stage_rows(chain, data.n))):
-            if criterion == "cv":
-                cfg_d = dataclasses.replace(config, d=d)
-                score, details = cross_validate(
-                    data, cfg_d, full_fit=stage, return_details=True
-                )
-                row["cv"] = score
-                row["cv_refits_nonconverged"] = sum(
-                    1 for rec in details if not rec["converged"]
-                )
-                row["cv_refit_iterations"] = sum(rec["iterations"] for rec in details)
-            rows.append(row)
+        stages = fit(data, dataclasses.replace(config, d=d_max)).stages
     except RfpcaError as exc:
+        # the stages fitted before the failing one are still scored
+        stages, failure = getattr(exc, "stages", ()), exc
+    rows: list[dict] = []
+    for d, (stage, row) in enumerate(zip(stages, _stage_rows(stages, data.n))):
+        if criterion == "cv":
+            cfg_d = dataclasses.replace(config, d=d)
+            try:
+                score, details = cross_validate(data, cfg_d, full_fit=stage, return_details=True)
+            except RfpcaError as exc:
+                failure = exc
+                break
+            row["cv"] = score
+            row["cv_refits_nonconverged"] = sum(1 for rec in details if not rec["converged"])
+            row["cv_refit_iterations"] = sum(rec["iterations"] for rec in details)
+        rows.append(row)
+    if failure is not None:
         partial = SelectionReport(per_d=tuple(rows), chosen_d=None, criterion=criterion)
         raise SelectionError(
-            f"dimension selection aborted at d={len(rows)}: {exc}", partial
-        ) from exc
+            f"dimension selection aborted at d={len(rows)}: {failure}", partial
+        ) from failure
 
     scores = np.array([row[criterion] for row in rows])
     chosen = int(np.argmax(scores))  # first max wins: ties break toward small d
     return SelectionReport(per_d=tuple(rows), chosen_d=chosen, criterion=criterion)
 
 
-def _stage_rows(chain: FitResult, n: int) -> list[dict]:
+def _stage_rows(stages: Sequence[FitResult], n: int) -> list[dict]:
     """One score row per stage of a sequential fit to n curves: its
     log-likelihood, degrees of freedom, AIC and BIC, convergence and the
     variance share of its last component."""
     rows = []
     c_bic = math.log(n) / 2.0
-    for d, stage in enumerate(chain.stages):
+    for d, stage in enumerate(stages):
         ll = stage.loglik
         df = degrees_of_freedom(stage.params.p, d)
         lam = stage.params.lam

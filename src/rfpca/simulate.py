@@ -437,7 +437,7 @@ def _selection_rep(study: MonteCarloStudy, rep: int) -> list[dict]:
                 ok, chosen = False, dict.fromkeys(study.criteria)
             else:
                 # the rows select_dimension scores, each with AIC and BIC
-                per_d = selection._stage_rows(chain, study.n)
+                per_d = selection._stage_rows(chain.stages, study.n)
                 ok = all(row["converged"] for row in per_d)
                 chosen = {c: int(np.argmax([row[c] for row in per_d])) for c in study.criteria}
             for criterion in study.criteria:

@@ -1,5 +1,6 @@
 """Source checks: every error the package raises is a typed ``RfpcaError``,
-and the package uses no NumPy name newer than the declared minimum."""
+the package uses no NumPy name newer than the declared minimum, and one
+function drives every EM run."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,52 @@ def test_numpy2_guard_sees_module_lookups_only():
         "t.py:3 uses numpy.vecdot",
         "t.py:4 uses numpy.linalg.vector_norm",
     ]
+
+
+class _References(ast.NodeVisitor):
+    """Every use of a name in a module (a name, an attribute or an imported
+    name), as (name, innermost enclosing function or "")."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def _record(self, name: str) -> None:
+        self.found.append((name, self.scope[-1] if self.scope else ""))
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node):
+        self._record(node.id)
+
+    def visit_Attribute(self, node):
+        self._record(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            self._record(alias.name)
+
+
+def _references(names: set[str]) -> list[tuple[str, str, str]]:
+    """(file, enclosing function, name) of every use of ``names`` in src/."""
+    found = []
+    for path in SOURCES:
+        visitor = _References()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.name, scope, name) for name, scope in visitor.found if name in names]
+    return found
+
+
+def test_one_em_driver():
+    # every EM run (fit, warm starts, CV refits, Monte Carlo batches) goes
+    # through _lockstep_stage, so a change to the loop is made in one place
+    assert _references({"_em_loop"}) == [("model.py", "_lockstep_stage", "_em_loop")]
+
+
+def test_batch_sizing_stays_in_model():
+    found = _references({"_models_per_batch", "_BATCH_BYTES"})
+    assert found and {file for file, _, _ in found} == {"model.py"}, found

@@ -496,8 +496,37 @@ def test_fit_nonconvergence_flag():
     data, _ = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(12), 30, Contamination.none(), seed=2
     )
-    res = fit(data, ModelConfig(nu=1.0, d=1, max_iter=1))
+    with pytest.warns(UserWarning):
+        res = fit(data, ModelConfig(nu=1.0, d=1, max_iter=1))
     assert res.converged is False
+
+
+def test_fit_warns_naming_capped_stages():
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(12), 30, Contamination.none(), seed=2
+    )
+    capped = ModelConfig(nu=1.0, d=1, max_iter=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit(data, capped)
+        (lockstep,) = _fit_lockstep([data], capped)  # the Monte Carlo path counts, never warns
+    assert [s.converged for s in res.stages] == [False, False]
+    assert [str(w.message) for w in caught] == [
+        "fit stages that did not converge within max_iter=3: d=0, 1; "
+        "each keeps its last iterate"
+    ]
+    assert caught[0].filename == __file__  # reported at the caller's line
+    assert lockstep.converged is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = fit(data, ModelConfig(nu=1.0, d=1))
+    # a cap that stage 0 meets and stage 1 does not: only d=1 is named
+    k0, k1 = (s.iterations for s in full.stages)
+    assert k0 < k1
+    with pytest.warns(UserWarning, match=r"max_iter=\d+: d=1; ") as caught:
+        res = fit(data, dataclasses.replace(capped, max_iter=k0))
+    assert len(caught) == 1
+    assert [s.converged for s in res.stages] == [True, False]
 
 
 def test_fit_zero_data_degenerate():
@@ -601,13 +630,11 @@ def test_lockstep_fits_match_solo_fits(d, nu):
 
 @pytest.mark.parametrize("models_per_batch", [1, None], ids=["one", "all"])
 def test_lockstep_fits_independent_of_batch_cap(monkeypatch, models_per_batch):
-    shared = _scenario_datasets()
-    other = _scenario_datasets(seed=9)[0]  # another design, fitted on its own
-    datasets = shared[:2] + [other] + shared[2:]
+    datasets = _scenario_datasets()
     config = ModelConfig(nu=1.0, d=2)
     solo = [fit(data, config) for data in datasets]
-    per_model = 8 * (config.d + 1) * other.n * BASIS.dimension
-    monkeypatch.setattr(model, "_BATCH_BYTES", per_model * (models_per_batch or len(shared)))
+    per_model = 8 * (config.d + 1) * datasets[0].n * BASIS.dimension
+    monkeypatch.setattr(model, "_BATCH_BYTES", per_model * (models_per_batch or len(datasets)))
     sizes = []
     em_loop = model._em_loop
 
@@ -618,7 +645,14 @@ def test_lockstep_fits_independent_of_batch_cap(monkeypatch, models_per_batch):
     monkeypatch.setattr(model, "_em_loop", recording)
     for result, want in zip(_fit_lockstep(datasets, config), solo):
         _assert_same_fit(result, want)
-    assert max(sizes) == (models_per_batch or len(shared))
+    assert max(sizes) == (models_per_batch or len(datasets))
+
+
+def test_lockstep_fit_rejects_mixed_designs():
+    shared = _scenario_datasets()
+    other = _scenario_datasets(seed=9)[0]  # the same n and basis, other times
+    with pytest.raises(InvalidInputError, match="share one design"):
+        _fit_lockstep(shared[:2] + [other], ModelConfig(nu=1.0, d=1))
 
 
 def _late_curve_data(values):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -316,16 +317,38 @@ def test_cross_validate_nonfinite_density_names_curve():
             cross_validate(data, ModelConfig(nu=1.0, d=0), full_fit=_stub_fit(params, 3))
 
 
-def test_select_dimension_cv_failure_keeps_partial_report():
-    # only curve "edge" observes the right end of the domain, so every
-    # refit without it has a singular mean-coefficient system
+def _edge_data():
+    # only curve "edge" observes the right end of the domain, so the refit
+    # without it has a singular mean-coefficient system
     rng = np.random.default_rng(4)
     trajs = [
         Trajectory(f"c{i}", np.sort(rng.uniform(0, 0.45, 12)), rng.normal(size=12))
         for i in range(4)
     ]
     trajs.append(Trajectory("edge", np.linspace(0, 1, 15), rng.normal(size=15)))
-    data = Dataset(trajs, BASIS)
+    return Dataset(trajs, BASIS)
+
+
+def test_cross_validate_failing_refit_reports_its_own_error():
+    data = _edge_data()
+    config = ModelConfig(nu=1.0, d=1)
+    full = fit(data, config)
+    refits = list(model._warm_fits(data, config, full.params, range(data.n)))
+    with pytest.raises(ConditioningError) as solo_error:
+        fit_from(_without(data, 4), config, full.params)
+    assert isinstance(refits[4], ConditioningError)
+    assert str(refits[4]) == str(solo_error.value)
+    # the other refits still run to their own stops
+    for i in range(4):
+        solo = fit_from(_without(data, i), config, full.params)
+        assert (refits[i].iterations, refits[i].converged) == (solo.iterations, solo.converged)
+    with pytest.raises(ConditioningError) as cv_error:
+        cross_validate(data, config, full_fit=full)
+    assert str(cv_error.value) == str(solo_error.value)
+
+
+def test_select_dimension_cv_failure_keeps_partial_report():
+    data = _edge_data()
     config = ModelConfig(nu=1.0, d=1)
     fit(data, config)  # the full-data fit itself is fine
     with pytest.raises(SelectionError) as exc_info:
@@ -440,6 +463,25 @@ def test_select_dimension_partial_report_on_failure():
         select_dimension(data, 2, "bic", ModelConfig(nu=1.0))
     assert exc_info.value.partial_report is not None
     assert exc_info.value.partial_report.chosen_d is None
+
+
+def test_selection_error_names_the_failing_stage():
+    # stage 4 collapses onto the d = 3 model (its loadings lose rank); the
+    # stages before it fit, and the partial report keeps their rows
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(), 60, Contamination.none(), seed=110,
+        basis=BASIS,
+    )
+    config = ModelConfig(nu=1.0)
+    with pytest.raises(SelectionError, match=r"aborted at d=4: .*rank deficient") as exc_info:
+        select_dimension(data, 4, "bic", config)
+    assert isinstance(exc_info.value.__cause__, ConditioningError)
+    assert [s.iterations for s in exc_info.value.__cause__.stages] == [
+        s.iterations for s in fit(data, dataclasses.replace(config, d=3)).stages
+    ]
+    partial = exc_info.value.partial_report
+    assert partial.chosen_d is None
+    assert partial.per_d == select_dimension(data, 3, "bic", config).per_d
 
 
 def test_report_round_trip():
