@@ -411,6 +411,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"rfpca: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -420,14 +424,14 @@ def main(argv=None) -> int:
         "diagnose": cmd_diagnose,
         "simulate": cmd_simulate,
     }
-    try:
-        return handlers[args.command](args)
-    except RfpcaError as exc:
-        print(f"rfpca: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"rfpca: error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, without Python's source location
+        warnings.showwarning = _print_warning
+        try:
+            return handlers[args.command](args)
+        except (RfpcaError, OSError) as exc:
+            print(f"rfpca: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

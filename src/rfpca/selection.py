@@ -67,8 +67,7 @@ def cross_validate(
     data: Dataset,
     config: ModelConfig,
     full_fit: FitResult | None = None,
-    return_details: bool = False,
-):
+) -> tuple[float, list[dict]]:
     """Leave-one-curve-out log predictive score at the configured dimension.
 
     The n refits, each on every curve but one and started at the full-data
@@ -78,8 +77,8 @@ def cross_validate(
     the E-step where refit i stopped, which is at that refit's returned
     parameters. A refit that hits the iteration cap still contributes its
     last iterate, with a warning; a refit that fails raises its own error,
-    as it would alone. Details, one record per curve, give the term, the
-    refit's EM iteration count and whether it converged.
+    as it would alone. Returns the score and details, one record per curve:
+    the term, the refit's EM iteration count and whether it converged.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
@@ -103,9 +102,7 @@ def cross_validate(
              "iterations": stop.iterations}
         )
         score += term
-    if return_details:
-        return score, details
-    return score
+    return score, details
 
 
 def select_dimension(
@@ -135,7 +132,7 @@ def select_dimension(
         if criterion == "cv":
             cfg_d = dataclasses.replace(config, d=d)
             try:
-                score, details = cross_validate(data, cfg_d, full_fit=stage, return_details=True)
+                score, details = cross_validate(data, cfg_d, full_fit=stage)
             except RfpcaError as exc:
                 failure = exc
                 break

@@ -321,6 +321,15 @@ def estimator_label(nu: float) -> str:
     return f"t{nu:g}"
 
 
+# Every study fit uses a cubic B-spline basis with 5 interior knots.
+STUDY_BASIS_ORDER = 4
+STUDY_BASIS_KNOTS = 5
+STUDY_MAX_ITER = 2000
+# Classical EM stopping for study fits. Estimator sampling noise swamps
+# optimization error at this level.
+STUDY_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class StudyScenario:
     name: str
@@ -334,7 +343,9 @@ class MonteCarloStudy:
     ``mode='estimation'`` reproduces root-mean-square error tables for the
     mean (fitted at d=0) and leading component (fitted at d=1).
     ``mode='selection'`` tallies how often each criterion picks each
-    dimension over sequential fits up to ``d_max``.
+    dimension over sequential fits up to ``d_max``. Every fit uses the
+    ``STUDY_*`` basis and stopping settings. Scenario names, estimator labels
+    and criteria must not repeat, since each labels its own table cells.
     """
 
     mode: str
@@ -347,12 +358,6 @@ class MonteCarloStudy:
     truth: TrueModel = field(default_factory=TrueModel)
     d_max: int = 4
     criteria: tuple = ("aic", "bic")
-    basis_order: int = 4
-    basis_knots: int = 5
-    max_iter: int = 2000
-    # Classical EM stopping for study fits. Estimator sampling noise swamps
-    # optimization error at this level.
-    tol: float = 1e-4
 
     def __post_init__(self):
         if self.mode not in ("estimation", "selection"):
@@ -365,6 +370,15 @@ class MonteCarloStudy:
             raise InvalidInputError(
                 f"criteria must be drawn from ('aic', 'bic'), got {self.criteria!r}"
             )
+        for what, labels in (
+            ("scenario name", [scen.name for scen in self.scenarios]),
+            ("estimator", [estimator_label(nu) for nu in self.estimators]),
+            ("criterion", list(self.criteria)),
+        ):
+            if len(set(labels)) < len(labels):
+                raise InvalidInputError(
+                    f"repeated {what} in {labels!r}: each labels its own table cells"
+                )
         p = _study_basis(self).dimension
         if not 0 <= self.d_max <= p:
             raise InvalidInputError(f"d_max must be in [0, {p}], got {self.d_max}")
@@ -377,7 +391,7 @@ class StudyResult:
 
 
 def _study_basis(study: MonteCarloStudy) -> SplineBasis:
-    return build_basis(study.basis_order, study.basis_knots, study.truth.domain)
+    return build_basis(STUDY_BASIS_ORDER, STUDY_BASIS_KNOTS, study.truth.domain)
 
 
 def _rep_fits(study: MonteCarloStudy, rep: int, d: int) -> list[list[tuple]]:
@@ -399,7 +413,7 @@ def _rep_fits(study: MonteCarloStudy, rep: int, d: int) -> list[list[tuple]]:
     ]
     per_nu = [
         _fit_lockstep(
-            datasets, ModelConfig(nu=nu, d=d, max_iter=study.max_iter, tol=study.tol)
+            datasets, ModelConfig(nu=nu, d=d, max_iter=STUDY_MAX_ITER, tol=STUDY_TOL)
         )
         for nu in study.estimators
     ]
@@ -488,62 +502,39 @@ def monte_carlo(study: MonteCarloStudy) -> StudyResult:
     execution order and replications can run in a worker pool (size capped
     by the RFPCA_THREADS environment variable).
     """
-    if study.mode == "estimation":
-        per_rep = _map_reps(_estimation_rep, study)
-        rows = []
-        for scen in study.scenarios:
-            for nu in study.estimators:
-                cell = [
-                    r
-                    for rep_rows in per_rep
-                    for r in rep_rows
-                    if r["scenario"] == scen.name and r["nu"] == nu
-                ]
-                for metric, ok_key in (("mu_err", "mu_ok"), ("phi1_err", "phi1_ok")):
-                    vals = np.array([r[metric] for r in cell if r[ok_key]])
-                    excluded = sum(1 for r in cell if not r[ok_key])
-                    rms, se = _rms_and_se(vals) if vals.size else (np.nan, np.nan)
-                    rows.append({
-                        "estimator": estimator_label(nu),
-                        "scenario": scen.name,
-                        "metric": {"mu_err": "rmse_mu", "phi1_err": "rmse_phi1"}[metric],
-                        "value": rms,
-                        "mc_se": se,
-                        "reps_used": int(vals.size),
-                        "reps_excluded": int(excluded),
-                    })
-        return StudyResult(mode="estimation", rows=tuple(rows))
-
-    per_rep = _map_reps(_selection_rep, study)
+    estimation = study.mode == "estimation"
+    per_rep = _map_reps(_estimation_rep if estimation else _selection_rep, study)
     rows = []
-    for scen in study.scenarios:
-        for nu in study.estimators:
-            for criterion in study.criteria:
-                cell = [
-                    r
-                    for rep_rows in per_rep
-                    for r in rep_rows
-                    if r["scenario"] == scen.name
-                    and r["nu"] == nu
-                    and r["criterion"] == criterion
-                ]
-                good = [r for r in cell if r["ok"]]
-                excluded = len(cell) - len(good)
-                counts = np.zeros(study.d_max + 1, dtype=int)
-                for r in good:
-                    counts[r["chosen_d"]] += 1
-                for d in range(study.d_max + 1):
-                    pct = 100.0 * int(counts[d]) / len(good) if good else np.nan
-                    rows.append({
-                        "estimator": estimator_label(nu),
-                        "criterion": criterion,
-                        "scenario": scen.name,
-                        "d": d,
-                        "percent": pct,
-                        "reps_used": len(good),
-                        "reps_excluded": excluded,
-                    })
-    return StudyResult(mode="selection", rows=tuple(rows))
+    # every replication lists its rows in cell order (scenario, then
+    # estimator, then criterion), so row j of each replication is cell j's
+    for cell in zip(*per_rep):
+        first = cell[0]
+        if estimation:
+            for metric, name in (("mu", "rmse_mu"), ("phi1", "rmse_phi1")):
+                vals = np.array([r[f"{metric}_err"] for r in cell if r[f"{metric}_ok"]])
+                rms, se = _rms_and_se(vals) if vals.size else (np.nan, np.nan)
+                rows.append({
+                    "estimator": estimator_label(first["nu"]),
+                    "scenario": first["scenario"],
+                    "metric": name,
+                    "value": rms,
+                    "mc_se": se,
+                    "reps_used": vals.size,
+                    "reps_excluded": len(cell) - vals.size,
+                })
+        else:
+            good = np.array([r["chosen_d"] for r in cell if r["ok"]], dtype=int)
+            for d, count in enumerate(np.bincount(good, minlength=study.d_max + 1)):
+                rows.append({
+                    "estimator": estimator_label(first["nu"]),
+                    "criterion": first["criterion"],
+                    "scenario": first["scenario"],
+                    "d": d,
+                    "percent": 100.0 * int(count) / good.size if good.size else np.nan,
+                    "reps_used": good.size,
+                    "reps_excluded": len(cell) - good.size,
+                })
+    return StudyResult(mode=study.mode, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -237,3 +237,49 @@ def reference_simulate(truth, design, n, contamination, seed):
             x = x + shift[i] * phi3(times)
         out.append((f"curve{i:04d}", times, x))
     return out
+
+
+def reference_study_rows(study, per_rep):
+    """Table rows of a Monte Carlo study from its replications' rows, keyed
+    by label: each cell, in (scenario, estimator, criterion) order, collects
+    every row of every replication whose scenario, nu and criterion labels
+    are the cell's. Cells with unique labels need no row order."""
+    from rfpca.simulate import estimator_label
+
+    def matching(**labels):
+        return [
+            r for rows in per_rep for r in rows
+            if all(r[key] == value for key, value in labels.items())
+        ]
+
+    out = []
+    for scen in study.scenarios:
+        for nu in study.estimators:
+            if study.mode == "estimation":
+                cell = matching(scenario=scen.name, nu=nu)
+                for metric in ("mu", "phi1"):
+                    errors = np.array([r[f"{metric}_err"] for r in cell if r[f"{metric}_ok"]])
+                    rms = se = np.nan
+                    if errors.size:
+                        sq = errors**2
+                        rms = math.sqrt(float(sq.mean()))
+                        se = 0.0
+                        if sq.size >= 2 and rms > 0:
+                            se = float(sq.std(ddof=1)) / math.sqrt(sq.size) / (2.0 * rms)
+                    out.append({
+                        "estimator": estimator_label(nu), "scenario": scen.name,
+                        "metric": f"rmse_{metric}", "value": rms, "mc_se": se,
+                        "reps_used": errors.size, "reps_excluded": len(cell) - errors.size,
+                    })
+                continue
+            for criterion in study.criteria:
+                cell = matching(scenario=scen.name, nu=nu, criterion=criterion)
+                chosen = [r["chosen_d"] for r in cell if r["ok"]]
+                for d in range(study.d_max + 1):
+                    out.append({
+                        "estimator": estimator_label(nu), "criterion": criterion,
+                        "scenario": scen.name, "d": d,
+                        "percent": 100.0 * chosen.count(d) / len(chosen) if chosen else np.nan,
+                        "reps_used": len(chosen), "reps_excluded": len(cell) - len(chosen),
+                    })
+    return out

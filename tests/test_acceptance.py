@@ -29,6 +29,10 @@ from rfpca import (
 )
 from rfpca.simulate import (
     ERROR_NORM_GRID,
+    STUDY_BASIS_KNOTS,
+    STUDY_BASIS_ORDER,
+    STUDY_MAX_ITER,
+    STUDY_TOL,
     Contamination,
     GridDesign,
     MonteCarloStudy,
@@ -123,7 +127,7 @@ def exo10_replay():
     fit from one added loading column along the projected Doppler direction.
     """
     study = SELECTION_STUDY
-    basis = build_basis(study.basis_order, study.basis_knots, study.truth.domain)
+    basis = build_basis(STUDY_BASIS_ORDER, STUDY_BASIS_KNOTS, study.truth.domain)
     doppler = doppler_projection(basis)
     records = {estimator_label(nu): [] for nu in study.estimators}
     bound_gain = []
@@ -133,7 +137,7 @@ def exo10_replay():
             seed=study.seed + rep, basis=basis,
         )
         for nu in study.estimators:
-            config = ModelConfig(nu=nu, d=study.d_max, max_iter=study.max_iter, tol=study.tol)
+            config = ModelConfig(nu=nu, d=study.d_max, max_iter=STUDY_MAX_ITER, tol=STUDY_TOL)
             chain = fit(data, config)
             d = int(np.argmax([bic(stage, data) for stage in chain.stages]))
             angle = _max_principal_angle(chain.stages[d].params, study.truth) if d >= 2 else None

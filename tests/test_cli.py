@@ -446,6 +446,8 @@ def test_missing_file_is_reported(tmp_path):
         ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
+        pytest.param(["simulate", "--study", "{study_repeated}"], id="study-repeated-labels"),
+        pytest.param(["simulate", "--study", "{study_cauchy_twice}"], id="study-cauchy-twice"),
         pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
     ],
 )
@@ -468,6 +470,17 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
             '{"mode": "selection", "scenarios": [{"name": "clean"}], '
             '"estimators": [1.0], "n": 20, "d_max": 20}',
         ),
+        (
+            "study_repeated",
+            '{"mode": "estimation", "scenarios": [{"name": "clean"}, {"name": "clean", '
+            '"kind": "exogenous_mean", "epsilon": 0.2}], "estimators": ["inf", "inf"], '
+            '"n": 30, "reps": 2, "seed": 1}',
+        ),
+        (
+            "study_cauchy_twice",
+            '{"mode": "estimation", "scenarios": [{"name": "clean"}], '
+            '"estimators": [1, 1.0], "n": 30, "reps": 2}',
+        ),
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
@@ -476,6 +489,24 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("rfpca: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, min_lines",
+    [
+        (["fit", "--dim", "1", "--max-iter", "1"], 1),
+        # the full fit's warning plus one per held-out refit
+        (["select", "--dmax", "0", "--criterion", "cv", "--max-iter", "1"], 41),
+    ],
+    ids=["fit", "select-cv"],
+)
+def test_warnings_print_one_line_each(tmp_path, sim_csv, capsys, argv, min_lines):
+    code = main(argv + ["--data", str(sim_csv), "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) >= min_lines
+    assert all(line.startswith("rfpca: warning: ") for line in lines), lines
+    assert "did not converge" in lines[0]
 
 
 def test_diagnose_rejects_data_outside_model_domain(tmp_path, sim_csv, capsys):

@@ -753,6 +753,35 @@ def test_fit_invariant_to_curve_order(n, d, nu, contaminated, seed):
     np.testing.assert_allclose(moved.weights, orig.weights[perm], rtol=1e-5)
 
 
+@pytest.mark.parametrize("nu", [1.0, 5.0, math.inf])
+def test_fit_equivariant_to_affine_value_rescaling(nu):
+    # x -> a x + b maps the likelihood's maximizer to theta -> a theta + b 1
+    # (the B-splines sum to one), (lambda, sigma2) -> a^2 (lambda, sigma2),
+    # the same loadings up to sign and the same weights; iteration counts
+    # differ with a, so the fits are compared at tol 1e-14
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 40,
+        Contamination("exogenous_mean", 0.10, 4.0), seed=23,
+    )
+    config = ModelConfig(nu=nu, d=2, tol=1e-14, max_iter=50000)
+    base = fit(data, config)
+    p = base.params
+
+    def rel(x, y):
+        return np.linalg.norm(np.asarray(x) - y) / np.linalg.norm(y)
+
+    for a, b in [(4.0, 1.0), (0.125, -3.0), (3.0, 0.5), (-2.0, 2.0)]:
+        moved = Dataset(Curves(data.ids, data.times, a * data.values + b, data.m), data.basis)
+        result = fit(moved, config)
+        q = result.params
+        sign = np.sign(np.sum(q.H * p.H, axis=0))
+        assert rel(q.theta, a * p.theta + b) < 1e-4
+        assert rel(q.lam, a * a * p.lam) < 1e-4
+        assert rel(q.sigma2, a * a * p.sigma2) < 1e-4
+        assert rel(q.H * sign, p.H) < 1e-4
+        assert rel(result.weights, base.weights) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # estimating equations
 # ---------------------------------------------------------------------------

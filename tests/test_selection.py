@@ -125,8 +125,8 @@ def test_cross_validate_deterministic_and_counts():
         TrueModel(), GridDesign.random_uniform(8), 8, Contamination.none(), seed=3
     )
     config = ModelConfig(nu=math.inf, d=0)
-    s1 = cross_validate(data, config)
-    s2, details = cross_validate(data, config, return_details=True)
+    s1, _ = cross_validate(data, config)
+    s2, details = cross_validate(data, config)
     assert s1 == s2
     assert len(details) == data.n  # exactly n held-out refits
 
@@ -149,7 +149,7 @@ def test_cross_validate_manual_oracle():
         B = basis.design_matrix(held.times)
         sigma = dense_covariance(refit.params, B)
         manual += dense_t_logpdf(held.values, B @ refit.params.theta, sigma, 1.0)
-    assert abs(cross_validate(data, config) - manual) < 1e-9
+    assert abs(cross_validate(data, config)[0] - manual) < 1e-9
 
 
 def _without(data, i):
@@ -176,7 +176,7 @@ def _reference_cross_validation(data, config, full):
 def _lockstep_cross_validation(data, config, full):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        score, details = cross_validate(data, config, full_fit=full, return_details=True)
+        score, details = cross_validate(data, config, full_fit=full)
     return score, details, [str(w.message) for w in caught]
 
 
@@ -226,11 +226,11 @@ def test_cross_validate_independent_of_batch_size(monkeypatch, models_per_batch)
     data = _cv_data(n=15, seed=11)
     config = ModelConfig(nu=1.0, d=2)
     full = fit(data, config)
-    _, reference = cross_validate(data, config, full_fit=full, return_details=True)
+    _, reference = cross_validate(data, config, full_fit=full)
     per_model = 8 * (config.d + 1) * data.n * BASIS.dimension
     budget = per_model * (models_per_batch or data.n)
     monkeypatch.setattr(model, "_BATCH_BYTES", budget + per_model - 1)
-    _, details = cross_validate(data, config, full_fit=full, return_details=True)
+    _, details = cross_validate(data, config, full_fit=full)
     assert [rec["iterations"] for rec in details] == [rec["iterations"] for rec in reference]
     np.testing.assert_allclose(
         [rec["loglik"] for rec in details], [rec["loglik"] for rec in reference],
@@ -365,9 +365,7 @@ def test_select_dimension_cv_records_refit_iterations():
     report = select_dimension(data, 1, "cv", config)
     chain = fit(data, config)
     for row, stage in zip(report.per_d, chain.stages):
-        _, details = cross_validate(
-            data, ModelConfig(nu=5.0, d=row["d"]), full_fit=stage, return_details=True
-        )
+        _, details = cross_validate(data, ModelConfig(nu=5.0, d=row["d"]), full_fit=stage)
         assert row["cv_refit_iterations"] == sum(rec["iterations"] for rec in details) > 0
         assert row["cv_refits_nonconverged"] == sum(not rec["converged"] for rec in details)
 

@@ -6,9 +6,12 @@ from scipy.integrate import simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
 from rfpca.errors import InvalidInputError, OutOfDomainError
+from rfpca import simulate
 from rfpca.model import _shares_design
 from rfpca.simulate import (
     CONTAMINATION_KINDS,
+    STUDY_MAX_ITER,
+    STUDY_TOL,
     Contamination,
     GridDesign,
     MonteCarloStudy,
@@ -24,7 +27,7 @@ from rfpca.simulate import (
     monte_carlo,
     simulate_dataset,
 )
-from oracles import reference_simulate
+from oracles import reference_simulate, reference_study_rows
 
 
 def test_true_model_component_orthonormality():
@@ -275,9 +278,9 @@ def test_monte_carlo_deterministic():
     assert r1.rows == r2.rows
 
 
-def test_monte_carlo_excludes_nonconverged():
-    study = _tiny_study(max_iter=1)
-    res = monte_carlo(study)
+def test_monte_carlo_excludes_nonconverged(monkeypatch):
+    monkeypatch.setattr(simulate, "STUDY_MAX_ITER", 1)
+    res = monte_carlo(_tiny_study())
     for row in res.rows:
         assert row["reps_excluded"] == 2
         assert row["reps_used"] == 0
@@ -319,6 +322,13 @@ def test_study_validation():
         dict(criteria="aic"),
         dict(d_max=-1),
         dict(d_max=10),  # the default basis has dimension 9
+        dict(scenarios=(
+            StudyScenario("clean", Contamination.none()),
+            StudyScenario("clean", Contamination("exogenous_mean", 0.2, 4.0)),
+        )),
+        dict(estimators=(math.inf, math.inf)),
+        dict(estimators=(1, 1.0)),
+        dict(criteria=("bic", "bic")),
     ],
     ids=repr,
 )
@@ -364,7 +374,7 @@ def test_selection_rep_matches_criterion_oracle():
             seed=study.seed + rep, basis=basis,
         )
         for nu in study.estimators:
-            config = ModelConfig(nu=nu, d=study.d_max, max_iter=study.max_iter, tol=study.tol)
+            config = ModelConfig(nu=nu, d=study.d_max, max_iter=STUDY_MAX_ITER, tol=STUDY_TOL)
             stages = fit(data, config).stages
             for criterion, c_n in (("aic", 1.0), ("bic", math.log(study.n) / 2.0)):
                 scores = [
@@ -375,6 +385,39 @@ def test_selection_rep_matches_criterion_oracle():
     assert [(r["scenario"], r["nu"], r["criterion"], r["chosen_d"]) for r in rows] == expected
     assert all(r["ok"] for r in rows)
     assert {d for *_, d in expected} == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "study, rep_name",
+    [
+        (_tiny_study(
+            scenarios=(
+                StudyScenario("clean", Contamination.none()),
+                StudyScenario("exo_mean_20", Contamination("exogenous_mean", 0.2, 4.0)),
+            ),
+            n=30, reps=3, estimators=(math.inf, 1.0),
+        ), "_estimation_rep"),
+        (_selection_study(), "_selection_rep"),
+    ],
+    ids=["estimation", "selection"],
+)
+def test_monte_carlo_matches_label_keyed_aggregation(monkeypatch, study, rep_name):
+    # cells are aggregated by row position; the label-keyed reference needs
+    # no row order, so it tells whether every rep's rows follow cell order
+    rep_func = getattr(simulate, rep_name)
+    per_rep = []
+
+    def recording(study, rep):
+        per_rep.append(rep_func(study, rep))
+        return per_rep[-1]
+
+    monkeypatch.setattr(simulate, rep_name, recording)
+    rows = monte_carlo(study).rows
+    assert len(per_rep) == study.reps
+    assert list(rows) == reference_study_rows(study, per_rep)
+    # with the rows out of cell order, position no longer finds the cells
+    monkeypatch.setattr(simulate, rep_name, lambda study, rep: per_rep[rep][::-1])
+    assert list(monte_carlo(study).rows) != reference_study_rows(study, per_rep)
 
 
 def test_worker_count_caps_at_reps(monkeypatch):
