@@ -394,10 +394,12 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
         raise InvalidParamsError("sigma2 must be positive")
     sigma2 = params.sigma2
     G = B @ params.xi
-    V = (np.eye(params.d) + (G.T @ G) / sigma2)[:, :, None]
-    Vinv, logdet_v = _sweep(V, lambda _: "design")
-    sol = (rhs - G @ (Vinv[:, :, 0] @ (G.T @ rhs)) / sigma2) / sigma2
-    return sol, m * math.log(sigma2) + float(logdet_v[0])
+    V = (np.eye(params.d) + (G.T @ G) / sigma2)[:, :, None, None]
+    Vinv, logdet_v, failed = _sweep(V, lambda _: "design")
+    if failed:
+        raise failed[0]
+    sol = (rhs - G @ (Vinv[:, :, 0, 0] @ (G.T @ rhs)) / sigma2) / sigma2
+    return sol, m * math.log(sigma2) + float(logdet_v[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +430,7 @@ class _Batch(NamedTuple):
     btb_flat: np.ndarray   # (n, p * p) view of the design blocks, for the M-step
     btx: np.ndarray        # (1 or G, n, p) B_i^T x_i
     xtx: np.ndarray        # (1 or G, n) x_i^T x_i
+    sigma2_floor: np.ndarray  # (G,) (eps * RMS of the counted values)^2, rounding level
 
     def select(self, keep) -> "_Batch":
         """The batch of the models ``keep`` selects."""
@@ -436,7 +439,7 @@ class _Batch(NamedTuple):
             values = {"btx": self.btx[keep], "xtx": self.xtx[keep]}
         return self._replace(
             include=self.include[keep], wnum=self.wnum[keep], total_obs=self.total_obs[keep],
-            **values,
+            sigma2_floor=self.sigma2_floor[keep], **values,
         )
 
 
@@ -454,9 +457,11 @@ def _batch(
     nu_m = nu + stats.m
     wnum = include if math.isinf(nu) else nu_m * include
     n, p = stats.btx.shape
+    total_obs = include @ stats.m
+    floor = np.finfo(float).eps ** 2 * (include * values[1]).sum(axis=1) / total_obs
     return _Batch(
-        data, nu, include, wnum, include @ stats.m, data.log_density_constant(nu), 0.5 * nu_m,
-        stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), *values,
+        data, nu, include, wnum, total_obs, data.log_density_constant(nu), 0.5 * nu_m,
+        stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), *values, floor,
     )
 
 
@@ -511,39 +516,43 @@ class _EStep(NamedTuple):
         )
 
 
-def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a (d, d, ...) stack of symmetric positive definite matrices by
-    sweeping its d pivots in order (Goodnight 1979, Am. Stat. 33:149).
+def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Invert a (d, d, G, n) stack of symmetric positive definite matrices,
+    G models' V_i, by sweeping its d pivots (Goodnight 1979, Am. Stat. 33:149).
 
     Returns (V^{-1}, log det V), both from the one elimination: the pivots are
     the successive Schur complements, whose product is det V. ``V`` is
-    overwritten. A nonpositive pivot raises ``ConditioningError`` naming the
-    first such curve, ``curve_id(flat index into the trailing axes)``, before
-    any division by it.
+    overwritten. Also returns, by model, a ``ConditioningError`` naming
+    ``curve_id`` of a model's first curve with a nonpositive pivot, at its
+    first such pivot; before any division by it, that model's matrices are
+    reset to the identity, so the sweep goes on for the others.
     """
     d = V.shape[0]
-    pivots = np.empty((d,) + V.shape[2:])
+    pivots = np.empty(V.shape[1:])
+    failed = {}
     for k in range(d):
+        bad = V[k, k] <= 0
+        if bad.any():
+            for g in np.flatnonzero(bad.any(axis=1)).tolist():
+                failed[g] = ConditioningError(
+                    "V_i is numerically singular or indefinite for curve "
+                    f"{curve_id(int(np.argmax(bad[g])))!r}"
+                )
+                V[:, :, g] = np.eye(d)[:, :, None]
         pivots[k] = V[k, k]
-        D = pivots[k]
-        if (D <= 0).any():
-            bad = int(np.flatnonzero(D <= 0)[0])
-            raise ConditioningError(
-                "V_i is numerically singular or indefinite for curve "
-                f"{curve_id(bad)!r}"
-            )
-        r = 1.0 / D
+        r = 1.0 / pivots[k]
         row = V[k] * r
         col = V[:, k].copy()
         V -= col[:, None] * row[None]  # rank-1 update: the Schur complement
         V[k] = row
         V[:, k] = -col * r
         V[k, k] = r
-    return V, np.log(pivots).sum(axis=0)
+    return V, np.log(pivots).sum(axis=0), failed
 
 
-def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
-    """Conditional quantities of every model's curves at its parameters.
+def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> tuple[_EStep, dict]:
+    """Conditional quantities of every model's curves at its parameters, and
+    by batch row the ``ConditioningError`` of each model whose sweep fails.
 
     ``phi`` (G, d + 1, p) holds each model's rows [xi^T; theta] and ``sigma2``
     is (G,). One pass over the (n, p, p) design blocks gives every model's
@@ -568,7 +577,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
     sigma2_col = sigma2[:, None]
     V = np.divide(xtbx, sigma2_col, order="C")
     V.reshape(d * d, G * n)[:: d + 1] += 1.0
-    Vinv, logdet_v = _sweep(V, lambda slot: data.ids[slot % n])
+    Vinv, logdet_v, failed = _sweep(V, data.ids.__getitem__)
     theta = phi[:, d]
     rtr = (
         batch.xtx
@@ -595,7 +604,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> _EStep:
         #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
         ll = batch.const - 0.5 * logdet - batch.half_nu_m * np.log1p(s / nu)
     loglik = (ll * batch.include).sum(axis=1)
-    return _EStep(A, xtbx, Vinv, btr, u, zhat, uz, rtr, s, w, ll, loglik)
+    return _EStep(A, xtbx, Vinv, btr, u, zhat, uz, rtr, s, w, ll, loglik), failed
 
 
 def _resid2(e: _EStep) -> np.ndarray:
@@ -625,12 +634,19 @@ def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
     return bt_sinv_r, bt_sinv_b
 
 
-def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve the (G, k, k) systems lhs x = rhs for (G, k) right-hand sides."""
+def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, failed: dict) -> np.ndarray:
+    """Solve the (G, k, k) systems lhs x = rhs for (G, k) right-hand sides; a
+    singular one leaves its row of x at 0 and its error in ``failed``."""
     try:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{what} update system is singular: {exc}") from exc
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(rhs)
+    for g, (a, b) in enumerate(zip(lhs, rhs)):
+        try:
+            x[g] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            failed.setdefault(g, ConditioningError(f"{what} update system is singular: {exc}"))
+    return x
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -643,7 +659,8 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
     """Closed-form updates of every model in the batch, all E-quantities held
     at the current parameters; ``P`` is the penalty matrix, None when the fit
     is unpenalized, and ``pen`` the models' penalty values (``_penalty``).
-    Left-out curves enter through their zero weights and V^{-1} blocks."""
+    Left-out curves enter through their zero weights and V^{-1} blocks. Also
+    returns by batch row the error of each model whose update fails."""
     n, p = batch.btx.shape[1:]
     G, d1, _ = phi.shape
     d = d1 - 1
@@ -667,7 +684,8 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
     )
     if alpha > 0:
         lhs_theta = lhs_theta + 2.0 * alpha * P
-    theta_new = _solve(lhs_theta, rhs_theta, "theta")
+    failed: dict = {}
+    theta_new = _solve(lhs_theta, rhs_theta, "theta", failed)
 
     if d > 0:
         # blocks reordered from (k, l, g, p, q) to (g, k, p, l, q)
@@ -682,7 +700,7 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
             for k in range(d):
                 blk = slice(k * p, (k + 1) * p)
                 lhs[:, blk, blk] += 2.0 * alpha * P
-        vec = _solve(lhs, rhs, "xi")
+        vec = _solve(lhs, rhs, "xi", failed)
         phi_new = np.concatenate([vec.reshape(G, d, p), theta_new[:, None]], axis=1)
     else:
         phi_new = theta_new[:, None]
@@ -697,9 +715,12 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
         # update with the same 1/sigma2 weighting as the residual sum
         num += 2.0 * pen
     sigma2_new = num / batch.total_obs
-    if min(sigma2_new.tolist()) <= 0:
-        raise DegenerateFitError("sigma2 update is nonpositive; residuals vanished")
-    return phi_new, sigma2_new
+    for j, (value, floor) in enumerate(zip(sigma2_new.tolist(), batch.sigma2_floor.tolist())):
+        if value <= floor:
+            failed.setdefault(j, DegenerateFitError(
+                f"noise variance sigma2 fell to {value:.3g}, at or below the rounding "
+                f"level {floor:.3g} of the values; residuals vanished"))
+    return phi_new, sigma2_new, failed
 
 
 def _penalty(phi: np.ndarray, alpha: float, P) -> np.ndarray | float:
@@ -715,14 +736,12 @@ def _penalty(phi: np.ndarray, alpha: float, P) -> np.ndarray | float:
     return val
 
 
-def _check_finite(e: _EStep, data: Dataset) -> None:
-    """Raise ``NumericalOverflowError`` naming the first curve, in slot
-    order, whose log density is not finite."""
-    bad = np.flatnonzero(~np.isfinite(e.ll_curve))
-    if bad.size:
-        raise NumericalOverflowError(
-            f"log-likelihood is non-finite for curve {data.ids[bad[0] % data.n]!r}"
-        )
+def _overflow(ll_curve: np.ndarray, data: Dataset) -> NumericalOverflowError:
+    """The error of one model's non-finite objective, naming its first curve
+    whose log density is not finite."""
+    bad = np.flatnonzero(~np.isfinite(ll_curve))
+    where = f" for curve {data.ids[bad[0]]!r}" if bad.size else ""
+    return NumericalOverflowError(f"log-likelihood is non-finite{where}")
 
 
 def _converged(trace: list, tol: float) -> bool:
@@ -755,53 +774,58 @@ class _Stop(NamedTuple):
         return len(self.trace) - 1
 
 
-def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop]:
+def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop | RfpcaError]:
     """Iterate EM updates of the batch's models in lockstep until each one's
     objective stabilizes.
 
     Each model stops on its own trace, by ``_converged`` or after
-    ``max_iter`` updates, and leaves the batch; later iterations update only
-    the models still running. Returns the models' ``_Stop`` records in batch
-    order; each keeps copies of its own rows of the E-step it stopped at,
-    not the E-step's arrays.
+    ``max_iter`` updates, or at the first step that fails for it, and leaves
+    the batch; later iterations update only the models still running.
+    Returns per model, in batch order, its ``_Stop`` record, which keeps
+    copies of its own rows of the E-step it stopped at, or the error it
+    failed with, the one its fit raises alone.
     """
-    G = phi.shape[0]
-    traces = [[] for _ in range(G)]
-    stops = [None] * G
-    running = list(range(G))
+    traces = [[] for _ in phi]
+    stops: list = [None] * len(phi)
+    running = list(range(len(phi)))
     while True:
-        e = _estep(batch, phi, sigma2)
+        e, stopped = _estep(batch, phi, sigma2)
         pen = _penalty(phi, alpha, P)
         obj = e.loglik if P is None else e.loglik - pen / sigma2
-        stopped = []
         for j, value in enumerate(obj.tolist()):
-            if not math.isfinite(value):
-                _check_finite(e, batch.data)
-            g = running[j]
-            trace = traces[g]
+            if j not in stopped and not math.isfinite(value):
+                stopped[j] = _overflow(e.ll_curve[j], batch.data)
+            if j in stopped:  # its E-step failed
+                continue
+            trace = traces[running[j]]
             trace.append(value)
             converged = _converged(trace, tol)
             if converged or len(trace) > max_iter:
-                stops[g] = _Stop(
+                stopped[j] = _Stop(
                     phi[j], float(sigma2[j]), np.array(trace), converged, float(e.loglik[j]),
                     e.ll_curve[j].copy(), e.s[j].copy(), e.w[j].copy(), _model_btr(e.model(j)),
                 )
-                stopped.append(j)
+        if len(stopped) < len(running):
+            phi, sigma2, failed = _mstep(batch, e, phi, sigma2, alpha, P, pen)
+            stopped = failed | stopped  # a model that stopped keeps its stop
+        del e  # free this E-step before the next one is computed
+        for j, stop in stopped.items():
+            stops[running[j]] = stop
         if len(stopped) == len(running):
             return stops
-        phi, sigma2 = _mstep(batch, e, phi, sigma2, alpha, P, pen)
-        del e  # free this E-step before the next one is computed
         if stopped:
-            keep = np.ones(len(running), dtype=bool)
-            keep[stopped] = False
+            keep = [j not in stopped for j in range(len(running))]
             phi, sigma2, batch = phi[keep], sigma2[keep], batch.select(keep)
-            running = [g for g, k in zip(running, keep.tolist()) if k]
+            running = [g for g, k in zip(running, keep) if k]
 
 
 def _estep_at(params: "ModelParams", data: Dataset) -> _EStep:
     """One model's E-step over every curve of ``data`` (model axis dropped)."""
-    batch = _batch(data, params.nu)
-    return _estep(batch, _phi(params.theta, params.xi), np.array([params.sigma2])).model(0)
+    phi, sigma2 = _phi(params.theta, params.xi), np.array([params.sigma2])
+    e, failed = _estep(_batch(data, params.nu), phi, sigma2)
+    if failed:
+        raise failed[0]
+    return e.model(0)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +835,8 @@ def _estep_at(params: "ModelParams", data: Dataset) -> _EStep:
 def log_likelihood(params: ModelParams, data: Dataset) -> float:
     """Sum of per-curve t (or Gaussian, nu=inf) log densities."""
     e = _estep_at(params, data)
-    _check_finite(e, data)
+    if not math.isfinite(e.loglik):
+        raise _overflow(e.ll_curve, data)
     return float(e.loglik)
 
 
@@ -820,18 +845,14 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
 
     The degrees of freedom come from ``config`` (a hyperparameter, never
     estimated), so a warm start from another model's parameters is possible.
+    It is ``fit_from`` stopped after one update, so it runs the EM driver
+    every fit runs, plus the E-step at the updated parameters.
     """
     if params.d != config.d:
         raise DimensionMismatchError(
             f"params have d={params.d} but config requests d={config.d}"
         )
-    alpha, P = _penalty_terms(config, data.basis)
-    batch = _batch(data, config.nu)
-    phi, sigma2 = _phi(params.theta, params.xi), np.array([params.sigma2])
-    e = _estep(batch, phi, sigma2)
-    _check_finite(e, data)
-    phi, sigma2 = _mstep(batch, e, phi, sigma2, alpha, P, _penalty(phi, alpha, P))
-    return ModelParams.from_xi(phi[0, -1], phi[0, :-1].T, sigma2[0], config.nu, data.basis)
+    return fit_from(data, dataclasses.replace(config, max_iter=1), params).params
 
 
 def _penalty_terms(config: ModelConfig, basis: SplineBasis):
@@ -882,10 +903,12 @@ def _init_new_column(data: Dataset, stop: _Stop, sigma2, nu) -> np.ndarray:
     return v * math.sqrt(sigma2 / 2.0)
 
 
-def _stage_result(stop: _Stop, nu: float, basis: SplineBasis) -> FitResult:
+def _stage_result(stop: _Stop | RfpcaError, nu: float, basis: SplineBasis) -> FitResult:
     """A stage's result with canonicalized parameters. Its log-likelihood,
     distances and weights come from the E-step at the raw parameters, and
-    are rotation invariant."""
+    are rotation invariant. The error of a model that failed is raised."""
+    if isinstance(stop, RfpcaError):
+        raise stop
     d = stop.phi.shape[0] - 1
     return FitResult(
         params=ModelParams.from_xi(stop.phi[d], stop.phi[:d].T, stop.sigma2, nu, basis),
@@ -957,36 +980,23 @@ def _fit_lockstep(
     most ``_models_per_batch`` at a time: stage d of every model in
     lockstep, then each model's new column from its own last E-step, then
     stage d + 1. Each model stops every stage on its own trace, so it takes
-    the iterations its own fit takes.
+    the iterations its own fit takes, and a model that fails leaves the
+    batch with its own error while the others go on.
     """
     base = datasets[0]
     if not all(_shares_design(base, data) for data in datasets[1:]):
         raise InvalidInputError("lockstep fits need datasets that share one design")
-    size = _models_per_batch(config.d, base.n, base.basis.dimension)
-    out: list = []
-    for start in range(0, len(datasets), size):
-        chunk = datasets[start:start + size]
-        try:
-            out += _fit_chunk(base, chunk, config)
-        except RfpcaError as exc:  # raised by the shared design, for every model
-            out += [exc] * len(chunk)
-    return out
-
-
-def _fit_chunk(base: Dataset, members: list[Dataset], config: ModelConfig) -> list:
-    """Sequential fits of ``members``, which share ``base``'s design, in
-    lockstep; see ``_fit_lockstep``."""
-    p = base.basis.dimension
+    p, copies = base.basis.dimension, len(datasets)
     if config.d > p:
-        raise DimensionMismatchError(f"d={config.d} exceeds basis dimension p={p}")
+        return [DimensionMismatchError(f"d={config.d} exceeds basis dimension p={p}")] * copies
     if base.n < 2:
-        raise InvalidInputError("fit needs at least two curves")
+        return [InvalidInputError("fit needs at least two curves")] * copies
     stats = base.design_stats
     btx, xtx = zip(
         *((stats.btx, stats.xtx) if data is base else base._value_stats(data.values)
-          for data in members)
+          for data in datasets)
     )
-    out: list = [None] * len(members)
+    out: list = [None] * copies
     starts: dict[int, tuple] = {}  # batch row -> the (theta, xi, sigma2) of its next stage
     for g, x in enumerate(xtx):
         sigma2 = float(x.sum() / stats.total_obs)
@@ -996,14 +1006,12 @@ def _fit_chunk(base: Dataset, members: list[Dataset], config: ModelConfig) -> li
             starts[g] = (np.zeros(p), np.zeros((p, 0)), sigma2)
     alpha, P = _penalty_terms(config, base.basis)
     values = (np.stack(btx), np.stack(xtx))
-    batch = _batch(base, config.nu, np.ones((len(members), base.n)), values)
+    batch = _batch(base, config.nu, np.ones((copies, base.n)), values)
 
     stages: dict[int, list[FitResult]] = {g: [] for g in starts}
     for d in range(config.d + 1):
         for g, stop in _lockstep_stage(batch, starts, alpha, P, config).items():
             try:
-                if isinstance(stop, RfpcaError):
-                    raise stop
                 stage = _stage_result(stop, config.nu, base.basis)
             except RfpcaError as exc:
                 exc.stages = tuple(stages[g])
@@ -1030,25 +1038,18 @@ def _fit_chunk(base: Dataset, members: list[Dataset], config: ModelConfig) -> li
 
 def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) -> dict:
     """One stage of the batch rows ``starts`` maps to their starting
-    (theta, xi, sigma2), in lockstep. Returns per row its ``_Stop``, or the
-    ``RfpcaError`` of the stage run for that row alone: a lockstep run that
-    raises is rerun row by row, so one model's failure is not another's.
+    (theta, xi, sigma2), in lockstep, ``_models_per_batch`` rows at a time.
+    Returns per row its ``_Stop`` or the error its model left the batch with.
     Every EM run goes through here: the stages of ``_fit_lockstep`` and the
     warm starts of ``_warm_fits``."""
-    rows = list(starts)
-    if not rows:
-        return {}
-    phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in starts.values()])
-    sigma2 = np.array([s2 for _, _, s2 in starts.values()])
-    run = batch if len(rows) == len(batch.include) else batch.select(rows)
-    try:
-        return dict(zip(rows, _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)))
-    except RfpcaError as exc:
-        if len(rows) == 1:
-            return {rows[0]: exc}
-    out = {}
-    for g in rows:
-        out.update(_lockstep_stage(batch, {g: starts[g]}, alpha, P, config))
+    rows, out = list(starts), {}
+    size = _models_per_batch(config.d, batch.data.n, batch.data.basis.dimension)
+    for first in range(0, len(rows), size):
+        chunk = rows[first:first + size]
+        phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in map(starts.get, chunk)])
+        sigma2 = np.array([starts[g][2] for g in chunk])
+        run = batch if len(chunk) == len(batch.include) else batch.select(chunk)
+        out.update(zip(chunk, _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)))
     return out
 
 
@@ -1059,8 +1060,6 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
     starting point. It is ``_warm_fits`` with no curve left out.
     """
     (stop,) = _warm_fits(data, config, init, [None])
-    if isinstance(stop, RfpcaError):
-        raise stop
     return _stage_result(stop, config.nu, data.basis)
 
 
@@ -1074,9 +1073,9 @@ def _warm_fits(
     The fits run in lockstep, ``_models_per_batch`` at a time, each stopping
     on its own trace. Yields per entry the ``_Stop`` of its fit, whose last
     E-step is at its returned parameters and still holds the left-out
-    curve's log density, or the ``RfpcaError`` that fit raises on its own.
-    The fits are yielded batch by batch, so only one batch's stops (each
-    with (n,) and (n, p) rows) are held at a time.
+    curve's log density, or the error with which it left its batch, the one
+    it raises on its own. The fits are yielded batch by batch, so only one
+    batch's stops (each with (n,) and (n, p) rows) are held at a time.
     """
     if init.d != config.d:
         raise DimensionMismatchError(

@@ -76,9 +76,10 @@ def cross_validate(
     stopping on its own trace. Curve i's held-out term is its log density at
     the E-step where refit i stopped, which is at that refit's returned
     parameters. A refit that hits the iteration cap still contributes its
-    last iterate, with a warning; a refit that fails raises its own error,
-    as it would alone. Returns the score and details, one record per curve:
-    the term, the refit's EM iteration count and whether it converged.
+    last iterate, with a warning; a refit that fails leaves its batch with
+    its own error, the one it raises alone, and the first such error is
+    raised. Returns the score and details, one record per curve: the term,
+    the refit's EM iteration count and whether it converged.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")

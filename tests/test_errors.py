@@ -139,6 +139,11 @@ def test_one_em_driver():
     # every EM run (fit, warm starts, CV refits, Monte Carlo batches) goes
     # through _lockstep_stage, so a change to the loop is made in one place
     assert _references({"_em_loop"}) == [("model.py", "_lockstep_stage", "_em_loop")]
+    # every M-step runs in that loop (em_step too), and a failing model
+    # leaves its batch there: nothing reruns a stage
+    assert _references({"_mstep"}) == [("model.py", "_em_loop", "_mstep")]
+    callers = {scope for _, scope, _ in _references({"_lockstep_stage"})}
+    assert callers == {"_fit_lockstep", "_warm_fits"}
 
 
 def test_batch_sizing_stays_in_model():

@@ -143,7 +143,9 @@ def test_sweep_matches_slogdet_and_inv(rng, d, n):
     if d > 1:
         assert np.linalg.cond(dense).max() > 1e7
     with np.errstate(all="raise"):
-        Vinv, logdet = _sweep(V.copy(), str)
+        Vinv, logdet, failed = _sweep(V.copy()[:, :, None], str)
+    assert not failed
+    Vinv, logdet = Vinv[:, :, 0], logdet[0]
     assert Vinv.shape == (d, d, n) and logdet.shape == (n,)
     sign, ref_logdet = np.linalg.slogdet(dense)
     assert np.all(sign == 1)
@@ -156,12 +158,20 @@ def test_sweep_matches_slogdet_and_inv(rng, d, n):
 
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_sweep_nonpositive_pivot_names_curve(rng, d):
-    V = _spd_stack(rng, d, 6)
-    # curve 3, and no curve before it, gets an indefinite matrix
+    V = np.stack([_spd_stack(rng, d, 6) for _ in range(3)], axis=2)  # three models
+    # in model 1, curve 3, and no curve before it, gets an indefinite matrix
     Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    V[:, :, 3] = Q @ np.diag(np.append(np.full(d - 1, 2.0), -1.0)) @ Q.T
-    with np.errstate(all="raise"), pytest.raises(ConditioningError, match="'3'"):
-        _sweep(V, str)
+    V[:, :, 1, 3] = Q @ np.diag(np.append(np.full(d - 1, 2.0), -1.0)) @ Q.T
+    good = V[:, :, [0, 2]].copy()
+    with np.errstate(all="raise"):
+        Vinv, logdet, failed = _sweep(V, str)
+        want_inv, want_logdet, _ = _sweep(good, str)
+    assert list(failed) == [1] and isinstance(failed[1], ConditioningError)
+    assert "'3'" in str(failed[1])
+    # the other models' inverses are those of a sweep without the failing one
+    np.testing.assert_array_equal(Vinv[:, :, [0, 2]], want_inv)
+    np.testing.assert_array_equal(logdet[[0, 2]], want_logdet)
+    assert np.isfinite(Vinv).all() and np.isfinite(logdet).all()
 
 
 @pytest.mark.parametrize("G", [1, 3])
@@ -549,6 +559,26 @@ def test_fit_constant_data(rng):
     np.testing.assert_allclose(res.params.mean(grid), 7.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("nu", [1.0, 5.0])
+def test_vanishing_noise_variance_is_degenerate(nu):
+    # the mean spline fits constant curves to rounding, so under a t model the
+    # curves' weights grow and sigma2 falls geometrically, without bound
+    rng = np.random.default_rng(0)
+    trajs = [
+        Trajectory(f"c{i}", np.sort(rng.uniform(0, 1, 10)), np.full(10, 2.0))
+        for i in range(30)
+    ]
+    data = Dataset(trajs, BASIS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFitError, match="noise variance sigma2") as exc_info:
+            fit(data, ModelConfig(nu=nu, d=1))
+        # the Normal fit of the same data settles above the rounding level
+        normal = fit(data, ModelConfig(nu=math.inf, d=1))
+    assert exc_info.value.stages == ()  # the mean-only stage is the one that fails
+    assert normal.converged and normal.params.sigma2 > (np.finfo(float).eps * 2.0) ** 2
+
+
 def test_fit_runtime_budget():
     data, _ = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(20), 100, Contamination.none(), seed=11
@@ -665,6 +695,8 @@ def _late_curve_data(values):
 
 
 def test_lockstep_stage_error_stays_with_its_model():
+    # one batch: a failing E-step (row 1), a failing M-step (row 2) and two
+    # survivors; each failing row reports its solo error, the survivors go on
     values = np.random.default_rng(3).normal(size=97)
     data = _late_curve_data(values)
     J = BASIS.gram_matrix
@@ -676,24 +708,34 @@ def test_lockstep_stage_error_stays_with_its_model():
         H=np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])]),
         lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
     )
+    good = ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS)
     starts = [
-        ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS),
+        good,
         singular,
+        good,
         ModelParams.from_xi(np.full(9, 0.1), np.eye(9)[:, 1:3] * 0.3, 0.5, 1.0, BASIS),
     ]
     config = ModelConfig(nu=1.0, d=2, max_iter=20)
     stats = data.design_stats
-    batch = _batch(data, 1.0, np.ones((3, data.n)), (
-        np.repeat(stats.btx[None], 3, axis=0), np.repeat(stats.xtx[None], 3, axis=0)
+    include = np.ones((4, data.n))
+    include[2, -1] = 0.0  # without "late", no curve sees t = 1: the theta system is singular
+    batch = _batch(data, 1.0, include, (
+        np.repeat(stats.btx[None], 4, axis=0), np.repeat(stats.xtx[None], 4, axis=0)
     ))
     stops = _lockstep_stage(
         batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config
     )
-    with pytest.raises(ConditioningError, match="'late'") as solo_error:
+    without_late = Dataset(
+        Curves(data.ids[:-1], data.times[:-1], data.values[:-1], data.m[:-1]), BASIS
+    )
+    with pytest.raises(ConditioningError, match="'late'") as estep_error:
         fit_from(data, config, singular)
-    assert isinstance(stops[1], ConditioningError)
-    assert str(stops[1]) == str(solo_error.value)
-    for g in (0, 2):
+    with pytest.raises(ConditioningError, match="theta update") as mstep_error:
+        fit_from(without_late, config, good)
+    for g, solo_error in [(1, estep_error), (2, mstep_error)]:
+        assert isinstance(stops[g], ConditioningError)
+        assert str(stops[g]) == str(solo_error.value)
+    for g in (0, 3):
         _assert_same_fit(_stage_result(stops[g], 1.0, BASIS), fit_from(data, config, starts[g]))
 
 

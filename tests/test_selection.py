@@ -293,8 +293,9 @@ def test_batched_singular_posterior_precision_names_curve_not_slot():
     bad = _singular_late_params()
     # model 1 is the singular one, so the first bad slot is n + 2, not 2
     phi = np.concatenate([_phi(good.theta, good.xi), _phi(bad.theta, bad.xi)])
-    with pytest.raises(ConditioningError, match="'late'"):
-        _estep(_batch(data, 1.0, np.ones((2, data.n))), phi, np.ones(2))
+    _, failed = _estep(_batch(data, 1.0, np.ones((2, data.n))), phi, np.ones(2))
+    assert list(failed) == [1] and isinstance(failed[1], ConditioningError)
+    assert "'late'" in str(failed[1])
     with pytest.raises(ConditioningError, match="'late'"):
         cross_validate(data, ModelConfig(nu=1.0, d=2), full_fit=_stub_fit(bad, data.n))
 
@@ -329,11 +330,20 @@ def _edge_data():
     return Dataset(trajs, BASIS)
 
 
-def test_cross_validate_failing_refit_reports_its_own_error():
+def test_cross_validate_failing_refit_reports_its_own_error(monkeypatch):
     data = _edge_data()
     config = ModelConfig(nu=1.0, d=1)
     full = fit(data, config)
+    batches = []
+    em_loop = model._em_loop
+
+    def recording(batch, phi, *args):
+        batches.append(phi.shape[0])
+        return em_loop(batch, phi, *args)
+
+    monkeypatch.setattr(model, "_em_loop", recording)
     refits = list(model._warm_fits(data, config, full.params, range(data.n)))
+    assert batches == [data.n]  # one batch; the failing refit is not rerun
     with pytest.raises(ConditioningError) as solo_error:
         fit_from(_without(data, 4), config, full.params)
     assert isinstance(refits[4], ConditioningError)
@@ -342,9 +352,11 @@ def test_cross_validate_failing_refit_reports_its_own_error():
     for i in range(4):
         solo = fit_from(_without(data, i), config, full.params)
         assert (refits[i].iterations, refits[i].converged) == (solo.iterations, solo.converged)
+    batches.clear()
     with pytest.raises(ConditioningError) as cv_error:
         cross_validate(data, config, full_fit=full)
     assert str(cv_error.value) == str(solo_error.value)
+    assert batches == [data.n]
 
 
 def test_select_dimension_cv_failure_keeps_partial_report():
