@@ -133,6 +133,13 @@ class SplineBasis:
         return J
 
     @cached_property
+    def gram_cholesky(self) -> np.ndarray:
+        """Lower-triangular Cholesky factor L of the Gram matrix, J = L L^T."""
+        L = np.linalg.cholesky(self.gram_matrix)
+        L.setflags(write=False)
+        return L
+
+    @cached_property
     def penalty_matrix(self) -> np.ndarray:
         """Roughness penalty P with v^T P v = integral of the squared second
         derivative of the spline with coefficients v."""

@@ -185,22 +185,31 @@ class Dataset:
     def design_stats(self) -> _DesignStats:
         n, p = self.n, self.basis.dimension
         btb = np.empty((n, p, p))
-        for i, B in enumerate(self.design_matrices):
-            btb[i] = B.T @ B
-        btx, xtx = self._value_stats(self.values)
-        return _DesignStats(self.m, btb, btx, xtx, int(self.offsets[-1]))
+        for B, out in zip(self.design_matrices, btb):
+            np.matmul(B.T, B, out=out)
+        btx, xtx = self._value_stats(self.values[None])
+        return _DesignStats(self.m, btb, btx[0], xtx[0], int(self.offsets[-1]))
 
     def _value_stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B_i^T x_i, shape (n, p), and x_i^T x_i, shape (n,), of pooled
-        ``values`` observed at this dataset's times."""
-        btx = np.empty((self.n, self.basis.dimension))
-        xtx = np.empty(self.n)
-        bounds = self.offsets.tolist()
-        for i, B in enumerate(self.design_matrices):
-            x = values[bounds[i]:bounds[i + 1]]
-            btx[i] = B.T @ x
-            xtx[i] = x @ x
-        return btx, xtx
+        """B_i^T x_i, shape (G, n, p), and x_i^T x_i, shape (G, n), of G rows
+        of pooled values, shape (G, N), observed at this dataset's times.
+
+        One loop over curves takes every row's products at once, each
+        bitwise the one its row's curve takes alone. A value statistic that
+        overflows is left infinite, without a numpy warning, for the fit to
+        report.
+        """
+        G, bounds = values.shape[0], self.offsets.tolist()
+        btx = np.empty((self.n, G, self.basis.dimension, 1))
+        xtx = np.empty((self.n, G, 1, 1))
+        cols = values[:, :, None]
+        blocks = zip(self.design_matrices, bounds[:-1], bounds[1:], btx, xtx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for B, a, b, btx_i, xtx_i in blocks:
+                x = cols[:, a:b]  # (G, m_i, 1)
+                np.matmul(B.T, x, out=btx_i)
+                np.matmul(x.transpose(0, 2, 1), x, out=xtx_i)
+        return btx[..., 0].transpose(1, 0, 2).copy(), xtx[..., 0, 0].T.copy()
 
     def log_density_constant(self, nu: float) -> np.ndarray:
         """Per-curve terms of the log density that depend only on (m_i, nu),
@@ -263,29 +272,12 @@ class ModelParams:
     basis: SplineBasis
 
     def __post_init__(self):
-        p = self.basis.dimension
-        if self.theta.shape != (p,):
-            raise InvalidParamsError(f"theta must have shape ({p},)")
-        d = self.H.shape[1] if self.H.ndim == 2 else -1
-        if self.H.shape != (p, d) or self.xi.shape != (p, d) or self.lam.shape != (d,):
-            raise InvalidParamsError("xi, H, lam have inconsistent shapes")
-        if not (self.sigma2 > 0):
-            raise InvalidParamsError(f"sigma2 must be positive, got {self.sigma2}")
-        if not (self.nu > 0):
-            raise InvalidParamsError(f"nu must be positive or inf, got {self.nu}")
-        if d > 0:
-            if np.any(self.lam <= 0) or np.any(np.diff(self.lam) > 0):
-                raise InvalidParamsError("lam must be positive and descending")
-            J = self.basis.gram_matrix
-            if not np.allclose(self.H.T @ J @ self.H, np.eye(d), atol=1e-8):
-                raise InvalidParamsError("H is not orthonormal in the J metric")
-            hlh = (self.H * self.lam) @ self.H.T
-            xxt = self.xi @ self.xi.T
-            # ||xxt - hlh|| <= 1e-8 max(1, ||xxt||), with both matrices divided
-            # by max|xxt| first so the Frobenius norms cannot overflow
-            c = float(np.abs(xxt).max()) or 1.0
-            if np.linalg.norm(xxt / c - hlh / c) > 1e-8 * max(1.0 / c, np.linalg.norm(xxt / c)):
-                raise InvalidParamsError("xi and (H, lam) are inconsistent")
+        errors = _params_errors(
+            self.theta[None], self.xi[None], self.H[None], self.lam[None],
+            np.array([self.sigma2]), self.nu, self.basis,
+        )
+        if errors:
+            raise errors[0]
 
     @property
     def d(self) -> int:
@@ -345,35 +337,99 @@ def robust_weight(nu: float, m, s):
     return (nu + np.asarray(m)) / (nu + np.asarray(s))
 
 
-def orthonormalize(xi: np.ndarray, J: np.ndarray):
-    """Rotate raw loadings to J-orthonormal components with descending variances.
+_RANK_DEFICIENT = "xi^T J xi is rank deficient; loadings do not span d directions"
 
-    Returns (H, lam) from the spectral decomposition of xi^T J xi; H lam H^T
-    reproduces xi xi^T. Column signs are fixed so each component has a
-    nonnegative J-weighted integral against the constant function (first
-    coefficient breaks exact ties), making output reproducible.
+
+def orthonormalize(xi: np.ndarray, J: np.ndarray):
+    """Rotate one model's raw (p, d) loadings to J-orthonormal components
+    with descending variances: (H, lam) of shapes (p, d) and (d,), the
+    G = 1 case of ``_orthonormalize``. Raises ``ConditioningError`` when the
+    loadings do not span d directions."""
+    H, lam, deficient = _orthonormalize(np.asarray(xi, dtype=float)[None], J)
+    if deficient[0]:
+        raise ConditioningError(_RANK_DEFICIENT)
+    return H[0], lam[0]
+
+
+def _orthonormalize(xi: np.ndarray, J: np.ndarray):
+    """Rotate a (G, p, d) stack of raw loadings to J-orthonormal components
+    with descending variances.
+
+    Returns H (G, p, d) and lam (G, d) from the spectral decompositions of
+    the (G, d, d) stack xi^T J xi, so H lam H^T reproduces xi xi^T, and the
+    (G,) mask of rank-deficient models, whose rows are placeholders. Column
+    signs are fixed so each component has a nonnegative J-weighted integral
+    against the constant function (first coefficient breaks exact ties),
+    making output reproducible. Each model's rows are bitwise those of its
+    own G = 1 call.
     """
-    xi = np.asarray(xi, dtype=float)
-    p, d = xi.shape
+    G, p, d = xi.shape
     if d == 0:
-        return np.zeros((p, 0)), np.zeros(0)
-    A = xi.T @ J @ xi
-    A = 0.5 * (A + A.T)
+        return np.zeros((G, p, 0)), np.zeros((G, 0)), np.zeros(G, dtype=bool)
+    A = xi.transpose(0, 2, 1) @ J @ xi
+    A = 0.5 * (A + A.transpose(0, 2, 1))
     evals, U = np.linalg.eigh(A)
-    evals, U = evals[::-1], U[:, ::-1]
-    if evals[-1] <= 0 or evals[-1] < 1e-12 * evals[0]:
-        raise ConditioningError(
-            "xi^T J xi is rank deficient; loadings do not span d directions"
-        )
-    H = (xi @ U) / np.sqrt(evals)
+    evals, U = evals[:, ::-1], U[:, :, ::-1]
+    deficient = (evals[:, -1] <= 0) | (evals[:, -1] < 1e-12 * evals[:, 0])
+    evals = np.where(deficient[:, None], 1.0, evals)
+    H = (xi @ U) / np.sqrt(evals)[:, None]
     ref = J @ np.ones(p)  # coefficient vector of the constant function is all ones
-    for k in range(d):
-        sgn = H[:, k] @ ref
-        if abs(sgn) < 1e-12:
-            sgn = H[0, k]
-        if sgn < 0:
-            H[:, k] = -H[:, k]
-    return H, evals.copy()
+    sgn = ref @ H
+    sgn = np.where(np.abs(sgn) < 1e-12, H[:, 0], sgn)
+    H *= np.where(sgn < 0, -1.0, 1.0)[:, None]
+    return H, evals, deficient
+
+
+def _params_errors(theta, xi, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsError]:
+    """Check G models' parameters, stacked on a leading axis: theta (G, p),
+    xi and H (G, p, d), lam (G, d) and sigma2 (G,), sharing nu and basis.
+
+    Raises ``InvalidParamsError`` for a stack of the wrong shapes; returns, by
+    model, the error of the first check it fails: sigma2 > 0, nu > 0, lam
+    positive and descending, H orthonormal in the J metric and xi xi^T equal
+    to H diag(lam) H^T.
+    """
+    G, p = len(sigma2), basis.dimension
+    if theta.shape != (G, p):
+        raise InvalidParamsError(f"theta must have shape ({p},)")
+    d = H.shape[2] if H.ndim == 3 else -1
+    if H.shape != (G, p, d) or xi.shape != (G, p, d) or lam.shape != (G, d):
+        raise InvalidParamsError("xi, H, lam have inconsistent shapes")
+    errors = {
+        g: InvalidParamsError(f"sigma2 must be positive, got {sigma2[g]}")
+        for g in np.flatnonzero(~(sigma2 > 0)).tolist()
+    }
+    if not (nu > 0):
+        for g in range(G):
+            errors.setdefault(g, InvalidParamsError(f"nu must be positive or inf, got {nu}"))
+    if d > 0:
+        eye, Ht = np.eye(d), H.transpose(0, 2, 1)
+        xxt = xi @ xi.transpose(0, 2, 1)
+        # ||xxt - hlh|| <= 1e-8 max(1, ||xxt||), with both matrices divided
+        # by max|xxt| first so the Frobenius norms cannot overflow
+        c = np.abs(xxt).max(axis=(1, 2))
+        c = np.where(c == 0, 1.0, c)
+        xxt, hlh = xxt / c[:, None, None], (H * lam[:, None]) @ Ht / c[:, None, None]
+
+        def frob(x):
+            return np.sqrt((x * x).sum(axis=(1, 2)))
+
+        failed = np.stack([
+            (lam <= 0).any(axis=1) | (np.diff(lam, axis=1) > 0).any(axis=1),
+            # np.allclose(H^T J H, I, atol=1e-8), NaN failing
+            ~(np.abs(Ht @ basis.gram_matrix @ H - eye) <= 1e-8 + 1e-5 * eye).all(axis=(1, 2)),
+            frob(xxt - hlh) > 1e-8 * np.maximum(1.0 / c, frob(xxt)),
+        ])
+        for g in np.flatnonzero(failed.any(axis=0)).tolist():
+            errors.setdefault(g, InvalidParamsError(_PARAM_CHECKS[int(np.argmax(failed[:, g]))]))
+    return errors
+
+
+_PARAM_CHECKS = (
+    "lam must be positive and descending",
+    "H is not orthonormal in the J metric",
+    "xi and (H, lam) are inconsistent",
+)
 
 
 def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
@@ -736,12 +792,12 @@ def _penalty(phi: np.ndarray, alpha: float, P) -> np.ndarray | float:
     return val
 
 
-def _overflow(ll_curve: np.ndarray, data: Dataset) -> NumericalOverflowError:
-    """The error of one model's non-finite objective, naming its first curve
-    whose log density is not finite."""
-    bad = np.flatnonzero(~np.isfinite(ll_curve))
+def _overflow(what: str, per_curve: np.ndarray, data: Dataset) -> NumericalOverflowError:
+    """The error of one model's non-finite sum ``what`` of the (n,) terms
+    ``per_curve``, naming its first curve whose term is not finite."""
+    bad = np.flatnonzero(~np.isfinite(per_curve))
     where = f" for curve {data.ids[bad[0]]!r}" if bad.size else ""
-    return NumericalOverflowError(f"log-likelihood is non-finite{where}")
+    return NumericalOverflowError(f"{what} is non-finite{where}")
 
 
 def _converged(trace: list, tol: float) -> bool:
@@ -794,7 +850,7 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
         obj = e.loglik if P is None else e.loglik - pen / sigma2
         for j, value in enumerate(obj.tolist()):
             if j not in stopped and not math.isfinite(value):
-                stopped[j] = _overflow(e.ll_curve[j], batch.data)
+                stopped[j] = _overflow("log-likelihood", e.ll_curve[j], batch.data)
             if j in stopped:  # its E-step failed
                 continue
             trace = traces[running[j]]
@@ -836,7 +892,7 @@ def log_likelihood(params: ModelParams, data: Dataset) -> float:
     """Sum of per-curve t (or Gaussian, nu=inf) log densities."""
     e = _estep_at(params, data)
     if not math.isfinite(e.loglik):
-        raise _overflow(e.ll_curve, data)
+        raise _overflow("log-likelihood", e.ll_curve, data)
     return float(e.loglik)
 
 
@@ -863,14 +919,16 @@ def _penalty_terms(config: ModelConfig, basis: SplineBasis):
 _INIT_TRIM = 0.25  # fraction of highest-distance curves excluded from the init scatter
 
 
-def _init_new_column(data: Dataset, stop: _Stop, sigma2, nu) -> np.ndarray:
-    """Seed the next loading column from the weighted residual scatter.
+def _init_new_column(data: Dataset, stops: Sequence[_Stop], nu) -> np.ndarray:
+    """Seed the next loading column of each of G models, shape (G, p), from
+    its weighted residual scatter.
 
-    ``stop`` holds what the previous stage's last E-step gave (B^T r - A zhat,
-    distances, weights), none of which depends on how that stage's loadings
-    are rotated. Residual coefficient vectors come from a
-    ridge-regularized projection of each curve's current residuals onto the
-    basis; the column is the leading eigenvector of their weighted scatter in
+    Each of the ``stops`` holds what its model's previous-stage last E-step
+    gave (B^T r - A zhat, distances, weights), none of which depends on how
+    that stage's loadings are rotated, and its sigma2. Residual coefficient
+    vectors come from a ridge-regularized projection of each curve's
+    residuals onto the basis, one solve for all (n, p, G) right-hand sides; a
+    model's column is the leading eigenvector of their weighted scatter in
     the Gram metric, scaled so its initial variance is sigma2 / 2. Under a t
     model the scatter additionally drops the quarter of curves with the
     largest Mahalanobis distances: outlying curves can otherwise hand the
@@ -884,41 +942,60 @@ def _init_new_column(data: Dataset, stop: _Stop, sigma2, nu) -> np.ndarray:
     # projected-residual scatter through noise amplification
     ridge = np.trace(stats.btb, axis1=1, axis2=2) / p + 1e-12
     reg = stats.btb + ridge[:, None, None] * np.eye(p)
-    coefs = np.linalg.solve(reg, stop.btr[:, :, None])[:, :, 0]
-    w = stop.w
+    btr = np.stack([stop.btr for stop in stops], axis=-1)  # (n, p, G)
+    coefs = np.linalg.solve(reg, btr).transpose(2, 0, 1)  # (G, n, p)
+    w = np.stack([stop.w for stop in stops])
     if not math.isinf(nu) and data.n >= 8:
-        cutoff = np.quantile(stop.s, 1.0 - _INIT_TRIM)
-        w = np.where(stop.s <= cutoff, w, 0.0)
-    J = data.basis.gram_matrix
-    L = np.linalg.cholesky(J)
-    scatter = (w[:, None] * coefs).T @ coefs
+        s = np.stack([stop.s for stop in stops])
+        cutoff = np.quantile(s, 1.0 - _INIT_TRIM, axis=1)
+        w = np.where(s <= cutoff[:, None], w, 0.0)
+    J, L = data.basis.gram_matrix, data.basis.gram_cholesky
+    scatter = (w[..., None] * coefs).transpose(0, 2, 1) @ coefs
     M = L.T @ scatter @ L
-    _, evecs = np.linalg.eigh(0.5 * (M + M.T))
-    v = np.linalg.solve(L.T, evecs[:, -1])
-    norm = math.sqrt(max(float(v @ J @ v), np.finfo(float).tiny))
-    v = v / norm
-    top = np.argmax(np.abs(v))
-    if v[top] < 0:
-        v = -v
-    return v * math.sqrt(sigma2 / 2.0)
+    _, evecs = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
+    v = np.linalg.solve(L.T, evecs[:, :, -1].T).T  # (G, p)
+    norm = np.sqrt(np.maximum(_rowdot((v[:, None] @ J)[:, 0], v), np.finfo(float).tiny))
+    v = v / norm[:, None]
+    top = v[np.arange(len(v)), np.abs(v).argmax(axis=1)]
+    sigma2 = np.array([stop.sigma2 for stop in stops])
+    return v * (np.where(top < 0, -1.0, 1.0) * np.sqrt(sigma2 / 2.0))[:, None]
 
 
-def _stage_result(stop: _Stop | RfpcaError, nu: float, basis: SplineBasis) -> FitResult:
-    """A stage's result with canonicalized parameters. Its log-likelihood,
+def _stage_results(
+    stops: Sequence[_Stop | RfpcaError], nu: float, basis: SplineBasis
+) -> list[FitResult | RfpcaError]:
+    """Each stop's stage result, or its error: a stop that is an error stays
+    one, and so does a model whose loadings are rank deficient or whose
+    canonical parameters fail ``_params_errors``. The stops' parameters are
+    orthonormalized as one stack and checked once. Their log-likelihoods,
     distances and weights come from the E-step at the raw parameters, and
-    are rotation invariant. The error of a model that failed is raised."""
-    if isinstance(stop, RfpcaError):
-        raise stop
-    d = stop.phi.shape[0] - 1
-    return FitResult(
-        params=ModelParams.from_xi(stop.phi[d], stop.phi[:d].T, stop.sigma2, nu, basis),
-        loglik_trace=stop.trace,
-        converged=stop.converged,
-        iterations=stop.iterations,
-        loglik=stop.loglik,
-        s=stop.s,
-        weights=stop.w,
-    )
+    are rotation invariant."""
+    out: list = list(stops)
+    rows = [g for g, stop in enumerate(stops) if isinstance(stop, _Stop)]
+    if not rows:
+        return out
+    phi = np.stack([stops[g].phi for g in rows])  # (G, d + 1, p)
+    d = phi.shape[1] - 1
+    theta, sigma2 = phi[:, d], np.array([stops[g].sigma2 for g in rows])
+    H, lam, deficient = _orthonormalize(phi[:, :d].transpose(0, 2, 1), basis.gram_matrix)
+    xi = H * np.sqrt(lam)[:, None]
+    errors = _params_errors(theta, xi, H, lam, sigma2, nu, basis)
+    for j, (g, s2) in enumerate(zip(rows, sigma2.tolist())):
+        if deficient[j]:
+            out[g] = ConditioningError(_RANK_DEFICIENT)
+        elif j in errors:
+            out[g] = errors[j]
+        else:
+            # the fields the check has just passed, set without checking again
+            params = object.__new__(ModelParams)
+            params.__dict__.update(
+                theta=theta[j], xi=xi[j], H=H[j], lam=lam[j], sigma2=s2, nu=float(nu), basis=basis
+            )
+            stop = stops[g]
+            out[g] = FitResult(
+                params, stop.trace, stop.converged, stop.iterations, stop.loglik, stop.s, stop.w
+            )
+    return out
 
 
 # Cap on the bytes of a batch's (G, d + 1, n, p) E-step product, which sets
@@ -978,10 +1055,13 @@ def _fit_lockstep(
     Carlo replication's scenarios do; mixed designs raise
     ``InvalidInputError``. They are fitted as the models of one batch, at
     most ``_models_per_batch`` at a time: stage d of every model in
-    lockstep, then each model's new column from its own last E-step, then
-    stage d + 1. Each model stops every stage on its own trace, so it takes
-    the iterations its own fit takes, and a model that fails leaves the
-    batch with its own error while the others go on.
+    lockstep, then one stage transition on the model axis, which
+    canonicalizes every model's stage d and seeds each one's new column from
+    its own last E-step, then stage d + 1. Each model stops every stage on
+    its own trace, so it takes the iterations its own fit takes, and a model
+    that fails, in EM or in canonicalization, leaves the batch with its own
+    error while the others go on. A dataset whose sum of squared values
+    overflows gets a ``NumericalOverflowError`` naming its first such curve.
     """
     base = datasets[0]
     if not all(_shares_design(base, data) for data in datasets[1:]):
@@ -992,41 +1072,41 @@ def _fit_lockstep(
     if base.n < 2:
         return [InvalidInputError("fit needs at least two curves")] * copies
     stats = base.design_stats
-    btx, xtx = zip(
-        *((stats.btx, stats.xtx) if data is base else base._value_stats(data.values)
-          for data in datasets)
+    values = (stats.btx[None], stats.xtx[None]) if copies == 1 else (
+        base._value_stats(np.stack([data.values for data in datasets]))
     )
     out: list = [None] * copies
     starts: dict[int, tuple] = {}  # batch row -> the (theta, xi, sigma2) of its next stage
-    for g, x in enumerate(xtx):
-        sigma2 = float(x.sum() / stats.total_obs)
-        if sigma2 <= 0:
+    for g, x in enumerate(values[1]):
+        with np.errstate(over="ignore"):
+            sigma2 = float(x.sum() / stats.total_obs)
+        if not math.isfinite(sigma2):
+            out[g] = _overflow("sum of squared values", x, base)
+        elif sigma2 <= 0:
             out[g] = DegenerateFitError("all observed values are zero; nothing to fit")
         else:
             starts[g] = (np.zeros(p), np.zeros((p, 0)), sigma2)
     alpha, P = _penalty_terms(config, base.basis)
-    values = (np.stack(btx), np.stack(xtx))
     batch = _batch(base, config.nu, np.ones((copies, base.n)), values)
 
     stages: dict[int, list[FitResult]] = {g: [] for g in starts}
     for d in range(config.d + 1):
-        for g, stop in _lockstep_stage(batch, starts, alpha, P, config).items():
-            try:
-                stage = _stage_result(stop, config.nu, base.basis)
-            except RfpcaError as exc:
-                exc.stages = tuple(stages[g])
-                out[g] = exc
+        stops = _lockstep_stage(batch, starts, alpha, P, config)
+        for g, stage in zip(stops, _stage_results(list(stops.values()), config.nu, base.basis)):
+            if isinstance(stage, RfpcaError):
+                stage.stages = tuple(stages[g])
+                out[g] = stage
                 del starts[g]
-                continue
-            stages[g].append(stage)
-            theta, xi, sigma2 = stage.params.theta, stage.params.xi, stage.params.sigma2
-            if d < config.d:
-                col = _init_new_column(base, stop, sigma2, config.nu)
+            else:
+                stages[g].append(stage)
+        if d < config.d and starts:
+            cols = _init_new_column(base, [stops[g] for g in starts], config.nu)
+            for g, col in zip(starts, cols):
+                params = stages[g][-1].params
                 # the new column starts with variance sigma2/2 taken out of the
                 # noise budget; without the deduction the inflated noise level
                 # masks outlying curves during the stage's early iterations
-                xi, sigma2 = np.column_stack([xi, col]), sigma2 / 2.0
-            starts[g] = (theta, xi, sigma2)
+                starts[g] = (params.theta, np.column_stack([params.xi, col]), params.sigma2 / 2.0)
     for g in starts:
         out[g] = dataclasses.replace(
             stages[g][-1],
@@ -1060,7 +1140,10 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
     starting point. It is ``_warm_fits`` with no curve left out.
     """
     (stop,) = _warm_fits(data, config, init, [None])
-    return _stage_result(stop, config.nu, data.basis)
+    (result,) = _stage_results([stop], config.nu, data.basis)
+    if isinstance(result, RfpcaError):
+        raise result
+    return result
 
 
 def _warm_fits(

@@ -134,6 +134,36 @@ def added_column_gain(loglik, xi, direction, sigma2):
     return -best.fun - loglik(xi)
 
 
+def init_new_column(data, stop, sigma2, nu, trim=0.25):
+    """One model's seed for its next loading column, written model by model:
+    the leading Gram-metric eigenvector of the weighted scatter of its
+    ridge-projected residual coefficients (the quarter of curves farthest
+    from the mean dropped under a t model, n >= 8), largest entry positive,
+    scaled to variance sigma2 / 2. ``stop`` supplies the previous stage's
+    B^T r - A zhat, distances and weights."""
+    btb = data.design_stats.btb
+    p = data.basis.dimension
+    ridge = np.trace(btb, axis1=1, axis2=2) / p + 1e-12
+    reg = btb + ridge[:, None, None] * np.eye(p)
+    coefs = np.linalg.solve(reg, stop.btr[:, :, None])[:, :, 0]
+    w = stop.w
+    if not math.isinf(nu) and data.n >= 8:
+        cutoff = np.quantile(stop.s, 1.0 - trim)
+        w = np.where(stop.s <= cutoff, w, 0.0)
+    J = data.basis.gram_matrix
+    L = np.linalg.cholesky(J)
+    scatter = (w[:, None] * coefs).T @ coefs
+    M = L.T @ scatter @ L
+    _, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    v = np.linalg.solve(L.T, evecs[:, -1])
+    norm = math.sqrt(max(float(v @ J @ v), np.finfo(float).tiny))
+    v = v / norm
+    top = np.argmax(np.abs(v))
+    if v[top] < 0:
+        v = -v
+    return v * math.sqrt(sigma2 / 2.0)
+
+
 def random_params(rng, basis, d, sigma2=0.3, nu=1.0, scale=1.0):
     """Valid ModelParams with random loadings, built through the public factory."""
     from rfpca import ModelParams

@@ -1,6 +1,6 @@
 """Source checks: every error the package raises is a typed ``RfpcaError``,
 the package uses no NumPy name newer than the declared minimum, and one
-function drives every EM run."""
+function drives every EM run and one call every stage transition."""
 
 import ast
 from pathlib import Path
@@ -144,6 +144,22 @@ def test_one_em_driver():
     assert _references({"_mstep"}) == [("model.py", "_em_loop", "_mstep")]
     callers = {scope for _, scope, _ in _references({"_lockstep_stage"})}
     assert callers == {"_fit_lockstep", "_warm_fits"}
+
+
+def test_one_stage_transition():
+    # a stage ends on the model axis: new columns come from one batched
+    # initializer, canonical parameters from one stacked orthonormalization
+    # and one checker, so no per-model path can compute them differently
+    # (test_stage_transition_is_one_call_per_stage counts the calls)
+    assert _references({"_init_new_column"}) == [
+        ("model.py", "_fit_lockstep", "_init_new_column")
+    ]
+    for name, callers in [
+        ("_orthonormalize", ["_stage_results", "orthonormalize"]),
+        ("_stage_results", ["_fit_lockstep", "fit_from"]),
+        ("_params_errors", ["__post_init__", "_stage_results"]),
+    ]:
+        assert sorted(scope for _, scope, _ in _references({name})) == callers, name
 
 
 def test_batch_sizing_stays_in_model():

@@ -39,11 +39,13 @@ from rfpca.model import (
     _fit_lockstep,
     _lockstep_stage,
     _rowdot,
-    _stage_result,
+    _stage_results,
     _sweep,
 )
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
-from oracles import dense_covariance, dense_t_logpdf, random_dataset, random_params
+from oracles import (
+    dense_covariance, dense_t_logpdf, init_new_column, random_dataset, random_params,
+)
 
 
 BASIS = build_basis(4, 5, (0, 1))
@@ -293,6 +295,32 @@ def test_params_consistency_check_holds_at_large_scale(rng, scale):
     # swapped, rescaled columns describe other loadings than (H, lam)
     with pytest.raises(InvalidParamsError, match="inconsistent"):
         dataclasses.replace(params, xi=params.xi[:, ::-1] * [2.0, 0.5])
+
+
+def test_params_check_reports_each_model_of_a_stack(rng):
+    # one check of a stack gives each model the error its ModelParams raises
+    good = ModelParams.from_xi(np.zeros(9), rng.normal(size=(9, 2)), 1.0, 1.0, BASIS)
+    swapped = {"lam": good.lam[::-1].copy(), "H": good.H[:, ::-1].copy()}
+    variants = [
+        {},
+        {"sigma2": -1.0},
+        {"lam": np.array([good.lam[0], -1.0])},
+        {**swapped, "xi": good.xi[:, ::-1].copy()},  # ascending lam
+        {"H": good.H * 1.1, "xi": good.xi * 1.1},  # not J-orthonormal
+        {"xi": good.xi[:, ::-1] * [2.0, 0.5]},  # inconsistent
+    ]
+    stacks = [dataclasses.asdict(good) | change for change in variants]
+    errors = model._params_errors(
+        *(np.stack([s[k] for s in stacks]) for k in ("theta", "xi", "H", "lam", "sigma2")),
+        1.0, BASIS,
+    )
+    assert sorted(errors) == list(range(1, len(variants)))
+    for g, fields in enumerate(stacks[1:], start=1):
+        with pytest.raises(InvalidParamsError) as solo:
+            ModelParams(**fields)
+        assert str(errors[g]) == str(solo.value)
+    with pytest.raises(InvalidParamsError, match="nu must be positive"):
+        dataclasses.replace(good, nu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +764,8 @@ def test_lockstep_stage_error_stays_with_its_model():
         assert isinstance(stops[g], ConditioningError)
         assert str(stops[g]) == str(solo_error.value)
     for g in (0, 3):
-        _assert_same_fit(_stage_result(stops[g], 1.0, BASIS), fit_from(data, config, starts[g]))
+        (stage,) = _stage_results([stops[g]], 1.0, BASIS)
+        _assert_same_fit(stage, fit_from(data, config, starts[g]))
 
 
 def test_lockstep_fit_error_stays_with_its_dataset():
@@ -747,14 +776,108 @@ def test_lockstep_fit_error_stays_with_its_dataset():
         Curves(datasets[2].ids, datasets[2].times, huge, datasets[2].m), BASIS
     )
     config = ModelConfig(nu=1.0, d=2)
-    with np.errstate(all="ignore"):
-        results = _fit_lockstep(datasets, config)
-        with pytest.raises(NumericalOverflowError) as solo_error:
-            fit(datasets[2], config)
+    # no numpy warning on the way: the suite turns RuntimeWarning into errors
+    results = _fit_lockstep(datasets, config)
+    with pytest.raises(NumericalOverflowError, match=repr(datasets[2].ids[3])) as solo_error:
+        fit(datasets[2], config)
     assert isinstance(results[2], NumericalOverflowError)
     assert str(results[2]) == str(solo_error.value)
     for g in (0, 1, 3):
         _assert_same_fit(results[g], fit(datasets[g], config))
+
+
+def test_lockstep_rank_deficient_stage_stays_with_its_model():
+    # rep 110's clean sample loses rank at d = 4 (its stage-4 loadings
+    # collapse onto the d = 3 model); its contaminated twin shares the design
+    datasets = [
+        simulate_dataset(
+            TrueModel(), GridDesign.random_uniform(), 60, contamination, seed=110, basis=BASIS
+        )[0]
+        for contamination in (Contamination.none(), Contamination("exogenous_pc", 0.10, 4.0))
+    ]
+    config = ModelConfig(nu=1.0, d=4)
+    results = _fit_lockstep(datasets, config)
+    assert isinstance(results[0], ConditioningError)
+    assert "rank deficient" in str(results[0])
+    earlier = fit(datasets[0], dataclasses.replace(config, d=3))
+    assert len(results[0].stages) == 4
+    for got, want in zip(results[0].stages, earlier.stages):
+        _assert_same_fit(got, want)
+    _assert_same_fit(results[1], fit(datasets[1], config))
+
+
+# ---------------------------------------------------------------------------
+# stage transitions on the model axis: each batched kernel against its
+# model-by-model computation
+# ---------------------------------------------------------------------------
+
+def _stage0_stops(G, nu):
+    # G value rows observed at one design, fitted at d = 0 in lockstep
+    base = _scenario_datasets()[0]
+    rows = base.values + np.random.default_rng(5).normal(scale=0.5, size=(G, base.values.size))
+    btx, xtx = base._value_stats(rows)
+    batch = _batch(base, nu, np.ones((G, base.n)), (btx, xtx))
+    sigma2 = xtx.sum(axis=1) / base.design_stats.total_obs
+    starts = {g: (np.zeros(9), np.zeros((9, 0)), float(s)) for g, s in enumerate(sigma2)}
+    stops = _lockstep_stage(batch, starts, 0.0, None, ModelConfig(nu=nu, d=1, tol=1e-4))
+    return base, list(stops.values())
+
+
+def test_value_stats_rows_match_each_row_alone():
+    base = _scenario_datasets()[0]
+    rows = base.values * np.random.default_rng(6).normal(size=(13, 1))
+    btx, xtx = base._value_stats(rows)
+    assert btx.shape == (13, base.n, 9) and xtx.shape == (13, base.n)
+    for g, x in enumerate(rows):
+        for i, B in enumerate(base.design_matrices):
+            curve = x[base.offsets[i]:base.offsets[i + 1]]
+            assert np.array_equal(btx[g, i], B.T @ curve)
+            assert xtx[g, i] == curve @ curve
+    stats = base.design_stats
+    assert np.array_equal(stats.btx, base._value_stats(base.values[None])[0][0])
+    assert np.array_equal(stats.xtx, base._value_stats(base.values[None])[1][0])
+
+
+@pytest.mark.parametrize("nu", [1.0, math.inf])
+def test_init_new_column_matches_model_by_model_formula(nu):
+    data, stops = _stage0_stops(13, nu)
+    cols = model._init_new_column(data, stops, nu)
+    assert cols.shape == (13, 9)
+    for col, stop in zip(cols, stops):
+        want = init_new_column(data, stop, stop.sigma2, nu)
+        # alone, bitwise the formula; in the batch, the multi-RHS solves round
+        # differently
+        assert np.array_equal(model._init_new_column(data, [stop], nu)[0], want)
+        assert np.linalg.norm(col - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_stacked_orthonormalize_matches_per_model(rng, d):
+    J = BASIS.gram_matrix
+    xi = rng.normal(size=(13, 9, d)) * rng.uniform(0.1, 10.0, size=(13, 1, 1))
+    xi[4, :, -1] = xi[4, :, 0]  # a rank-deficient model among them
+    H, lam, deficient = model._orthonormalize(xi, J)
+    assert deficient.tolist() == [g == 4 and d > 1 for g in range(13)]
+    for g in np.flatnonzero(~deficient):
+        H1, lam1 = orthonormalize(xi[g], J)
+        assert np.array_equal(H[g], H1) and np.array_equal(lam[g], lam1)
+
+
+def test_stage_transition_is_one_call_per_stage(monkeypatch):
+    # with one model per EM batch, a stage's transition still takes one
+    # new-column call and one canonicalization for all four models
+    datasets = _scenario_datasets()
+    monkeypatch.setattr(model, "_BATCH_BYTES", 8 * 3 * datasets[0].n * BASIS.dimension)
+    calls = []
+    for name in ("_init_new_column", "_orthonormalize", "_em_loop"):
+        def recording(*args, _name=name, _f=getattr(model, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(model, name, recording)
+    _fit_lockstep(datasets, ModelConfig(nu=1.0, d=2))
+    assert calls == (
+        ["_em_loop"] * 4 + ["_orthonormalize", "_init_new_column"]
+    ) * 2 + ["_em_loop"] * 4 + ["_orthonormalize"]
 
 
 # ---------------------------------------------------------------------------
