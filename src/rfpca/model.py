@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 from .basis import SplineBasis
 from .errors import (
@@ -214,18 +214,21 @@ class Dataset:
     def log_density_constant(self, nu: float) -> np.ndarray:
         """Per-curve terms of the log density that depend only on (m_i, nu),
         computed once per nu: m_i log(2 pi) for the Normal model, else
-        log Gamma((nu+m_i)/2) - log Gamma(nu/2) - (m_i/2) log(nu pi)."""
+        log Gamma((nu+m_i)/2) - log Gamma(nu/2) - (m_i/2) log(nu pi).
+
+        With h = m_i/2 the t constant is evaluated as
+        log Gamma(h) - log B(nu/2, h) - h (log(nu/2) + log(2 pi)): the two
+        large log Gamma terms never meet in a subtraction, so the constant
+        keeps its digits at any finite nu and tends to -h log(2 pi).
+        """
         const = self._density_constants.get(nu)
         if const is None:
             m = self.m
             if math.isinf(nu):
                 const = m * LOG_2PI
             else:
-                const = (
-                    gammaln(0.5 * (nu + m))
-                    - gammaln(0.5 * nu)
-                    - 0.5 * m * math.log(nu * math.pi)
-                )
+                h = 0.5 * m
+                const = gammaln(h) - betaln(0.5 * nu, h) - h * (math.log(0.5 * nu) + LOG_2PI)
             self._density_constants[nu] = const
         return const
 

@@ -274,7 +274,7 @@ def reference_study_rows(study, per_rep):
     by label: each cell, in (scenario, estimator, criterion) order, collects
     every row of every replication whose scenario, nu and criterion labels
     are the cell's. Cells with unique labels need no row order."""
-    from rfpca.simulate import estimator_label
+    from rfpca.simulate import STUDY_CRITERIA, estimator_label
 
     def matching(**labels):
         return [
@@ -302,7 +302,7 @@ def reference_study_rows(study, per_rep):
                         "reps_used": errors.size, "reps_excluded": len(cell) - errors.size,
                     })
                 continue
-            for criterion in study.criteria:
+            for criterion in STUDY_CRITERIA:
                 cell = matching(scenario=scen.name, nu=nu, criterion=criterion)
                 chosen = [r["chosen_d"] for r in cell if r["ok"]]
                 for d in range(study.d_max + 1):

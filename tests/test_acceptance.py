@@ -82,7 +82,6 @@ SELECTION_STUDY = MonteCarloStudy(
     estimators=(math.inf, 1.0),
     seed=SEED,
     d_max=4,
-    criteria=("bic",),
 )
 
 
@@ -92,6 +91,7 @@ def selection_rows():
     return {
         (row["estimator"], row["scenario"], row["d"]): row["percent"]
         for row in result.rows
+        if row["criterion"] == "bic"
     }
 
 
@@ -263,6 +263,11 @@ def test_criterion_5_degrees_of_freedom(acceptance_report):
     assert acceptance_report("5 degrees of freedom", ok, f"df(9,2) = {degrees_of_freedom(9, 2)}")
 
 
+# three of the 100 fits reach the deliberately low max_iter; ascent is
+# checked on their traces all the same
+@pytest.mark.filterwarnings(
+    "ignore:fit stages that did not converge within max_iter=200:UserWarning"
+)
 def test_criterion_6_em_ascent(acceptance_report):
     rng = np.random.default_rng(SEED)
     violations = 0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,41 @@ def test_read_long_csv_matches_reference_reader(tmp_path_factory, text):
     # bit patterns, so -0.0 and 0.0 must keep their file order within a tie
     assert curves.times.tobytes() == np.array(times).tobytes()
     assert curves.values.tobytes() == np.array(values).tobytes()
+
+
+# pieces that reach every branch of the parser: quotes, line ends, bytes
+# that are not UTF-8, multibyte text, numbers float accepts and the reader
+# rejects, and plain ids and numbers
+_FUZZ_PIECES = [
+    b'"', b"\r", b"\n", b"\x00", b"\xff", b"\xc3", "\u00e9\u0661".encode(),
+    b"1e400", b"-1e400", b"_", b"nan", b"inf", b"1_000", b" ",
+    b"a", b"b", b"0", b"0.5", b"-2", b"1e-3", b".",
+]
+_FUZZ_NUMBERS = [b"0", b"0.5", b"-2", b"1e-3", b' "7" ', b"1e400", b"nan", b"1_000", b""]
+_fuzz_field = st.lists(st.sampled_from(_FUZZ_PIECES), max_size=3).map(b"".join)
+_fuzz_line = st.tuples(
+    st.one_of(
+        # a row that often parses
+        st.tuples(_fuzz_field, *[st.sampled_from(_FUZZ_NUMBERS)] * 2).map(b",".join),
+        st.lists(_fuzz_field, min_size=1, max_size=4).map(b",".join),
+    ),
+    st.sampled_from([b"\n", b"\r\n", b"\r", b""]),
+).map(b"".join)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(body=st.one_of(st.lists(_fuzz_line, max_size=6).map(b"".join), st.binary(max_size=60)))
+def test_fuzzed_csv_body_parses_or_is_csv_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(b"id,time,value\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            curves = read_long_csv(path)
+        except CsvParseError:
+            return
+    assert curves.m.sum() == curves.times.size == curves.values.size
+    assert np.isfinite(curves.times).all() and np.isfinite(curves.values).all()
 
 
 _GOOD_ROW = "a,0.1,1.0"
@@ -381,6 +417,12 @@ def test_penalized_model_file_loglik_is_unpenalized(tmp_path, sim_csv):
     assert abs(meta["loglik"] - ll) <= 1e-9 * abs(ll)
 
 
+# the CLI prints max_iter warnings as stderr lines under Python's default
+# action; the suite's error::UserWarning filter would raise them instead
+_prints_max_iter_warnings = pytest.mark.filterwarnings("default:.*did not converge:UserWarning")
+
+
+@_prints_max_iter_warnings
 def test_nonconvergence_exit_code(tmp_path, sim_csv):
     out = tmp_path / "nc"
     code = main([
@@ -500,6 +542,7 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ],
     ids=["fit", "select-cv"],
 )
+@_prints_max_iter_warnings
 def test_warnings_print_one_line_each(tmp_path, sim_csv, capsys, argv, min_lines):
     code = main(argv + ["--data", str(sim_csv), "--out", str(tmp_path)])
     assert code == 2
@@ -518,13 +561,3 @@ def test_diagnose_rejects_data_outside_model_domain(tmp_path, sim_csv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("rfpca: error: data incompatible with the saved model basis")
     assert "'late'" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_simulate_bad_thread_setting_exits_1(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("RFPCA_THREADS", value)
-    code = main(["simulate", "--table", "1", "--reps", "1", "--out", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("rfpca: error: RFPCA_THREADS must be an integer >= 1")
-    assert "Traceback" not in err

@@ -19,6 +19,7 @@ from rfpca import (
     ModelConfig,
     ModelParams,
     OutOfDomainError,
+    SplineBasis,
     Trajectory,
     build_basis,
     em_step,
@@ -209,6 +210,26 @@ def test_loglik_gaussian_limit(rng):
         sigma2=params.sigma2, nu=math.inf, basis=BASIS,
     )
     assert abs(log_likelihood(params, data) - log_likelihood(params_inf, data)) < 1e-4
+
+
+@pytest.mark.parametrize("nu", [1e9, 1e12, 1e16, 1e300, 1.7e308])
+def test_large_nu_tends_to_normal_model(nu):
+    # the t density constant keeps its digits at any finite nu, so the
+    # likelihood is continuous at nu = inf; d >= 1 fits are not compared,
+    # since the t-model initializer trims its scatter and the Normal one does not
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 60, Contamination.none(), seed=3
+    )
+    normal = [stage.params for stage in fit(data, ModelConfig(nu=math.inf, d=2)).stages]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in normal:
+            ll_inf = log_likelihood(params, data)
+            ll_nu = log_likelihood(dataclasses.replace(params, nu=nu), data)
+            assert abs(ll_nu - ll_inf) <= 1e-6 * abs(ll_inf), params.d
+        if nu >= 1e12:
+            theta, ref = fit(data, ModelConfig(nu=nu, d=0)).params.theta, normal[0].theta
+            assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_loglik_matches_dense_oracle(rng):
@@ -479,7 +500,10 @@ def test_fit_rank1_recovery(rng):
         x = 3.0 * z * math.sqrt(2) * np.sin(math.pi * times) + 0.01 * rng.normal(size=15)
         trajs.append(Trajectory(f"c{i}", times, x))
     data = Dataset(trajs, basis)
-    res = fit(data, ModelConfig(nu=math.inf, d=1))
+    # with noise variance 1e-4, EM on the component is slow: the last of
+    # max_iter iterates is already close enough
+    with pytest.warns(UserWarning, match="did not converge within max_iter=2000: d=1;"):
+        res = fit(data, ModelConfig(nu=math.inf, d=1))
     err = l2_error(
         lambda t: res.params.components(t)[:, 0],
         lambda t: math.sqrt(2) * np.sin(math.pi * np.asarray(t)),
@@ -945,6 +969,61 @@ def test_fit_equivariant_to_affine_value_rescaling(nu):
         assert rel(q.sigma2, a * a * p.sigma2) < 1e-4
         assert rel(q.H * sign, p.H) < 1e-4
         assert rel(result.weights, base.weights) < 1e-4
+
+
+def _time_mapped(data, a, b):
+    """``data`` observed at times a + b t, on the basis whose knots and
+    domain are mapped the same way (b > 0): every design matrix is unchanged
+    and the Gram matrix scales by b."""
+    old = data.basis
+    basis = SplineBasis(
+        old.order, a + b * old.interior_knots, (a + b * old.domain[0], a + b * old.domain[1])
+    )
+    return Dataset(Curves(data.ids, a + b * data.times, data.values, data.m), basis)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    a=st.floats(-100.0, 100.0),
+    log10_b=st.floats(-2.0, 2.0),
+    d=st.integers(0, 3),
+    nu=st.sampled_from([1.0, 5.0, math.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_loglik_invariant_to_affine_time_map(a, log10_b, d, nu, seed):
+    # the same theta and xi on the mapped basis give the same curve
+    # distributions: from_xi only re-splits xi into H / sqrt(b) and b lam
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, BASIS, n=20, m_range=(2, 10))
+    params = random_params(rng, BASIS, d=d, sigma2=0.4, nu=nu)
+    moved = _time_mapped(data, a, 10.0**log10_b)
+    mapped = ModelParams.from_xi(params.theta, params.xi, params.sigma2, nu, moved.basis)
+    ll = log_likelihood(params, data)
+    assert abs(log_likelihood(mapped, moved) - ll) <= 1e-10 * abs(ll)
+
+
+@pytest.mark.parametrize("nu", [1.0, 5.0, math.inf])
+def test_fit_invariant_to_time_shift(nu):
+    # a shift leaves the Gram matrix, and so every stage initializer, as it
+    # was: the fits agree to rounding, iteration for iteration
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 40,
+        Contamination("exogenous_mean", 0.10, 4.0), seed=23,
+    )
+    config = ModelConfig(nu=nu, d=2)
+    base = fit(data, config)
+    p = base.params
+
+    def rel(x, y):
+        return np.linalg.norm(np.asarray(x) - y) / np.linalg.norm(y)
+
+    for a in (-1000.0, 0.5, 7.0):
+        result = fit(_time_mapped(data, a, 1.0), config)
+        assert [s.iterations for s in result.stages] == [s.iterations for s in base.stages]
+        q = result.params
+        assert rel(q.theta, p.theta) <= 1e-10
+        assert rel(q.lam, p.lam) <= 1e-10
+        assert rel(result.weights, base.weights) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from rfpca.simulate import (
     _selection_rep,
     _sine_component,
     _study_basis,
-    _worker_count,
     doppler_phi3,
     error_norms,
     l2_error,
@@ -296,10 +295,9 @@ def test_monte_carlo_selection_mode():
         estimators=(1.0,),
         seed=1,
         d_max=2,
-        criteria=("bic",),
     )
     res = monte_carlo(study)
-    percents = {row["d"]: row["percent"] for row in res.rows}
+    percents = {row["d"]: row["percent"] for row in res.rows if row["criterion"] == "bic"}
     assert set(percents) == {0, 1, 2}
     assert abs(sum(percents.values()) - 100.0) < 1e-9
 
@@ -316,10 +314,6 @@ def test_study_validation():
     [
         dict(scenarios=()),
         dict(estimators=()),
-        dict(criteria=()),
-        dict(criteria=("aicc", "cv")),
-        dict(criteria=("bic", "cv")),
-        dict(criteria="aic"),
         dict(d_max=-1),
         dict(d_max=10),  # the default basis has dimension 9
         dict(scenarios=(
@@ -328,7 +322,6 @@ def test_study_validation():
         )),
         dict(estimators=(math.inf, math.inf)),
         dict(estimators=(1, 1.0)),
-        dict(criteria=("bic", "bic")),
     ],
     ids=repr,
 )
@@ -418,22 +411,6 @@ def test_monte_carlo_matches_label_keyed_aggregation(monkeypatch, study, rep_nam
     # with the rows out of cell order, position no longer finds the cells
     monkeypatch.setattr(simulate, rep_name, lambda study, rep: per_rep[rep][::-1])
     assert list(monte_carlo(study).rows) != reference_study_rows(study, per_rep)
-
-
-def test_worker_count_caps_at_reps(monkeypatch):
-    monkeypatch.setenv("RFPCA_THREADS", "8")
-    assert _worker_count(3) == 3
-    monkeypatch.delenv("RFPCA_THREADS")
-    assert _worker_count(3) == 1
-
-
-def test_worker_pool_matches_serial(monkeypatch):
-    study = _selection_study(scenarios=(StudyScenario("clean", Contamination.none()),))
-    monkeypatch.setenv("RFPCA_THREADS", "1")
-    serial = monte_carlo(study).rows
-    monkeypatch.setenv("RFPCA_THREADS", "2")
-    pooled = monte_carlo(study).rows
-    assert pooled == serial
 
 
 def test_heavy_exogenous_mean_bias_tracks_eps_k():
