@@ -4,6 +4,11 @@ Provides basis evaluation (design matrices), the Gram matrix of pairwise
 L2 inner products, and the second-derivative roughness penalty matrix.
 Both matrices are assembled by per-knot-interval Gauss-Legendre quadrature,
 which is exact because the integrands are piecewise polynomials.
+
+Basis functions and their derivatives come from de Boor's recursion
+(de Boor 1972, J. Approx. Theory 6:50), vectorised over times and run in
+the operation order of FITPACK's ``fpbspl``, so every value is bitwise the
+one ``scipy.interpolate.BSpline`` computes.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import (
     DimensionMismatchError,
@@ -84,8 +88,9 @@ class SplineBasis:
 
     def _check_times(self, times: np.ndarray) -> None:
         a, b = self.domain
-        if times.size and (times.min() < a or times.max() > b):
-            bad = times[(times < a) | (times > b)][0]
+        outside = ~((times >= a) & (times <= b))  # NaN fails both comparisons
+        if outside.any():
+            bad = times[outside][0]
             raise OutOfDomainError(f"time {bad} outside basis domain [{a}, {b}]")
 
     def design_matrix(self, times) -> np.ndarray:
@@ -97,11 +102,37 @@ class SplineBasis:
         return self._eval(times, der=0)
 
     def _eval(self, times: np.ndarray, der: int) -> np.ndarray:
-        # One call evaluates every basis function: the sparse design matrix for
-        # values, a spline with identity coefficients for derivatives.
-        if der == 0:
-            return BSpline.design_matrix(times, self.knots, self.degree).toarray()
-        return BSpline(self.knots, np.eye(self.dimension), self.degree)(times, nu=der)
+        """Derivative ``der`` of every basis function at ``times`` (in the domain).
+
+        Each time x lies in the knot span ``knots[l] <= x < knots[l+1]``, the
+        right endpoint in the last one, where only basis functions l-k..l are
+        nonzero (k the degree). The recursion builds those k+1 values for all
+        times at once, entry by entry as FITPACK's ``fpbspl`` does for one
+        time: k-der value steps, then der derivative steps as in scipy's
+        ``_deBoor_D``.
+        """
+        t, k, p = self.knots, self.degree, self.dimension
+        span = np.clip(np.searchsorted(t, times, "right") - 1, k, p - 1)
+        h = [np.ones_like(times)]
+        for j in range(1, k + 1):
+            hh, h = h, [0.0] * (j + 1)
+            for n in range(1, j + 1):
+                # right > left always: spans k..p-1 are nonempty, so
+                # FITPACK's branch for coincident knots never runs
+                right, left = t.take(span + n), t.take(span + (n - j))
+                if j <= k - der:
+                    w = hh[n - 1] / (right - left)
+                    h[n - 1] = h[n - 1] + w * (right - times)
+                    h[n] = w * (times - left)
+                else:
+                    w = (j * hh[n - 1]) / (right - left)
+                    h[n - 1] = h[n - 1] - w
+                    h[n] = w
+        out = np.zeros((times.size, p))
+        rows = np.arange(times.size)
+        for a, column in enumerate(h):
+            out[rows, span - k + a] = column
+        return out
 
     def eval_function(self, coef, times) -> np.ndarray:
         """Evaluate the spline with coefficient vector ``coef`` at ``times``."""

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import gammaincinv, ndtri
 
 from .errors import ConditioningError, DimensionMismatchError, InvalidInputError
 from .model import Dataset, ModelParams, _estep_at, _whitened_terms
@@ -18,6 +18,11 @@ from .model import Dataset, ModelParams, _estep_at, _whitened_terms
 # the rule is liberal: on clean simulated curves at nu = 1 it flags about 3-4%
 # against the nominal 1%. A heuristic, not a formal test.
 OUTLIER_QUANTILE = 0.99
+
+
+def _outlier_cutoff(m: np.ndarray) -> np.ndarray:
+    # the chi2(m) quantile OUTLIER_QUANTILE, as scipy.stats.chi2.ppf computes it
+    return 2 * gammaincinv(m / 2, OUTLIER_QUANTILE)
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnosti
     fitted = _pooled_fitted(params, data, e.zhat_dn)
     resid = data.values - fitted
     norms = np.sqrt(np.add.reduceat(resid * resid, data.offsets[:-1]))
-    flags = e.s > chi2.ppf(OUTLIER_QUANTILE, data.m)
+    flags = e.s > _outlier_cutoff(data.m)
     bounds = data.offsets.tolist()
     return [
         CurveDiagnostics(cid, fitted[a:b], resid[a:b], norm, s, w, flag)
@@ -132,7 +137,7 @@ def mean_confidence_band(
     B = data.basis.design_matrix(grid)
     center = B @ params.theta
     variance = np.maximum(np.einsum("gp,pq,gq->g", B, v_theta, B), 0.0)
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))  # scipy.stats.norm.ppf's body
     return MeanInference(
         v_theta=v_theta,
         band_grid=grid,

@@ -16,14 +16,13 @@ from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from . import selection
 from .basis import SplineBasis, build_basis
 from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
 from .model import Curves, Dataset, FitResult, ModelConfig, _fit_lockstep
 
-ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms
+ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms; odd, as _simpson needs
 
 CONTAMINATION_KINDS = (
     "none",
@@ -57,19 +56,18 @@ def _doppler_raw(t):
     )
 
 
-@lru_cache(maxsize=1)
-def _doppler_scale() -> float:
-    integral, _ = quad(lambda u: float(_doppler_raw(u) ** 2), 0.0, 1.0, limit=200)
-    return 1.0 / math.sqrt(integral)
+# The integral of _doppler_raw(u)**2 over [0, 1], as scipy.integrate.quad
+# computes it with limit=200.
+_DOPPLER_SQUARED_NORM = 0.0866567852733991
+_DOPPLER_SCALE = 1.0 / math.sqrt(_DOPPLER_SQUARED_NORM)
 
 
 def _doppler_unit(t):
-    return _doppler_scale() * _doppler_raw(t)
+    return _DOPPLER_SCALE * _doppler_raw(t)
 
 
 def doppler_phi3():
     """Unit-norm Doppler function used as the exogenous outlier direction."""
-    _doppler_scale()  # normalize once up front
     return _doppler_unit
 
 
@@ -257,10 +255,32 @@ def _error_grid(domain) -> np.ndarray:
     return np.linspace(domain[0], domain[1], ERROR_NORM_GRID)
 
 
-def _l2_on_grid(fh, fv, grid, sign_align: bool = False) -> float:
-    direct = float(simpson((fh - fv) ** 2, x=grid))
+def _ratio(num, den):
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+@lru_cache(maxsize=8)
+def _simpson_factors(domain: tuple) -> tuple:
+    """The grid-only factors of composite Simpson's rule on the (odd-length)
+    error grid, computed once per domain. They are those of
+    ``scipy.integrate.simpson(y, x=grid)``'s spacing-aware branch, in its
+    expression order, so ``_simpson`` returns bitwise the same integral."""
+    h = np.diff(_error_grid(domain))
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = _ratio(h0, h1)
+    return hsum / 6.0, 2.0 - _ratio(1.0, h0divh1), hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1
+
+
+def _simpson(y, domain) -> float:
+    scale, c0, c1, c2 = _simpson_factors(domain)
+    return float(np.sum(scale * (y[0:-2:2] * c0 + y[1::2] * c1 + y[2::2] * c2)))
+
+
+def _l2_on_grid(fh, fv, domain: tuple, sign_align: bool = False) -> float:
+    direct = _simpson((fh - fv) ** 2, domain)
     if sign_align:
-        flipped = float(simpson((fh + fv) ** 2, x=grid))
+        flipped = _simpson((fh + fv) ** 2, domain)
         direct = min(direct, flipped)
     return math.sqrt(max(direct, 0.0))
 
@@ -272,10 +292,11 @@ def l2_error(fhat, f, domain=(0.0, 1.0), sign_align: bool = False) -> float:
     distance, as appropriate for component functions that are only identified
     up to sign.
     """
+    domain = (float(domain[0]), float(domain[1]))
     grid = _error_grid(domain)
     fh = np.asarray(fhat(grid), dtype=float)
     fv = np.asarray(f(grid), dtype=float)
-    return _l2_on_grid(fh, fv, grid, sign_align)
+    return _l2_on_grid(fh, fv, domain, sign_align)
 
 
 @lru_cache(maxsize=8)
@@ -295,12 +316,13 @@ def error_norms(fit_result: FitResult, truth: TrueModel) -> dict:
         raise InvalidInputError("fit domain differs from truth domain")
     grid = _error_grid(truth.domain)
     B = _grid_design(basis.order, tuple(basis.interior_knots.tolist()), basis.domain)
-    out = {"mu_err": _l2_on_grid(B @ params.theta, np.asarray(truth.mu(grid), dtype=float), grid)}
+    mu = np.asarray(truth.mu(grid), dtype=float)
+    out = {"mu_err": _l2_on_grid(B @ params.theta, mu, basis.domain)}
     if params.d >= 1 and truth.phis:
         out["phi1_err"] = _l2_on_grid(
             (B @ params.H)[:, 0],  # not B @ H[:, 0], whose last bits can differ
             np.asarray(truth.phis[0](grid), dtype=float),
-            grid,
+            basis.domain,
             sign_align=True,
         )
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import BSpline
 
 from rfpca import (
     InvalidDomainError,
@@ -150,3 +151,59 @@ def test_eval_function(rng):
     np.testing.assert_allclose(basis.eval_function(coef, times), ref, atol=1e-12)
     with pytest.raises(DimensionMismatchError):
         basis.eval_function(np.zeros(8), times)
+
+
+# ---------------------------------------------------------------------------
+# scipy's B-spline evaluation as an exact oracle: the de Boor evaluator runs
+# FITPACK's operation order, so every value is bitwise scipy's
+# ---------------------------------------------------------------------------
+
+def _oracle_times(rng, basis):
+    a, b = basis.domain
+    return np.concatenate([rng.uniform(a, b, 500), basis.knots, [a, b]])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("knots, domain", [(5, (0, 1)), (0, (0, 1)), (12, (-1.5, 2.0))])
+def test_design_matrix_equals_scipy(rng, order, knots, domain):
+    basis = build_basis(order, knots, domain)
+    times = _oracle_times(rng, basis)
+    ref = BSpline.design_matrix(times, basis.knots, basis.degree).toarray()
+    assert np.array_equal(basis.design_matrix(times), ref)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+@pytest.mark.parametrize("der", [1, 2])
+def test_derivatives_equal_scipy(rng, order, der):
+    basis = build_basis(order, 7, (-1.5, 2.0))
+    times = _oracle_times(rng, basis)
+    spline = BSpline(basis.knots, np.eye(basis.dimension), basis.degree)
+    assert np.array_equal(basis._eval(times, der), spline(times, nu=der))
+
+
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_gram_and_penalty_equal_scipy_assembly(order):
+    basis = build_basis(order, 5, (0.0, 2.5))
+    nodes, weights = basis._quadrature_nodes()
+    B = BSpline.design_matrix(nodes, basis.knots, basis.degree).toarray()
+    D2 = BSpline(basis.knots, np.eye(basis.dimension), basis.degree)(nodes, nu=2)
+    assert np.array_equal(basis.gram_matrix, (B * weights[:, None]).T @ B)
+    assert np.array_equal(basis.penalty_matrix, (D2 * weights[:, None]).T @ D2)
+
+
+@pytest.mark.parametrize(
+    "times, bad",
+    [([np.nan], "nan"), ([0.5, np.nan], "nan"), ([0.2, np.inf, np.nan], "inf"),
+     ([-np.inf], "-inf")],
+)
+def test_non_finite_times_are_out_of_domain(times, bad):
+    basis = build_basis(4, 5, (0, 1))
+    for call in (basis.design_matrix, lambda t: basis.eval_function(np.ones(9), t)):
+        with pytest.raises(OutOfDomainError, match=rf"^time {bad} outside"):
+            call(times)
+
+
+def test_empty_times_give_empty_rows():
+    basis = build_basis(4, 5, (0, 1))
+    assert basis.design_matrix([]).shape == (0, 9)
+    assert basis.eval_function(np.ones(9), np.array([])).shape == (0,)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 from rfpca import (
     Dataset,
@@ -16,6 +17,7 @@ from rfpca import (
     mean_covariance,
     simulate_dataset,
 )
+from rfpca.diagnostics import OUTLIER_QUANTILE, _outlier_cutoff
 from rfpca.model import _estep_at
 from rfpca.simulate import Contamination, GridDesign, TrueModel
 
@@ -183,3 +185,22 @@ def test_band_shrinks_like_root_n():
         widths[n] = band.band_half_width.mean()
     ratio = widths[400] / widths[100]
     assert 0.4 <= ratio <= 0.6
+
+
+def test_outlier_cutoff_equals_chi2_ppf():
+    m = np.arange(1, 401)
+    assert np.array_equal(_outlier_cutoff(m), chi2.ppf(OUTLIER_QUANTILE, m))
+    res, data = _clean_fit(n=40, seed=3, d=1)
+    flags = [c.outlier_flag for c in curve_diagnostics(res.params, data)]
+    assert flags == list(_estep_at(res.params, data).s > chi2.ppf(OUTLIER_QUANTILE, data.m))
+
+
+def test_band_half_width_uses_norm_ppf():
+    res, data = _clean_fit(n=40, seed=3, d=1)
+    grid = np.linspace(0, 1, 21)
+    B = BASIS.design_matrix(grid)
+    for level in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
+        band = mean_confidence_band(res.params, data, grid, level)
+        variance = np.maximum(np.einsum("gp,pq,gq->g", B, band.v_theta, B), 0.0)
+        expected = norm.ppf(0.5 * (1.0 + level)) * np.sqrt(variance)
+        assert np.array_equal(band.band_half_width, expected)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -19,14 +21,17 @@ from rfpca import (
     ModelConfig,
     ModelParams,
     OutOfDomainError,
+    RfpcaError,
     SplineBasis,
     Trajectory,
     build_basis,
+    curve_diagnostics,
     em_step,
     estimating_equation_residuals,
     fit,
     fit_from,
     log_likelihood,
+    mean_confidence_band,
     orthonormalize,
     robust_weight,
     sigma_solve,
@@ -1024,6 +1029,84 @@ def test_fit_invariant_to_time_shift(nu):
         assert rel(q.theta, p.theta) <= 1e-10
         assert rel(q.lam, p.lam) <= 1e-10
         assert rel(result.weights, base.weights) <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_data(family: str) -> Dataset:
+    """A small dataset at one edge of the input space, on ``BASIS``."""
+    rng = np.random.default_rng(7)
+    base, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 30, Contamination.none(), seed=5
+    )
+
+    def dataset(times, values, m):
+        ids = [f"c{i}" for i in range(len(m))]
+        return Dataset(Curves(ids, np.asarray(times), np.asarray(values), np.asarray(m)), BASIS)
+
+    if family == "single_observation":
+        return dataset(rng.uniform(0, 1, 60), rng.normal(size=60), [1] * 60)
+    if family == "identical_curves":
+        t = np.sort(rng.uniform(0, 1, 10))
+        x = np.sin(3 * t) + rng.normal(0, 0.3, 10)
+        return dataset(np.tile(t, 20), np.tile(x, 20), [10] * 20)
+    if family == "two_curves":
+        return simulate_dataset(
+            TrueModel(), GridDesign.random_uniform(10), 2, Contamination.none(), seed=5
+        )[0]
+    if family == "one_time":
+        return dataset(np.full(base.times.size, 0.3), base.values, base.m)
+    if family == "values_1e150":
+        return dataset(base.times, base.values * 1e150, base.m)
+    if family == "values_1e-150":
+        return dataset(base.times, base.values * 1e-150, base.m)
+    if family == "constant":  # the mean spline fits these exactly
+        return dataset(base.times, np.full(base.times.size, 2.0), base.m)
+    if family == "one_long_curve":
+        times = [np.sort(rng.uniform(0, 1, 500))]
+        times += [np.sort(rng.uniform(0, 1, 3)) for _ in range(40)]
+        values = [np.sin(2 * np.pi * t) + rng.normal(0, 0.5, t.size) for t in times]
+        return dataset(np.concatenate(times), np.concatenate(values), [t.size for t in times])
+    raise AssertionError(family)
+
+
+EDGE_FAMILIES = (
+    "single_observation", "identical_curves", "two_curves", "one_time",
+    "values_1e150", "values_1e-150", "constant", "one_long_curve",
+)
+EDGE_MAX_ITER = 200
+# the (family, nu, d) cases whose fit caps a stage at EDGE_MAX_ITER
+EDGE_CAPPED = {
+    (family, nu, d)
+    for nu in (1.0, math.inf)
+    for family, d in [("single_observation", 1), ("single_observation", 2), ("two_curves", 1)]
+}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, BASIS.dimension])
+@pytest.mark.parametrize("nu", [1.0, math.inf])
+@pytest.mark.parametrize("family", EDGE_FAMILIES)
+def test_edge_inputs_end_in_results_or_typed_errors(family, nu, d):
+    # no numpy floating-point error on the way (benign underflow aside) and
+    # no warning but fit's own max_iter one, where it is expected
+    data = _edge_data(family)
+    capped = (family, nu, d) in EDGE_CAPPED
+    expect = (
+        pytest.warns(UserWarning, match=f"did not converge within max_iter={EDGE_MAX_ITER}")
+        if capped else contextlib.nullcontext()
+    )
+    grid = np.linspace(0, 1, 11)
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        try:
+            with expect:
+                result = fit(data, ModelConfig(nu=nu, d=d, max_iter=EDGE_MAX_ITER))
+            diagnostics = curve_diagnostics(result.params, data)
+            band = mean_confidence_band(result.params, data, grid)
+        except RfpcaError:
+            assert not capped
+            return
+    assert np.isfinite(result.params.theta).all() and np.isfinite(result.params.sigma2)
+    assert all(np.isfinite(c.s) and np.isfinite(c.weight) for c in diagnostics)
+    assert np.isfinite(band.band_half_width).all()
 
 
 # ---------------------------------------------------------------------------

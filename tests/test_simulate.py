@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
 from rfpca.errors import InvalidInputError, OutOfDomainError
@@ -53,6 +53,20 @@ def test_doppler_matches_formula():
     raw = np.sqrt(t * (1 - t)) * np.sin(2 * math.pi * (1 + shift) / (t + shift))
     ratio = phi3(t) / raw
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)  # common scale only
+
+
+def test_doppler_constant_equals_quad():
+    integral, _ = quad(lambda u: float(simulate._doppler_raw(u) ** 2), 0.0, 1.0, limit=200)
+    assert integral == simulate._DOPPLER_SQUARED_NORM
+
+
+# the last domain is 2^-44 wide, so its grid repeats points (zero spacings)
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.5, 2.0), (3.0, 3.001), (1.0, 1.0 + 2.0**-44)])
+def test_simpson_port_equals_scipy(rng, domain):
+    grid = simulate._error_grid(domain)
+    assert grid.size == simulate.ERROR_NORM_GRID
+    for y in (rng.normal(size=grid.size) ** 2, np.sin(7 * grid) ** 2, np.zeros(grid.size)):
+        assert simulate._simpson(y, domain) == float(simpson(y, x=grid))
 
 
 def test_grid_designs(rng):
