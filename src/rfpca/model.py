@@ -250,12 +250,12 @@ class ModelConfig:
             raise InvalidInputError(f"nu must be positive or inf, got {self.nu}")
         if self.d < 0:
             raise InvalidInputError(f"d must be >= 0, got {self.d}")
-        if not (self.penalty >= 0):
-            raise InvalidInputError(f"penalty must be >= 0, got {self.penalty}")
+        if not (0 <= self.penalty < math.inf):
+            raise InvalidInputError(f"penalty must be finite and >= 0, got {self.penalty}")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
-        if not (self.tol > 0):
-            raise InvalidInputError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise InvalidInputError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -316,8 +316,10 @@ class ModelParams:
 @dataclass(frozen=True)
 class FitResult:
     """A fitted stage. ``loglik_trace`` holds the objective (penalized when
-    the fit is) at each EM iterate; ``loglik``, ``s`` and ``weights`` come from
-    the E-step at the returned parameters."""
+    the fit is) at each EM iterate, or for a warm start at the first two
+    iterates of each SqS3 cycle; ``iterations`` counts EM-map evaluations;
+    ``loglik``, ``s`` and ``weights`` come from the E-step at the returned
+    parameters."""
 
     params: ModelParams
     loglik_trace: np.ndarray
@@ -819,55 +821,132 @@ class _Stop(NamedTuple):
 
     phi: np.ndarray       # (d + 1, p) parameters at its last E-step
     sigma2: float
-    trace: np.ndarray     # (penalized) log-likelihood at each visited iterate
+    trace: np.ndarray     # (penalized) log-likelihood at each traced iterate
     converged: bool
     loglik: float         # unpenalized log-likelihood
     ll_curve: np.ndarray  # (n,) per-curve log densities
     s: np.ndarray         # (n,) squared Mahalanobis distances
     w: np.ndarray         # (n,) robust weights
     btr: np.ndarray       # (n, p) B_i^T (x_i - B_i theta - B_i Xi zhat_i)
-
-    @property
-    def iterations(self) -> int:
-        """EM updates run: one fewer than the iterates visited."""
-        return len(self.trace) - 1
+    iterations: int       # EM-map evaluations (M-steps) run
+    backtracks: int       # SqS3 points rejected for the plain double step
 
 
-def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop | RfpcaError]:
+# axis of the model index in each _EStep field, for moving rows between E-steps
+_ESTEP_MODEL_AXIS = _EStep(0, 2, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0)
+
+
+def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """SqS3 extrapolation (Varadhan & Roland 2008, Scand. J. Stat. 35:335) of
+    each model from its (phi, sigma2) iterates x0, x1 = F(x0), x2 = F(x1): on
+    rows (phi, log sigma2), x0 - 2 a r + a^2 v with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and a = -||r|| / ||v|| capped at -1 and rounded toward
+    -1 to a power of two, so every product with a is exact and batch-size
+    rounding is not amplified. A row whose sigma2 leaves the float range is
+    NaN, which ``_probe`` rejects."""
+    G = len(x0[1])
+
+    def rows(phi, sigma2):
+        return np.concatenate([phi.reshape(G, -1), [[math.log(v)] for v in sigma2.tolist()]], 1)
+
+    y0 = rows(*x0)
+    r = rows(*x1) - y0
+    v = rows(*x2) - y0 - 2.0 * r
+    steps = []
+    for rr, vv in zip(_rowdot(r, r).tolist(), _rowdot(v, v).tolist()):
+        ratio = math.sqrt(rr) / math.sqrt(vv) if vv > 0 else math.inf
+        steps.append(math.ldexp(0.5, math.frexp(ratio)[1]) if 1.0 < ratio < math.inf else 1.0)
+    step = np.array(steps)[:, None]
+    with np.errstate(all="ignore"):
+        y = y0 + (2.0 * step) * r + (step * step) * v
+    phi, sigma2 = y[:, :-1].reshape(x0[0].shape), np.ones(G)
+    for g, value in enumerate(y[:, -1].tolist()):
+        if -700.0 < value < 700.0:
+            sigma2[g] = math.exp(value)
+        else:
+            phi[g] = math.nan
+    return phi, sigma2
+
+
+def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
+    """E-step at each model's SqS3 point (phi, sigma2), kept where it succeeds
+    with a finite objective of at least ``floor`` (the objective at x1); the
+    other models fall back to x2 = (phi2, sigma2_2), evaluated as a batch of
+    their own whose rows replace theirs. Returns the E-step, the errors of
+    fallen-back models whose E-step fails, the kept (phi, sigma2) and the
+    rows that fell back."""
+    with np.errstate(all="ignore"):
+        e, failed = _estep(batch, phi, sigma2)
+        obj = e.loglik if P is None else e.loglik - _penalty(phi, alpha, P) / sigma2
+    back = [
+        j for j, (value, low) in enumerate(zip(obj.tolist(), floor))
+        if j in failed or not (math.isfinite(value) and value >= low)
+    ]
+    if not back:
+        return e, {}, phi, sigma2, back
+    phi[back], sigma2[back] = phi2[back], sigma2_2[back]
+    e_back, failed = _estep(batch.select(back), phi[back], sigma2[back])
+    for full, part, axis in zip(e, e_back, _ESTEP_MODEL_AXIS):
+        np.moveaxis(full, axis, 0)[back] = np.moveaxis(part, axis, 0)
+    return e, {back[k]: err for k, err in failed.items()}, phi, sigma2, back
+
+
+def _em_loop(
+    batch: _Batch, phi, sigma2, alpha, P, max_iter, tol, accelerate=False
+) -> list[_Stop | RfpcaError]:
     """Iterate EM updates of the batch's models in lockstep until each one's
     objective stabilizes.
 
     Each model stops on its own trace, by ``_converged`` or after
-    ``max_iter`` updates, or at the first step that fails for it, and leaves
-    the batch; later iterations update only the models still running.
-    Returns per model, in batch order, its ``_Stop`` record, which keeps
-    copies of its own rows of the E-step it stopped at, or the error it
-    failed with, the one its fit raises alone.
+    ``max_iter`` EM-map evaluations, or at the first step that fails for it,
+    and leaves the batch; later iterations update only the models still
+    running. Returns per model, in batch order, its ``_Stop`` record, which
+    keeps copies of its own rows of the E-step it stopped at, or the error
+    it failed with, the one its fit raises alone.
+
+    With ``accelerate`` the models run SqS3 cycles while three maps fit under
+    ``max_iter``: x1 = F(x0), x2 = F(x1), then F of ``_sqs3_point``'s
+    extrapolation, or of x2 where ``_probe`` rejects it. Only x0 and x1 are
+    traced, and ``_converged`` judges only the plain step between them, so a
+    model stops by plain EM's rule.
     """
     traces = [[] for _ in phi]
+    backtracks = [0] * len(phi)
     stops: list = [None] * len(phi)
     running = list(range(len(phi)))
+    evals = 0  # EM maps each running model has taken
+    phase = "x0" if accelerate and max_iter >= 3 else "plain"
+    judged = True  # whether the last map led from the last traced iterate
+    saved: tuple = ()  # per-model rows that the cycle's next step reads
     while True:
-        e, stopped = _estep(batch, phi, sigma2)
-        pen = _penalty(phi, alpha, P)
-        obj = e.loglik if P is None else e.loglik - pen / sigma2
-        for j, value in enumerate(obj.tolist()):
-            if j not in stopped and not math.isfinite(value):
-                stopped[j] = _overflow("log-likelihood", e.ll_curve[j], batch.data)
-            if j in stopped:  # its E-step failed
-                continue
-            trace = traces[running[j]]
-            trace.append(value)
-            converged = _converged(trace, tol)
-            if converged or len(trace) > max_iter:
-                stopped[j] = _Stop(
-                    phi[j], float(sigma2[j]), np.array(trace), converged, float(e.loglik[j]),
-                    e.ll_curve[j].copy(), e.s[j].copy(), e.w[j].copy(), _model_btr(e.model(j)),
-                )
+        if phase == "probe":
+            e, stopped, phi, sigma2, back = _probe(batch, phi, sigma2, *saved, alpha, P)
+            for j in back:
+                backtracks[running[j]] += 1
+            pen = _penalty(phi, alpha, P)
+        else:
+            e, stopped = _estep(batch, phi, sigma2)
+            pen = _penalty(phi, alpha, P)
+            obj = e.loglik if P is None else e.loglik - pen / sigma2
+            for j, value in enumerate(obj.tolist()):
+                if j not in stopped and not math.isfinite(value):
+                    stopped[j] = _overflow("log-likelihood", e.ll_curve[j], batch.data)
+                if j in stopped:  # its E-step failed
+                    continue
+                trace = traces[running[j]]
+                trace.append(value)
+                converged = judged and _converged(trace, tol)
+                if converged or evals >= max_iter:
+                    stopped[j] = _Stop(
+                        phi[j], float(sigma2[j]), np.array(trace), converged, float(e.loglik[j]),
+                        e.ll_curve[j].copy(), e.s[j].copy(), e.w[j].copy(),
+                        _model_btr(e.model(j)), evals, backtracks[running[j]],
+                    )
         if len(stopped) < len(running):
-            phi, sigma2, failed = _mstep(batch, e, phi, sigma2, alpha, P, pen)
+            phi_new, sigma2_new, failed = _mstep(batch, e, phi, sigma2, alpha, P, pen)
             stopped = failed | stopped  # a model that stopped keeps its stop
         del e  # free this E-step before the next one is computed
+        evals += 1
         for j, stop in stopped.items():
             stops[running[j]] = stop
         if len(stopped) == len(running):
@@ -875,7 +954,22 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
         if stopped:
             keep = [j not in stopped for j in range(len(running))]
             phi, sigma2, batch = phi[keep], sigma2[keep], batch.select(keep)
+            phi_new, sigma2_new = phi_new[keep], sigma2_new[keep]
+            saved = tuple(a[keep] for a in saved)
             running = [g for g, k in zip(running, keep) if k]
+        if phase == "plain":
+            judged, phi, sigma2 = True, phi_new, sigma2_new
+        elif phase == "x0":
+            phase, saved, judged = "x1", (phi, sigma2), True
+            phi, sigma2 = phi_new, sigma2_new
+        elif phase == "x1":
+            floor = np.array([traces[g][-1] for g in running])
+            x0, saved = saved, (phi_new, sigma2_new, floor)
+            phi, sigma2 = _sqs3_point(x0, (phi, sigma2), (phi_new, sigma2_new))
+            phase = "probe"
+        else:  # the map from the kept point ends the cycle
+            phase = "x0" if evals + 3 <= max_iter else "plain"
+            saved, judged, phi, sigma2 = (), False, phi_new, sigma2_new
 
 
 def _estep_at(params: "ModelParams", data: Dataset) -> _EStep:
@@ -1119,12 +1213,15 @@ def _fit_lockstep(
     return out
 
 
-def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) -> dict:
+def _lockstep_stage(
+    batch: _Batch, starts: dict, alpha, P, config: ModelConfig, accelerate=False
+) -> dict:
     """One stage of the batch rows ``starts`` maps to their starting
     (theta, xi, sigma2), in lockstep, ``_models_per_batch`` rows at a time.
     Returns per row its ``_Stop`` or the error its model left the batch with.
-    Every EM run goes through here: the stages of ``_fit_lockstep`` and the
-    warm starts of ``_warm_fits``."""
+    Every EM run goes through here: the plain stages of ``_fit_lockstep``
+    and the warm starts of ``_warm_fits``, which ``accelerate`` with SqS3
+    cycles (``_em_loop``)."""
     rows, out = list(starts), {}
     size = _models_per_batch(config.d, batch.data.n, batch.data.basis.dimension)
     for first in range(0, len(rows), size):
@@ -1132,7 +1229,8 @@ def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) 
         phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in map(starts.get, chunk)])
         sigma2 = np.array([starts[g][2] for g in chunk])
         run = batch if len(chunk) == len(batch.include) else batch.select(chunk)
-        out.update(zip(chunk, _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)))
+        stops = _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol, accelerate)
+        out.update(zip(chunk, stops))
     return out
 
 
@@ -1140,7 +1238,8 @@ def fit_from(data: Dataset, config: ModelConfig, init: ModelParams) -> FitResult
     """Continue EM from given parameters at fixed dimension (no stage growth).
 
     Fits the model requested by ``config``; ``init`` only supplies the
-    starting point. It is ``_warm_fits`` with no curve left out.
+    starting point. It is ``_warm_fits`` with no curve left out, so it runs
+    SqS3 cycles while ``max_iter`` allows three or more EM maps.
     """
     (stop,) = _warm_fits(data, config, init, [None])
     (result,) = _stage_results([stop], config.nu, data.basis)
@@ -1157,7 +1256,9 @@ def _warm_fits(
     observation count, or None to count every curve.
 
     The fits run in lockstep, ``_models_per_batch`` at a time, each stopping
-    on its own trace. Yields per entry the ``_Stop`` of its fit, whose last
+    on its own trace, in SqS3 cycles (``_em_loop``): each starts near a
+    maximum, so there is no other mode for the extrapolation to reach.
+    Yields per entry the ``_Stop`` of its fit, whose last
     E-step is at its returned parameters and still holds the left-out
     curve's log density, or the error with which it left its batch, the one
     it raises on its own. The fits are yielded batch by batch, so only one
@@ -1177,8 +1278,8 @@ def _warm_fits(
             if i is not None:
                 include[g, i] = 0.0
         starts = dict.fromkeys(range(len(chunk)), start)
-        stops = _lockstep_stage(_batch(data, config.nu, include), starts, alpha, P, config)
-        yield from stops.values()
+        batch = _batch(data, config.nu, include)
+        yield from _lockstep_stage(batch, starts, alpha, P, config, accelerate=True).values()
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def cross_validate(
     last iterate, with a warning; a refit that fails leaves its batch with
     its own error, the one it raises alone, and the first such error is
     raised. Returns the score and details, one record per curve: the term,
-    the refit's EM iteration count and whether it converged.
+    whether the refit converged, its EM-map evaluations and how many of its
+    SqS3 points fell back to the plain double step.
     """
     if data.n < 3:
         raise InvalidInputError(f"cross-validation needs n >= 3 curves, got {data.n}")
@@ -100,7 +101,7 @@ def cross_validate(
         term = float(stop.ll_curve[i])
         details.append(
             {"id": curve_id, "loglik": term, "converged": stop.converged,
-             "iterations": stop.iterations}
+             "iterations": stop.iterations, "backtracks": stop.backtracks}
         )
         score += term
     return score, details
@@ -140,6 +141,7 @@ def select_dimension(
             row["cv"] = score
             row["cv_refits_nonconverged"] = sum(1 for rec in details if not rec["converged"])
             row["cv_refit_iterations"] = sum(rec["iterations"] for rec in details)
+            row["cv_refit_backtracks"] = sum(rec["backtracks"] for rec in details)
         rows.append(row)
     if failure is not None:
         partial = SelectionReport(per_d=tuple(rows), chosen_d=None, criterion=criterion)

@@ -462,6 +462,8 @@ def test_missing_file_is_reported(tmp_path):
         pytest.param(["fit", "--data", "{csv}", "--tol", "0"], id="tol-0"),
         pytest.param(["fit", "--data", "{csv}", "--dim", "-1"], id="dim-neg"),
         pytest.param(["fit", "--data", "{csv}", "--penalty", "-1"], id="penalty-neg"),
+        pytest.param(["fit", "--data", "{csv}", "--penalty", "inf"], id="penalty-inf"),
+        pytest.param(["fit", "--data", "{csv}", "--tol", "inf"], id="tol-inf"),
         pytest.param(["fit", "--data", "{csv}", "--knots", "-1"], id="knots-neg"),
         pytest.param(["fit", "--data", "{csv}", "--order", "0"], id="order-0"),
         pytest.param(["fit", "--data", "{csv}", "--domain", "0.2,0.5"], id="domain-narrow"),

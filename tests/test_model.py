@@ -779,8 +779,10 @@ def test_lockstep_stage_error_stays_with_its_model():
     batch = _batch(data, 1.0, include, (
         np.repeat(stats.btx[None], 4, axis=0), np.repeat(stats.xtx[None], 4, axis=0)
     ))
+    # accelerated as _warm_fits runs it, so the survivors match fit_from
     stops = _lockstep_stage(
-        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config
+        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config,
+        accelerate=True,
     )
     without_late = Dataset(
         Curves(data.ids[:-1], data.times[:-1], data.values[:-1], data.m[:-1]), BASIS
@@ -1287,3 +1289,14 @@ def test_config_validation():
         ModelConfig(tol=0.0)
     with pytest.raises(ValueError):
         ModelConfig(penalty=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("penalty", math.inf), ("penalty", math.nan), ("tol", math.inf), ("tol", math.nan)],
+)
+def test_config_rejects_nonfinite_penalty_and_tol(field, value):
+    # an infinite penalty ended in a "log-likelihood is non-finite" error,
+    # and an infinite tol stopped every stage after two updates as converged
+    with pytest.raises(InvalidInputError, match=f"{field} must be"):
+        ModelConfig(**{field: value})
