@@ -185,7 +185,6 @@ def load_model(path) -> tuple[ModelParams, dict]:
         lam = np.asarray(doc["lambda"], dtype=float)
         params = ModelParams(
             theta=np.asarray(doc["theta"], dtype=float),
-            xi=H * np.sqrt(lam),
             H=H,
             lam=lam,
             sigma2=float(doc["sigma2"]),
@@ -301,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--table", type=int, choices=[1, 2],
                        help="canonical study: 1 = estimator RMSEs, 2 = dimension selection")
     group.add_argument("--study", help="JSON study configuration file")
-    p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=int, default=None,
+                       help="replications (default: the study file's, else 200)")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="seed of replication 0 (default: the study file's, else 0)")
     p_sim.add_argument("--out", default=".")
 
     return parser
@@ -361,7 +362,9 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _study_from_json(path, reps: int, seed: int) -> sim.MonteCarloStudy:
+def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
+    """The study a JSON file describes; ``flags`` (reps, seed) given on the
+    command line override the file's values."""
     with open(path) as fh, _json_fields(path, "study file"):
         doc = json.load(fh)
         scenarios = tuple(
@@ -377,34 +380,30 @@ def _study_from_json(path, reps: int, seed: int) -> sim.MonteCarloStudy:
             for s in doc["scenarios"]
         )
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
+        settings = {key: doc[key] for key in ("n", "reps", "seed", "d_max") if key in doc}
         return sim.MonteCarloStudy(
-            mode=doc["mode"],
-            scenarios=scenarios,
-            n=doc.get("n", 100),
-            reps=doc.get("reps", reps),
-            estimators=estimators,
-            seed=doc.get("seed", seed),
-            d_max=doc.get("d_max", 4),
+            mode=doc["mode"], scenarios=scenarios, estimators=estimators, **(settings | flags)
         )
 
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a flag left out takes the study file's value, else the study's default
+    flags = {key: value for key, value in (("reps", args.reps), ("seed", args.seed))
+             if value is not None}
     if args.study:
         name = "study.csv"
-        rows = sim.monte_carlo(_study_from_json(args.study, args.reps, args.seed)).rows
+        rows = sim.monte_carlo(_study_from_json(args.study, flags)).rows
     elif args.table == 1:
         name = "table1.csv"
-        rows = sim.monte_carlo(sim.efficiency_study(reps=args.reps, seed=args.seed)).rows
+        rows = sim.monte_carlo(sim.efficiency_study(**flags)).rows
     else:
         name = "table2.csv"
         rows = [
             {"n": n, **row}
             for n in (20, 60)
-            for row in sim.monte_carlo(
-                sim.selection_study(reps=args.reps, seed=args.seed, n=n)
-            ).rows
+            for row in sim.monte_carlo(sim.selection_study(n=n, **flags)).rows
         ]
     header = list(rows[0])
     _write_csv(out / name, header, ([row[k] for k in header] for row in rows))

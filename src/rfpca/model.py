@@ -42,52 +42,17 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Data containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One subject's irregular (time, value) record."""
+class Trajectory(NamedTuple):
+    """One curve of a ``Dataset``: its id and views of its rows of the
+    pooled ``times`` and ``values``."""
 
     id: str
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        _check_columns([self.id], times, values, np.array([times.size]))
-
     @property
     def m(self) -> int:
         return self.times.size
-
-
-def _check_columns(ids, times, values, m) -> np.ndarray:
-    """Check curves given as pooled columns, raising for the first curve
-    that fails; returns the curve index of each pooled row."""
-    n = len(ids)
-    if times.ndim != 1 or times.shape != values.shape or m.shape != (n,) or (
-        m.sum() != times.size
-    ):
-        raise DimensionMismatchError(
-            "times and values must be equal-length vectors with sum(m) entries"
-        )
-    if (m < 1).any():
-        raise InvalidInputError(
-            f"curve {ids[int(np.argmax(m < 1))]!r}: needs at least one observation"
-        )
-    curve = np.repeat(np.arange(n), m)
-    bad = ~(np.isfinite(times) & np.isfinite(values))
-    if bad.any():
-        raise InvalidInputError(
-            f"curve {ids[curve[np.argmax(bad)]]!r}: times and values must be finite"
-        )
-    bad = (np.diff(times) < 0) & (curve[1:] == curve[:-1])
-    if bad.any():
-        raise InvalidInputError(
-            f"curve {ids[curve[np.argmax(bad)]]!r}: times must be nondecreasing"
-        )
-    return curve
 
 
 class _DesignStats(NamedTuple):
@@ -113,22 +78,14 @@ class Curves(NamedTuple):
 class Dataset:
     """Curves sharing one spline basis, stored as pooled columns.
 
-    Takes ``Curves`` (what ``read_long_csv`` returns) or a sequence of
-    ``Trajectory``. Curve i has id ``ids[i]`` and the rows
+    Built from ``Curves``, which ``read_long_csv`` and ``simulate_dataset``
+    return. Curve i has id ``ids[i]`` and the rows
     ``offsets[i]:offsets[i + 1]`` of ``times`` and ``values``. Everything is
     checked once, on the pooled arrays; ``trajectories`` are views built on
     first use.
     """
 
-    def __init__(self, curves: Curves | Sequence[Trajectory], basis: SplineBasis):
-        if not isinstance(curves, Curves):
-            trajs = list(curves)
-            curves = Curves(
-                [t.id for t in trajs],
-                np.concatenate([t.times for t in trajs] or [np.zeros(0)]),
-                np.concatenate([t.values for t in trajs] or [np.zeros(0)]),
-                [t.m for t in trajs],
-            )
+    def __init__(self, curves: Curves, basis: SplineBasis):
         self.ids = list(curves.ids)
         self.times = np.asarray(curves.times, dtype=float)
         self.values = np.asarray(curves.values, dtype=float)
@@ -136,13 +93,34 @@ class Dataset:
         self.offsets = np.concatenate([[0], np.cumsum(self.m)])
         self.basis = basis
         self._validate()
-        self._density_constants: dict[float, np.ndarray] = {}
 
     def _validate(self) -> None:
-        ids, times = self.ids, self.times
-        if not ids:
+        """Check the pooled columns, raising for the first curve that fails."""
+        ids, times, values, m = self.ids, self.times, self.values, self.m
+        n = len(ids)
+        if not n:
             raise InvalidInputError("dataset needs at least one trajectory")
-        curve = _check_columns(ids, times, self.values, self.m)
+        if times.ndim != 1 or times.shape != values.shape or m.shape != (n,) or (
+            m.sum() != times.size
+        ):
+            raise DimensionMismatchError(
+                "times and values must be equal-length vectors with sum(m) entries"
+            )
+        if (m < 1).any():
+            raise InvalidInputError(
+                f"curve {ids[int(np.argmax(m < 1))]!r}: needs at least one observation"
+            )
+        curve = np.repeat(np.arange(n), m)
+        bad = ~(np.isfinite(times) & np.isfinite(values))
+        if bad.any():
+            raise InvalidInputError(
+                f"curve {ids[curve[np.argmax(bad)]]!r}: times and values must be finite"
+            )
+        bad = (np.diff(times) < 0) & (curve[1:] == curve[:-1])
+        if bad.any():
+            raise InvalidInputError(
+                f"curve {ids[curve[np.argmax(bad)]]!r}: times must be nondecreasing"
+            )
         if len(set(ids)) != len(ids):
             seen: set = set()
             repeat = next(cid for cid in ids if cid in seen or seen.add(cid))
@@ -164,7 +142,7 @@ class Dataset:
 
     @cached_property
     def trajectories(self) -> list[Trajectory]:
-        """The curves as ``Trajectory`` objects over views of the pooled arrays."""
+        """The curves as ``Trajectory`` views of the pooled arrays."""
         bounds = self.offsets.tolist()
         return [
             Trajectory(cid, self.times[a:b], self.values[a:b])
@@ -173,19 +151,17 @@ class Dataset:
 
     @cached_property
     def pooled_design(self) -> np.ndarray:
-        """Design matrix of the pooled times."""
+        """Design matrix of the pooled times; curve i's block is its rows
+        ``offsets[i]:offsets[i + 1]``."""
         return self.basis.design_matrix(self.times)
-
-    @cached_property
-    def design_matrices(self) -> list[np.ndarray]:
-        """Per-curve row blocks (views) of ``pooled_design``."""
-        return np.split(self.pooled_design, self.offsets[1:-1], axis=0)
 
     @cached_property
     def design_stats(self) -> _DesignStats:
         n, p = self.n, self.basis.dimension
         btb = np.empty((n, p, p))
-        for B, out in zip(self.design_matrices, btb):
+        bounds, design = self.offsets.tolist(), self.pooled_design
+        for a, b, out in zip(bounds[:-1], bounds[1:], btb):
+            B = design[a:b]
             np.matmul(B.T, B, out=out)
         btx, xtx = self._value_stats(self.values[None])
         return _DesignStats(self.m, btb, btx[0], xtx[0], int(self.offsets[-1]))
@@ -199,21 +175,20 @@ class Dataset:
         overflows is left infinite, without a numpy warning, for the fit to
         report.
         """
-        G, bounds = values.shape[0], self.offsets.tolist()
+        G, bounds, design = values.shape[0], self.offsets.tolist(), self.pooled_design
         btx = np.empty((self.n, G, self.basis.dimension, 1))
         xtx = np.empty((self.n, G, 1, 1))
         cols = values[:, :, None]
-        blocks = zip(self.design_matrices, bounds[:-1], bounds[1:], btx, xtx)
         with np.errstate(over="ignore", invalid="ignore"):
-            for B, a, b, btx_i, xtx_i in blocks:
+            for a, b, btx_i, xtx_i in zip(bounds[:-1], bounds[1:], btx, xtx):
                 x = cols[:, a:b]  # (G, m_i, 1)
-                np.matmul(B.T, x, out=btx_i)
+                np.matmul(design[a:b].T, x, out=btx_i)
                 np.matmul(x.transpose(0, 2, 1), x, out=xtx_i)
         return btx[..., 0].transpose(1, 0, 2).copy(), xtx[..., 0, 0].T.copy()
 
     def log_density_constant(self, nu: float) -> np.ndarray:
-        """Per-curve terms of the log density that depend only on (m_i, nu),
-        computed once per nu: m_i log(2 pi) for the Normal model, else
+        """Per-curve terms of the log density that depend only on (m_i, nu):
+        m_i log(2 pi) for the Normal model, else
         log Gamma((nu+m_i)/2) - log Gamma(nu/2) - (m_i/2) log(nu pi).
 
         With h = m_i/2 the t constant is evaluated as
@@ -221,16 +196,11 @@ class Dataset:
         large log Gamma terms never meet in a subtraction, so the constant
         keeps its digits at any finite nu and tends to -h log(2 pi).
         """
-        const = self._density_constants.get(nu)
-        if const is None:
-            m = self.m
-            if math.isinf(nu):
-                const = m * LOG_2PI
-            else:
-                h = 0.5 * m
-                const = gammaln(h) - betaln(0.5 * nu, h) - h * (math.log(0.5 * nu) + LOG_2PI)
-            self._density_constants[nu] = const
-        return const
+        m = self.m
+        if math.isinf(nu):
+            return m * LOG_2PI
+        h = 0.5 * m
+        return gammaln(h) - betaln(0.5 * nu, h) - h * (math.log(0.5 * nu) + LOG_2PI)
 
 
 @dataclass(frozen=True)
@@ -262,12 +232,11 @@ class ModelConfig:
 class ModelParams:
     """Fitted parameters: mean coefficients, loadings, noise variance.
 
-    ``xi`` and (``H``, ``lam``) describe the same loadings: xi = H diag(lam)^{1/2}
-    with H orthonormal in the Gram-matrix metric and lam descending.
+    The loadings are (``H``, ``lam``): H orthonormal in the Gram-matrix
+    metric and lam descending; ``xi`` = H diag(lam)^{1/2} is derived from them.
     """
 
     theta: np.ndarray
-    xi: np.ndarray
     H: np.ndarray
     lam: np.ndarray
     sigma2: float
@@ -276,11 +245,16 @@ class ModelParams:
 
     def __post_init__(self):
         errors = _params_errors(
-            self.theta[None], self.xi[None], self.H[None], self.lam[None],
-            np.array([self.sigma2]), self.nu, self.basis,
+            self.theta[None], self.H[None], self.lam[None], np.array([self.sigma2]), self.nu,
+            self.basis,
         )
         if errors:
             raise errors[0]
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Raw loadings H diag(lam)^{1/2}, shape (p, d)."""
+        return self.H * np.sqrt(self.lam)
 
     @property
     def d(self) -> int:
@@ -296,7 +270,6 @@ class ModelParams:
         H, lam = orthonormalize(xi, basis.gram_matrix)
         return cls(
             theta=np.asarray(theta, dtype=float),
-            xi=H * np.sqrt(lam),
             H=H,
             lam=lam,
             sigma2=float(sigma2),
@@ -385,21 +358,20 @@ def _orthonormalize(xi: np.ndarray, J: np.ndarray):
     return H, evals, deficient
 
 
-def _params_errors(theta, xi, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsError]:
+def _params_errors(theta, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsError]:
     """Check G models' parameters, stacked on a leading axis: theta (G, p),
-    xi and H (G, p, d), lam (G, d) and sigma2 (G,), sharing nu and basis.
+    H (G, p, d), lam (G, d) and sigma2 (G,), sharing nu and basis.
 
     Raises ``InvalidParamsError`` for a stack of the wrong shapes; returns, by
     model, the error of the first check it fails: sigma2 > 0, nu > 0, lam
-    positive and descending, H orthonormal in the J metric and xi xi^T equal
-    to H diag(lam) H^T.
+    positive and descending, and H orthonormal in the J metric.
     """
     G, p = len(sigma2), basis.dimension
     if theta.shape != (G, p):
         raise InvalidParamsError(f"theta must have shape ({p},)")
     d = H.shape[2] if H.ndim == 3 else -1
-    if H.shape != (G, p, d) or xi.shape != (G, p, d) or lam.shape != (G, d):
-        raise InvalidParamsError("xi, H, lam have inconsistent shapes")
+    if H.shape != (G, p, d) or lam.shape != (G, d):
+        raise InvalidParamsError("H and lam have inconsistent shapes")
     errors = {
         g: InvalidParamsError(f"sigma2 must be positive, got {sigma2[g]}")
         for g in np.flatnonzero(~(sigma2 > 0)).tolist()
@@ -409,21 +381,10 @@ def _params_errors(theta, xi, H, lam, sigma2, nu, basis) -> dict[int, InvalidPar
             errors.setdefault(g, InvalidParamsError(f"nu must be positive or inf, got {nu}"))
     if d > 0:
         eye, Ht = np.eye(d), H.transpose(0, 2, 1)
-        xxt = xi @ xi.transpose(0, 2, 1)
-        # ||xxt - hlh|| <= 1e-8 max(1, ||xxt||), with both matrices divided
-        # by max|xxt| first so the Frobenius norms cannot overflow
-        c = np.abs(xxt).max(axis=(1, 2))
-        c = np.where(c == 0, 1.0, c)
-        xxt, hlh = xxt / c[:, None, None], (H * lam[:, None]) @ Ht / c[:, None, None]
-
-        def frob(x):
-            return np.sqrt((x * x).sum(axis=(1, 2)))
-
         failed = np.stack([
             (lam <= 0).any(axis=1) | (np.diff(lam, axis=1) > 0).any(axis=1),
             # np.allclose(H^T J H, I, atol=1e-8), NaN failing
             ~(np.abs(Ht @ basis.gram_matrix @ H - eye) <= 1e-8 + 1e-5 * eye).all(axis=(1, 2)),
-            frob(xxt - hlh) > 1e-8 * np.maximum(1.0 / c, frob(xxt)),
         ])
         for g in np.flatnonzero(failed.any(axis=0)).tolist():
             errors.setdefault(g, InvalidParamsError(_PARAM_CHECKS[int(np.argmax(failed[:, g]))]))
@@ -433,7 +394,6 @@ def _params_errors(theta, xi, H, lam, sigma2, nu, basis) -> dict[int, InvalidPar
 _PARAM_CHECKS = (
     "lam must be positive and descending",
     "H is not orthonormal in the J metric",
-    "xi and (H, lam) are inconsistent",
 )
 
 
@@ -570,11 +530,14 @@ class _EStep(NamedTuple):
 
     def model(self, g: int) -> "_EStep":
         """Model g's quantities without the model axis (views)."""
-        return _EStep(
-            self.A[g], self.xtbx[:, :, g], self.Vinv[:, :, g], self.btr[g],
-            self.u[:, g], self.zhat_dn[:, g], self.uz[g], self.rtr[g], self.s[g],
-            self.w[g], self.ll_curve[g], self.loglik[g],
-        )
+        return _EStep._make([f[index + (g,)] for f, index in zip(self, _ESTEP_MODEL_INDEX)])
+
+
+# the slices over the axes before the model axis of each _EStep field, so
+# that field[index + (rows,)] takes or sets those models' rows of the field
+_ESTEP_MODEL_INDEX = _EStep(*(
+    (slice(None),) * axis for axis in (0, 2, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0)
+))
 
 
 def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -832,10 +795,6 @@ class _Stop(NamedTuple):
     backtracks: int       # SqS3 points rejected for the plain double step
 
 
-# axis of the model index in each _EStep field, for moving rows between E-steps
-_ESTEP_MODEL_AXIS = _EStep(0, 2, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0)
-
-
 def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """SqS3 extrapolation (Varadhan & Roland 2008, Scand. J. Stat. 35:335) of
     each model from its (phi, sigma2) iterates x0, x1 = F(x0), x2 = F(x1): on
@@ -886,8 +845,8 @@ def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
         return e, {}, phi, sigma2, back
     phi[back], sigma2[back] = phi2[back], sigma2_2[back]
     e_back, failed = _estep(batch.select(back), phi[back], sigma2[back])
-    for full, part, axis in zip(e, e_back, _ESTEP_MODEL_AXIS):
-        np.moveaxis(full, axis, 0)[back] = np.moveaxis(part, axis, 0)
+    for full, part, index in zip(e, e_back, _ESTEP_MODEL_INDEX):
+        full[index + (back,)] = part
     return e, {back[k]: err for k, err in failed.items()}, phi, sigma2, back
 
 
@@ -1075,8 +1034,7 @@ def _stage_results(
     d = phi.shape[1] - 1
     theta, sigma2 = phi[:, d], np.array([stops[g].sigma2 for g in rows])
     H, lam, deficient = _orthonormalize(phi[:, :d].transpose(0, 2, 1), basis.gram_matrix)
-    xi = H * np.sqrt(lam)[:, None]
-    errors = _params_errors(theta, xi, H, lam, sigma2, nu, basis)
+    errors = _params_errors(theta, H, lam, sigma2, nu, basis)
     for j, (g, s2) in enumerate(zip(rows, sigma2.tolist())):
         if deficient[j]:
             out[g] = ConditioningError(_RANK_DEFICIENT)
@@ -1086,7 +1044,7 @@ def _stage_results(
             # the fields the check has just passed, set without checking again
             params = object.__new__(ModelParams)
             params.__dict__.update(
-                theta=theta[j], xi=xi[j], H=H[j], lam=lam[j], sigma2=s2, nu=float(nu), basis=basis
+                theta=theta[j], H=H[j], lam=lam[j], sigma2=s2, nu=float(nu), basis=basis
             )
             stop = stops[g]
             out[g] = FitResult(

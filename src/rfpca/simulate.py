@@ -386,8 +386,16 @@ class MonteCarloStudy:
     def __post_init__(self):
         if self.mode not in ("estimation", "selection"):
             raise InvalidInputError(f"unknown study mode {self.mode!r}")
+        for name in ("n", "reps", "seed", "d_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if self.n < 2:
+            raise InvalidInputError(f"n must be >= 2, as a fit needs two curves, got {self.n}")
         if self.reps < 1:
             raise InvalidInputError("reps must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios or not self.estimators:
             raise InvalidInputError("a study needs at least one scenario and one estimator")
         for what, labels in (

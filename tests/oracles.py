@@ -95,12 +95,13 @@ def dense_t_logpdf(x, mu, sigma, nu):
 
 def dense_log_likelihood(theta, xi, sigma2, nu, data):
     """Sum of dense per-curve log densities at raw (unorthonormalized)
-    loadings, on the dataset's design matrices."""
+    loadings, each curve's design matrix built from its own times."""
     params = SimpleNamespace(xi=np.asarray(xi, dtype=float), sigma2=sigma2)
-    return sum(
-        dense_t_logpdf(traj.values, B @ theta, dense_covariance(params, B), nu)
-        for traj, B in zip(data.trajectories, data.design_matrices)
-    )
+    total = 0.0
+    for traj in data.trajectories:
+        B = data.basis.design_matrix(traj.times)
+        total += dense_t_logpdf(traj.values, B @ theta, dense_covariance(params, B), nu)
+    return total
 
 
 def doppler_projection(basis):
@@ -174,9 +175,42 @@ def random_params(rng, basis, d, sigma2=0.3, nu=1.0, scale=1.0):
     return ModelParams.from_xi(theta, xi, sigma2, nu, basis)
 
 
-def random_trajectory(rng, basis, m, params=None, noise=0.5, id_="curve"):
-    from rfpca import Trajectory
+def singular_at_right_end(basis):
+    """Valid ModelParams whose two components both load on the last basis
+    function, the only one nonzero at the right end of the domain, with
+    lam_1 set so that the two columns of B Xi match there. For a curve
+    observed only at that end, V_i = I + Xi^T B^T B Xi / sigma2 rounds to
+    2^140 c [[1, -1], [-1, 1]], singular in floating point; a curve away
+    from the last two basis functions has V_i = I."""
+    from rfpca import ModelParams
 
+    J, eye = basis.gram_matrix, np.eye(basis.dimension)
+    h2 = eye[-1] / math.sqrt(J[-1, -1])
+    h1 = eye[-2] - (eye[-2] @ J @ h2) * h2  # J-orthogonal to h2
+    h1 /= math.sqrt(h1 @ J @ h1)
+    lam2 = 2.0**140
+    return ModelParams(
+        theta=np.zeros(basis.dimension), H=np.column_stack([h1, h2]),
+        lam=np.array([lam2 * (h2[-1] / h1[-1]) ** 2, lam2]), sigma2=1.0, nu=1.0, basis=basis,
+    )
+
+
+def dataset_of(records, basis):
+    """The ``Dataset`` of (id, times, values) records, ``Trajectory`` views
+    among them, pooled in the given order."""
+    from rfpca import Curves, Dataset
+
+    ids, times, values = zip(*records)
+    times = [np.asarray(t, dtype=float) for t in times]
+    values = [np.asarray(v, dtype=float) for v in values]
+    return Dataset(
+        Curves(list(ids), np.concatenate(times), np.concatenate(values), [t.size for t in times]),
+        basis,
+    )
+
+
+def random_trajectory(rng, basis, m, params=None, noise=0.5, id_="curve"):
+    """One random curve as an (id, times, values) record."""
     a, b = basis.domain
     times = np.sort(rng.uniform(a, b, m))
     if params is None:
@@ -185,12 +219,10 @@ def random_trajectory(rng, basis, m, params=None, noise=0.5, id_="curve"):
         B = basis.design_matrix(times)
         z = rng.normal(size=params.d)
         values = B @ (params.theta + params.xi @ z) + noise * rng.normal(size=m)
-    return Trajectory(id=id_, times=times, values=values)
+    return id_, times, values
 
 
 def random_dataset(rng, basis, n, m_range=(5, 15), params=None, noise=0.5):
-    from rfpca import Dataset
-
     trajs = [
         random_trajectory(
             rng, basis, int(rng.integers(m_range[0], m_range[1] + 1)),
@@ -198,7 +230,7 @@ def random_dataset(rng, basis, n, m_range=(5, 15), params=None, noise=0.5):
         )
         for i in range(n)
     ]
-    return Dataset(trajs, basis)
+    return dataset_of(trajs, basis)
 
 
 def reference_read_long_csv(path):

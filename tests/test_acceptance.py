@@ -15,8 +15,6 @@ from scipy.integrate import simpson
 from rfpca import (
     ModelConfig,
     ModelParams,
-    Dataset,
-    Trajectory,
     bic,
     build_basis,
     degrees_of_freedom,
@@ -43,7 +41,9 @@ from rfpca.simulate import (
     l2_error,
     monte_carlo,
 )
-from oracles import added_column_gain, dense_covariance, doppler_projection, random_params
+from oracles import (
+    added_column_gain, dataset_of, dense_covariance, doppler_projection, random_params,
+)
 
 
 SEED = 0
@@ -341,8 +341,8 @@ def test_criterion_9_influence_boundedness(acceptance_report):
         clean_mean = fit(base, ModelConfig(nu=nu, d=0)).params
         shifts[nu] = []
         for K in (4, 8, 16, 32):
-            out = Trajectory("outlier", t_out, base_curve + K * phi3(t_out))
-            data = Dataset(list(base.trajectories) + [out], base.basis)
+            out = ("outlier", t_out, base_curve + K * phi3(t_out))
+            data = dataset_of(base.trajectories + [out], base.basis)
             mean_k = fit(data, ModelConfig(nu=nu, d=0)).params
             shifts[nu].append(
                 l2_error(lambda t: mean_k.mean(t), lambda t: clean_mean.mean(t))

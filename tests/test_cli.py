@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from rfpca import CsvParseError
 from rfpca.cli import ingest, load_model, main, read_long_csv, save_model
 from rfpca.diagnostics import curve_diagnostics, mean_confidence_band
-from rfpca.model import ModelConfig, Trajectory, fit, log_likelihood
+from rfpca import model
+from rfpca.model import ModelConfig, fit, log_likelihood
 from rfpca.selection import cross_validate, select_dimension
 from rfpca.simulate import (
     Contamination,
@@ -246,13 +247,13 @@ def test_header_and_empty_file_errors(tmp_path, text, message):
 
 def test_hot_paths_build_no_trajectories(sim_csv, monkeypatch):
     built = []
-    original = Trajectory.__post_init__
+    original = model.Trajectory
 
-    def counting(self):
-        built.append(self.id)
-        original(self)
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
 
-    monkeypatch.setattr(Trajectory, "__post_init__", counting)
+    monkeypatch.setattr(model, "Trajectory", counting)
     data = ingest(sim_csv, domain=(0, 1))
     config = ModelConfig(nu=1.0, d=1, tol=1e-6)
     result = fit(data, config)
@@ -405,6 +406,26 @@ def test_simulate_command_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_simulate_flags_override_study_file(tmp_path):
+    def run(name, doc, *flags):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps({
+            "mode": "estimation", "scenarios": [{"name": "clean"}], "n": 20,
+            "estimators": [1.0], **doc,
+        }))
+        assert main(["simulate", "--study", str(cfg), *flags, "--out", str(out)]) == 0
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return [int(r["reps_used"]) + int(r["reps_excluded"]) for r in rows], rows
+
+    # the file's values apply when no flag is given
+    reps, from_file = run("file", {"reps": 2, "seed": 7})
+    assert reps == [2, 2]
+    # a given flag wins over the file's value
+    reps, from_flags = run("flags", {"reps": 3, "seed": 4}, "--reps", "2", "--seed", "7")
+    assert reps == [2, 2] and from_flags == from_file
+
+
 def test_penalized_model_file_loglik_is_unpenalized(tmp_path, sim_csv):
     out = tmp_path / "pen"
     code = main([
@@ -453,6 +474,20 @@ def test_missing_file_is_reported(tmp_path):
     assert code == 1
 
 
+# study-file numbers that are not integers of the allowed range; each ended
+# in a raw TypeError or ValueError, or (n = 1) in a table of NaN cells
+_BAD_STUDY_NUMBERS = {
+    "n-float": {"n": 2.5},
+    "n-bool": {"n": True},
+    "n-1": {"n": 1},
+    "reps-float": {"reps": 1.5},
+    "seed-text": {"seed": "abc"},
+    "seed-float": {"seed": 1.5},
+    "seed-neg": {"seed": -1},
+    "dmax-float": {"mode": "selection", "d_max": 1.5},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -493,6 +528,10 @@ def test_missing_file_is_reported(tmp_path):
         pytest.param(["simulate", "--study", "{study_repeated}"], id="study-repeated-labels"),
         pytest.param(["simulate", "--study", "{study_cauchy_twice}"], id="study-cauchy-twice"),
         pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
+        *(
+            pytest.param(["simulate", "--study", f"{{study_{name}}}"], id=f"study-{name}")
+            for name in _BAD_STUDY_NUMBERS
+        ),
     ],
 )
 def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
@@ -528,6 +567,11 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    for name, field in _BAD_STUDY_NUMBERS.items():
+        doc = {"mode": "estimation", "scenarios": [{"name": "clean"}], "estimators": [1.0],
+               "n": 20, "reps": 1} | field
+        paths[f"study_{name}"] = tmp_path / f"study_{name}.json"
+        paths[f"study_{name}"].write_text(json.dumps(doc))
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -8,7 +8,6 @@ from rfpca import (
     Dataset,
     DimensionMismatchError,
     ModelConfig,
-    Trajectory,
     build_basis,
     curve_diagnostics,
     fit,
@@ -20,6 +19,7 @@ from rfpca import (
 from rfpca.diagnostics import OUTLIER_QUANTILE, _outlier_cutoff
 from rfpca.model import _estep_at
 from rfpca.simulate import Contamination, GridDesign, TrueModel
+from oracles import dataset_of
 
 
 BASIS = build_basis(4, 5, (0, 1))
@@ -80,8 +80,8 @@ def test_curve_diagnostics_near_noiseless():
             + z[1] * math.sqrt(0.25) * math.sqrt(2) * np.sin(2 * math.pi * times)
             + 1e-3 * rng.normal(size=15)
         )
-        trajs.append(Trajectory(f"c{i}", times, x))
-    data = Dataset(trajs, BASIS)
+        trajs.append((f"c{i}", times, x))
+    data = dataset_of(trajs, BASIS)
     res = fit(data, ModelConfig(nu=math.inf, d=2))
     diags = curve_diagnostics(res.params, data)
     assert max(d.residual_norm for d in diags) < 0.05
@@ -116,7 +116,7 @@ def test_outlier_flag_coherence():
 
 def test_diagnostics_basis_mismatch():
     res, data = _clean_fit(n=20, m=10)
-    other = Dataset(data.trajectories, build_basis(4, 6, (0, 1)))
+    other = dataset_of(data.trajectories, build_basis(4, 6, (0, 1)))
     with pytest.raises(DimensionMismatchError):
         curve_diagnostics(res.params, other)
 
@@ -131,12 +131,8 @@ def test_mean_covariance_symmetric_psd():
 def test_mean_covariance_scales_inversely_with_n():
     res, data = _clean_fit(n=80, seed=5, nu=1.0, d=1)
     v1 = mean_covariance(res.params, data)
-    doubled = Dataset(
-        data.trajectories
-        + [
-            Trajectory(t.id + "_dup", t.times, t.values)
-            for t in data.trajectories
-        ],
+    doubled = dataset_of(
+        data.trajectories + [(t.id + "_dup", t.times, t.values) for t in data.trajectories],
         data.basis,
     )
     v2 = mean_covariance(fit(doubled, ModelConfig(nu=1.0, d=1)).params, doubled)

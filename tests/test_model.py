@@ -23,7 +23,6 @@ from rfpca import (
     OutOfDomainError,
     RfpcaError,
     SplineBasis,
-    Trajectory,
     build_basis,
     curve_diagnostics,
     em_step,
@@ -50,7 +49,8 @@ from rfpca.model import (
 )
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import (
-    dense_covariance, dense_t_logpdf, init_new_column, random_dataset, random_params,
+    dataset_of, dense_covariance, dense_t_logpdf, init_new_column, random_dataset, random_params,
+    singular_at_right_end,
 )
 
 
@@ -117,9 +117,8 @@ def test_estep_matches_dense(rng, d, nu):
     data = random_dataset(rng, BASIS, n=6, m_range=(3, 12), params=params)
     # curve 0 lies on the model mean
     first = data.trajectories[0]
-    data = Dataset(
-        [Trajectory(first.id, first.times, params.mean(first.times))] + data.trajectories[1:],
-        BASIS,
+    data = dataset_of(
+        [(first.id, first.times, params.mean(first.times))] + data.trajectories[1:], BASIS
     )
     e = _estep_at(params, data)
     assert e.s[0] == 0.0
@@ -202,8 +201,8 @@ def test_loglik_cauchy_closed_form():
     basis = build_basis(4, 5, (0, 1))
     theta = np.ones(9) * 3.0  # mu(t) = 3
     params = ModelParams.from_xi(theta, np.zeros((9, 0)), 4.0, 1.0, basis)
-    traj = Trajectory("c", np.array([0.4]), np.array([3.0]))  # x = mu(t), sigma = 2
-    ll = log_likelihood(params, Dataset([traj], basis))
+    traj = ("c", [0.4], [3.0])  # x = mu(t), sigma = 2
+    ll = log_likelihood(params, dataset_of([traj], basis))
     assert abs(ll - (-math.log(2 * math.pi))) < 1e-12
 
 
@@ -211,7 +210,7 @@ def test_loglik_gaussian_limit(rng):
     data = random_dataset(rng, BASIS, n=30, m_range=(3, 12))
     params = random_params(rng, BASIS, d=2, sigma2=0.6, nu=1e8)
     params_inf = ModelParams(
-        theta=params.theta, xi=params.xi, H=params.H, lam=params.lam,
+        theta=params.theta, H=params.H, lam=params.lam,
         sigma2=params.sigma2, nu=math.inf, basis=BASIS,
     )
     assert abs(log_likelihood(params, data) - log_likelihood(params_inf, data)) < 1e-4
@@ -257,8 +256,7 @@ def test_loglik_decreasing_in_distance(rng):
     direction = rng.normal(size=8)
     lls = []
     for c in (0.5, 1.0, 2.0):
-        traj = Trajectory("c", times, mu + c * direction)
-        lls.append(log_likelihood(params, Dataset([traj], BASIS)))
+        lls.append(log_likelihood(params, dataset_of([("c", times, mu + c * direction)], BASIS)))
     assert lls[0] > lls[1] > lls[2]
 
 
@@ -317,10 +315,7 @@ def test_params_consistency_check_holds_at_large_scale(rng, scale):
     xi = rng.normal(size=(9, 2)) * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        params = ModelParams.from_xi(np.zeros(9), xi, 1.0, 1.0, BASIS)
-    # swapped, rescaled columns describe other loadings than (H, lam)
-    with pytest.raises(InvalidParamsError, match="inconsistent"):
-        dataclasses.replace(params, xi=params.xi[:, ::-1] * [2.0, 0.5])
+        ModelParams.from_xi(np.zeros(9), xi, 1.0, 1.0, BASIS)
 
 
 def test_params_check_reports_each_model_of_a_stack(rng):
@@ -331,13 +326,12 @@ def test_params_check_reports_each_model_of_a_stack(rng):
         {},
         {"sigma2": -1.0},
         {"lam": np.array([good.lam[0], -1.0])},
-        {**swapped, "xi": good.xi[:, ::-1].copy()},  # ascending lam
-        {"H": good.H * 1.1, "xi": good.xi * 1.1},  # not J-orthonormal
-        {"xi": good.xi[:, ::-1] * [2.0, 0.5]},  # inconsistent
+        swapped,  # ascending lam
+        {"H": good.H * 1.1},  # not J-orthonormal
     ]
     stacks = [dataclasses.asdict(good) | change for change in variants]
     errors = model._params_errors(
-        *(np.stack([s[k] for s in stacks]) for k in ("theta", "xi", "H", "lam", "sigma2")),
+        *(np.stack([s[k] for s in stacks]) for k in ("theta", "H", "lam", "sigma2")),
         1.0, BASIS,
     )
     assert sorted(errors) == list(range(1, len(variants)))
@@ -437,24 +431,9 @@ def test_em_step_penalized_matches_manual_assembly(rng, d):
 
 
 def test_loglik_singular_posterior_precision_is_conditioning_error():
-    # Two identical loading columns 2^70 e_9 on the last basis function, which
-    # is exactly 1 at the right endpoint: for a curve observed there,
-    # V_i = I + Xi^T B^T B Xi / sigma2 rounds to 2^140 [[1, 1], [1, 1]],
-    # singular in floating point. A curve away from that function has V_i = I.
-    J = BASIS.gram_matrix
-    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
-    H = np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])])
-    params = ModelParams(
-        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70, H=H,
-        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
-    )
-    data = Dataset(
-        [
-            Trajectory("early", np.array([0.01, 0.05]), np.array([0.3, -0.2])),
-            Trajectory("late", np.array([1.0]), np.array([0.4])),
-        ],
-        BASIS,
-    )
+    # V_i rounds to a singular matrix for the curve observed at t = 1 only
+    params = singular_at_right_end(BASIS)
+    data = dataset_of([("early", [0.01, 0.05], [0.3, -0.2]), ("late", [1.0], [0.4])], BASIS)
     with pytest.raises(ConditioningError, match="'late'"):
         log_likelihood(params, data)
 
@@ -503,8 +482,8 @@ def test_fit_rank1_recovery(rng):
         times = np.sort(rng.uniform(0, 1, 15))
         z = rng.normal()
         x = 3.0 * z * math.sqrt(2) * np.sin(math.pi * times) + 0.01 * rng.normal(size=15)
-        trajs.append(Trajectory(f"c{i}", times, x))
-    data = Dataset(trajs, basis)
+        trajs.append((f"c{i}", times, x))
+    data = dataset_of(trajs, basis)
     # with noise variance 1e-4, EM on the component is slow: the last of
     # max_iter iterates is already close enough
     with pytest.warns(UserWarning, match="did not converge within max_iter=2000: d=1;"):
@@ -598,19 +577,15 @@ def test_fit_warns_naming_capped_stages():
 
 def test_fit_zero_data_degenerate():
     times = np.linspace(0, 1, 5)
-    trajs = [Trajectory(f"c{i}", times, np.zeros(5)) for i in range(4)]
-    data = Dataset(trajs, BASIS)
+    data = dataset_of([(f"c{i}", times, np.zeros(5)) for i in range(4)], BASIS)
     with pytest.raises(DegenerateFitError):
         fit(data, ModelConfig(nu=math.inf, d=0))
 
 
 def test_fit_constant_data(rng):
     # curves must jointly support all basis functions for theta to be identified
-    trajs = [
-        Trajectory(f"c{i}", np.sort(rng.uniform(0, 1, 12)), np.full(12, 7.0))
-        for i in range(5)
-    ]
-    data = Dataset(trajs, BASIS)
+    trajs = [(f"c{i}", np.sort(rng.uniform(0, 1, 12)), np.full(12, 7.0)) for i in range(5)]
+    data = dataset_of(trajs, BASIS)
     res = fit(data, ModelConfig(nu=math.inf, d=0))
     grid = np.linspace(0, 1, 101)
     np.testing.assert_allclose(res.params.mean(grid), 7.0, atol=1e-6)
@@ -621,11 +596,8 @@ def test_vanishing_noise_variance_is_degenerate(nu):
     # the mean spline fits constant curves to rounding, so under a t model the
     # curves' weights grow and sigma2 falls geometrically, without bound
     rng = np.random.default_rng(0)
-    trajs = [
-        Trajectory(f"c{i}", np.sort(rng.uniform(0, 1, 10)), np.full(10, 2.0))
-        for i in range(30)
-    ]
-    data = Dataset(trajs, BASIS)
+    trajs = [(f"c{i}", np.sort(rng.uniform(0, 1, 10)), np.full(10, 2.0)) for i in range(30)]
+    data = dataset_of(trajs, BASIS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateFitError, match="noise variance sigma2") as exc_info:
@@ -756,15 +728,8 @@ def test_lockstep_stage_error_stays_with_its_model():
     # survivors; each failing row reports its solo error, the survivors go on
     values = np.random.default_rng(3).normal(size=97)
     data = _late_curve_data(values)
-    J = BASIS.gram_matrix
-    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
-    # the loadings of test_loglik_singular_posterior_precision_is_conditioning_error:
     # V_i is singular in floating point for the curve observed at t = 1
-    singular = ModelParams(
-        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70,
-        H=np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])]),
-        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
-    )
+    singular = singular_at_right_end(BASIS)
     good = ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS)
     starts = [
         good,
@@ -860,9 +825,10 @@ def test_value_stats_rows_match_each_row_alone():
     btx, xtx = base._value_stats(rows)
     assert btx.shape == (13, base.n, 9) and xtx.shape == (13, base.n)
     for g, x in enumerate(rows):
-        for i, B in enumerate(base.design_matrices):
-            curve = x[base.offsets[i]:base.offsets[i + 1]]
-            assert np.array_equal(btx[g, i], B.T @ curve)
+        for i in range(base.n):
+            a, b = base.offsets[i], base.offsets[i + 1]
+            curve = x[a:b]
+            assert np.array_equal(btx[g, i], base.pooled_design[a:b].T @ curve)
             assert xtx[g, i] == curve @ curve
     stats = base.design_stats
     assert np.array_equal(stats.btx, base._value_stats(base.values[None])[0][0])
@@ -931,7 +897,7 @@ def test_fit_invariant_to_curve_order(n, d, nu, contaminated, seed):
         TrueModel(), GridDesign.random_uniform(10), n, contamination, seed=seed
     )
     perm = np.random.default_rng(seed).permutation(n)
-    shuffled = Dataset([data.trajectories[i] for i in perm], data.basis)
+    shuffled = dataset_of([data.trajectories[i] for i in perm], data.basis)
     config = ModelConfig(nu=nu, d=d, tol=1e-14, max_iter=50000)
     orig, moved = fit(data, config), fit(shuffled, config)
 
@@ -1146,7 +1112,7 @@ def test_ee_theta_residual_grows_off_root(rng):
     theta = res.params.theta.copy()
     theta[2] += 0.1
     perturbed = ModelParams(
-        theta=theta, xi=res.params.xi, H=res.params.H, lam=res.params.lam,
+        theta=theta, H=res.params.H, lam=res.params.lam,
         sigma2=res.params.sigma2, nu=res.params.nu, basis=res.params.basis,
     )
     assert estimating_equation_residuals(perturbed, data)[0] > base
@@ -1190,29 +1156,19 @@ def test_ee_residuals_match_dense_assembly(rng):
 # validation errors
 # ---------------------------------------------------------------------------
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory("a", np.array([0.2, 0.1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        Trajectory("a", np.array([0.1, np.nan]), np.array([1.0, 2.0]))
-    with pytest.raises(Exception):
-        Trajectory("a", np.array([0.1, 0.2]), np.array([1.0]))
-
-
-def test_dataset_validation():
-    t = Trajectory("a", np.array([0.5]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        Dataset([t, Trajectory("a", np.array([0.3]), np.array([0.5]))], BASIS)
-    with pytest.raises(ValueError):
-        Dataset([Trajectory("b", np.array([1.5]), np.array([0.0]))], BASIS)
-    with pytest.raises(ValueError):
-        Dataset([], BASIS)
-
-
 def _curves(ids, times, values, m):
     return Curves(
         ids, np.array(times, dtype=float), np.array(values, dtype=float), np.array(m, dtype=int)
     )
+
+
+def test_dataset_validation():
+    with pytest.raises(ValueError):
+        Dataset(_curves(["a", "a"], [0.5, 0.3], [1.0, 0.5], [1, 1]), BASIS)
+    with pytest.raises(ValueError):
+        Dataset(_curves(["b"], [1.5], [0.0], [1]), BASIS)
+    with pytest.raises(ValueError):
+        Dataset(_curves([], [], [], []), BASIS)
 
 
 @pytest.mark.parametrize(
@@ -1250,18 +1206,6 @@ def _curves(ids, times, values, m):
 def test_dataset_checks_pooled_columns(curves, error, message):
     with pytest.raises(error, match=message):
         Dataset(curves, BASIS)
-    # the same curves as Trajectory objects fail with the same message,
-    # from Trajectory's own per-curve check or from the pooled one
-    if curves.m.sum() == curves.times.size:
-        bounds = np.concatenate([[0], np.cumsum(curves.m)])
-        with pytest.raises(error, match=message):
-            Dataset(
-                [
-                    Trajectory(cid, curves.times[a:b], curves.values[a:b])
-                    for cid, a, b in zip(curves.ids, bounds[:-1], bounds[1:])
-                ],
-                BASIS,
-            )
 
 
 def test_dataset_pools_curves_and_builds_views():
@@ -1274,7 +1218,8 @@ def test_dataset_pools_curves_and_builds_views():
     assert [t.id for t in data.trajectories] == ["a", "b", "c"]
     b = data.trajectories[1]
     assert b.times.tolist() == [0.1, 0.2, 0.5] and np.shares_memory(b.values, data.values)
-    same = Dataset(data.trajectories, BASIS)
+    assert b.m == 3
+    same = dataset_of(data.trajectories, BASIS)
     assert same.ids == data.ids
     assert same.times.tobytes() == data.times.tobytes()
     assert same.values.tobytes() == data.values.tobytes()

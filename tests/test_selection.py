@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from rfpca import (
-    Dataset,
     ModelConfig,
-    Trajectory,
     aic,
     bic,
     build_basis,
@@ -32,9 +30,11 @@ from oracles import (
     added_column_gain,
     dense_covariance,
     dense_log_likelihood,
+    dataset_of,
     dense_t_logpdf,
     doppler_projection,
     random_dataset,
+    singular_at_right_end,
 )
 
 
@@ -136,11 +136,8 @@ def test_cross_validate_manual_oracle():
     """Hand-assembled held-out log densities reproduce the cv score."""
     basis = build_basis(4, 1, (0, 1))
     rng = np.random.default_rng(7)
-    trajs = [
-        Trajectory(f"c{i}", np.sort(rng.uniform(0, 1, 8)), rng.normal(size=8))
-        for i in range(3)
-    ]
-    data = Dataset(trajs, basis)
+    trajs = [(f"c{i}", np.sort(rng.uniform(0, 1, 8)), rng.normal(size=8)) for i in range(3)]
+    data = dataset_of(trajs, basis)
     config = ModelConfig(nu=1.0, d=0)
     full = fit(data, config)
     manual = 0.0
@@ -154,7 +151,7 @@ def test_cross_validate_manual_oracle():
 
 
 def _without(data, i):
-    return Dataset(data.trajectories[:i] + data.trajectories[i + 1 :], data.basis)
+    return dataset_of(data.trajectories[:i] + data.trajectories[i + 1 :], data.basis)
 
 
 def _reference_cross_validation(data, config, full):
@@ -167,7 +164,7 @@ def _reference_cross_validation(data, config, full):
         warnings.simplefilter("ignore")
         for i in range(data.n):
             refit = fit_from(_without(data, i), config, full.params)
-            held_out = Dataset([data.trajectories[i]], data.basis)
+            held_out = dataset_of([data.trajectories[i]], data.basis)
             terms.append(log_likelihood(refit.params, held_out))
             iterations.append(refit.iterations)
             converged.append(refit.converged)
@@ -323,18 +320,6 @@ def test_cross_validate_traced_memory_is_bounded():
     assert peak < 2_000_000, peak
 
 
-def _singular_late_params():
-    # the loadings of test_loglik_singular_posterior_precision_is_conditioning_error:
-    # V_i rounds to a singular matrix for a curve observed at t = 1
-    J = BASIS.gram_matrix
-    e_first, e_last = np.eye(9)[0], np.eye(9)[-1]
-    H = np.column_stack([e_last / math.sqrt(J[-1, -1]), e_first / math.sqrt(J[0, 0])])
-    return ModelParams(
-        theta=np.zeros(9), xi=np.column_stack([e_last, e_last]) * 2.0**70, H=H,
-        lam=np.array([2.0**141 * J[-1, -1], 1e-30]), sigma2=1.0, nu=1.0, basis=BASIS,
-    )
-
-
 def _stub_fit(params, n):
     return FitResult(
         params=params, loglik_trace=np.zeros(1), converged=True, iterations=0,
@@ -343,12 +328,8 @@ def _stub_fit(params, n):
 
 
 def _late_curve_data():
-    return Dataset(
-        [
-            Trajectory("early", np.array([0.01, 0.05]), np.array([0.3, -0.2])),
-            Trajectory("mid", np.array([0.4, 0.5]), np.array([0.1, 0.2])),
-            Trajectory("late", np.array([1.0]), np.array([0.4])),
-        ],
+    return dataset_of(
+        [("early", [0.01, 0.05], [0.3, -0.2]), ("mid", [0.4, 0.5], [0.1, 0.2]), ("late", [1.0], [0.4])],
         BASIS,
     )
 
@@ -356,7 +337,8 @@ def _late_curve_data():
 def test_batched_singular_posterior_precision_names_curve_not_slot():
     data = _late_curve_data()
     good = ModelParams.from_xi(np.zeros(9), np.eye(9)[:, :2] * 0.5, 1.0, 1.0, BASIS)
-    bad = _singular_late_params()
+    # V_i rounds to a singular matrix for the curve observed at t = 1 only
+    bad = singular_at_right_end(BASIS)
     # model 1 is the singular one, so the first bad slot is n + 2, not 2
     phi = np.concatenate([_phi(good.theta, good.xi), _phi(bad.theta, bad.xi)])
     _, failed = _estep(_batch(data, 1.0, np.ones((2, data.n))), phi, np.ones(2))
@@ -367,16 +349,16 @@ def test_batched_singular_posterior_precision_names_curve_not_slot():
 
 
 def test_cross_validate_nonfinite_density_names_curve():
-    data = Dataset(
+    data = dataset_of(
         [
-            Trajectory("a", np.array([0.1, 0.3]), np.array([0.3, -0.2])),
-            Trajectory("huge", np.array([0.5, 0.6]), np.array([1e200, -1e200])),
-            Trajectory("b", np.array([0.7, 0.9]), np.array([0.1, 0.2])),
+            ("a", [0.1, 0.3], [0.3, -0.2]),
+            ("huge", [0.5, 0.6], [1e200, -1e200]),
+            ("b", [0.7, 0.9], [0.1, 0.2]),
         ],
         BASIS,
     )
     params = ModelParams(
-        theta=np.zeros(9), xi=np.zeros((9, 0)), H=np.zeros((9, 0)), lam=np.zeros(0),
+        theta=np.zeros(9), H=np.zeros((9, 0)), lam=np.zeros(0),
         sigma2=1.0, nu=1.0, basis=BASIS,
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -388,12 +370,9 @@ def _edge_data():
     # only curve "edge" observes the right end of the domain, so the refit
     # without it has a singular mean-coefficient system
     rng = np.random.default_rng(4)
-    trajs = [
-        Trajectory(f"c{i}", np.sort(rng.uniform(0, 0.45, 12)), rng.normal(size=12))
-        for i in range(4)
-    ]
-    trajs.append(Trajectory("edge", np.linspace(0, 1, 15), rng.normal(size=15)))
-    return Dataset(trajs, BASIS)
+    trajs = [(f"c{i}", np.sort(rng.uniform(0, 0.45, 12)), rng.normal(size=12)) for i in range(4)]
+    trajs.append(("edge", np.linspace(0, 1, 15), rng.normal(size=15)))
+    return dataset_of(trajs, BASIS)
 
 
 def test_cross_validate_failing_refit_reports_its_own_error(monkeypatch):
@@ -533,8 +512,7 @@ def test_select_dimension_invalid_criterion():
 def test_select_dimension_partial_report_on_failure():
     # all-zero data makes the very first stage fit degenerate
     times = np.linspace(0, 1, 6)
-    trajs = [Trajectory(f"c{i}", times, np.zeros(6)) for i in range(5)]
-    data = Dataset(trajs, BASIS)
+    data = dataset_of([(f"c{i}", times, np.zeros(6)) for i in range(5)], BASIS)
     with pytest.raises(SelectionError) as exc_info:
         select_dimension(data, 2, "bic", ModelConfig(nu=1.0))
     assert exc_info.value.partial_report is not None
