@@ -47,11 +47,8 @@ from .model import (
 )
 from .selection import (
     SelectionReport,
-    aic,
-    bic,
     cross_validate,
     degrees_of_freedom,
-    information_criterion,
     select_dimension,
 )
 from .simulate import (
@@ -59,7 +56,6 @@ from .simulate import (
     GridDesign,
     MonteCarloStudy,
     SimulationRecord,
-    StudyResult,
     StudyScenario,
     TrueModel,
     doppler_phi3,

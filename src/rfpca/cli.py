@@ -362,27 +362,36 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+# every key a study file may set; any other key is an input error, so a
+# misspelled or retired setting cannot be silently ignored
+_STUDY_KEYS = ("mode", "scenarios", "estimators", "n", "reps", "seed", "d_max")
+_SCENARIO_KEYS = ("name", "kind", "epsilon", "K")
+
+
+def _check_keys(path, doc: dict, allowed: tuple, what: str) -> None:
+    unknown = [key for key in doc.keys() if key not in allowed]
+    if unknown:
+        raise InvalidInputError(f"{path}: unknown {what} key {unknown[0]!r}")
+
+
 def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
     """The study a JSON file describes; ``flags`` (reps, seed) given on the
     command line override the file's values."""
     with open(path) as fh, _json_fields(path, "study file"):
         doc = json.load(fh)
-        scenarios = tuple(
-            sim.StudyScenario(
-                name=s["name"],
-                contamination=sim.Contamination(
-                    kind=s.get("kind", "none"),
-                    epsilon=s.get("epsilon", 0.0),
-                    K=s.get("K", 4.0),
-                    literal_scores=s.get("literal_scores", False),
-                ),
-            )
-            for s in doc["scenarios"]
-        )
+        _check_keys(path, doc, _STUDY_KEYS, "study")
+        scenarios = []
+        for s in doc["scenarios"]:
+            _check_keys(path, s, _SCENARIO_KEYS, "scenario")
+            recipe = {key: value for key, value in s.items() if key != "name"}
+            scenarios.append(sim.StudyScenario(s["name"], sim.Contamination(**recipe)))
+        if any(isinstance(e, bool) for e in doc["estimators"]):
+            raise InvalidInputError(f'{path}: estimators must be numbers or "inf"')
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
         settings = {key: doc[key] for key in ("n", "reps", "seed", "d_max") if key in doc}
         return sim.MonteCarloStudy(
-            mode=doc["mode"], scenarios=scenarios, estimators=estimators, **(settings | flags)
+            mode=doc["mode"], scenarios=tuple(scenarios), estimators=estimators,
+            **(settings | flags),
         )
 
 
@@ -394,16 +403,16 @@ def cmd_simulate(args) -> int:
              if value is not None}
     if args.study:
         name = "study.csv"
-        rows = sim.monte_carlo(_study_from_json(args.study, flags)).rows
+        rows = sim.monte_carlo(_study_from_json(args.study, flags))
     elif args.table == 1:
         name = "table1.csv"
-        rows = sim.monte_carlo(sim.efficiency_study(**flags)).rows
+        rows = sim.monte_carlo(sim.efficiency_study(**flags))
     else:
         name = "table2.csv"
         rows = [
             {"n": n, **row}
             for n in (20, 60)
-            for row in sim.monte_carlo(sim.selection_study(n=n, **flags)).rows
+            for row in sim.monte_carlo(sim.selection_study(n=n, **flags))
         ]
     header = list(rows[0])
     _write_csv(out / name, header, ([row[k] for k in header] for row in rows))

@@ -363,8 +363,9 @@ def _params_errors(theta, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsE
     H (G, p, d), lam (G, d) and sigma2 (G,), sharing nu and basis.
 
     Raises ``InvalidParamsError`` for a stack of the wrong shapes; returns, by
-    model, the error of the first check it fails: sigma2 > 0, nu > 0, lam
-    positive and descending, and H orthonormal in the J metric.
+    model, the error of the first check it fails: sigma2 positive and finite,
+    nu > 0, theta, H and lam finite, lam positive and descending, and H
+    orthonormal in the J metric.
     """
     G, p = len(sigma2), basis.dimension
     if theta.shape != (G, p):
@@ -373,25 +374,27 @@ def _params_errors(theta, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsE
     if H.shape != (G, p, d) or lam.shape != (G, d):
         raise InvalidParamsError("H and lam have inconsistent shapes")
     errors = {
-        g: InvalidParamsError(f"sigma2 must be positive, got {sigma2[g]}")
-        for g in np.flatnonzero(~(sigma2 > 0)).tolist()
+        g: InvalidParamsError(f"sigma2 must be positive and finite, got {sigma2[g]}")
+        for g in np.flatnonzero(~((sigma2 > 0) & np.isfinite(sigma2))).tolist()
     }
     if not (nu > 0):
         for g in range(G):
             errors.setdefault(g, InvalidParamsError(f"nu must be positive or inf, got {nu}"))
-    if d > 0:
-        eye, Ht = np.eye(d), H.transpose(0, 2, 1)
-        failed = np.stack([
-            (lam <= 0).any(axis=1) | (np.diff(lam, axis=1) > 0).any(axis=1),
-            # np.allclose(H^T J H, I, atol=1e-8), NaN failing
-            ~(np.abs(Ht @ basis.gram_matrix @ H - eye) <= 1e-8 + 1e-5 * eye).all(axis=(1, 2)),
-        ])
-        for g in np.flatnonzero(failed.any(axis=0)).tolist():
-            errors.setdefault(g, InvalidParamsError(_PARAM_CHECKS[int(np.argmax(failed[:, g]))]))
+    eye, Ht = np.eye(d), H.transpose(0, 2, 1)
+    failed = np.stack([
+        ~(np.isfinite(theta).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+          & np.isfinite(lam).all(axis=1)),
+        (lam <= 0).any(axis=1) | (np.diff(lam, axis=1) > 0).any(axis=1),
+        # np.allclose(H^T J H, I, atol=1e-8), NaN failing
+        ~(np.abs(Ht @ basis.gram_matrix @ H - eye) <= 1e-8 + 1e-5 * eye).all(axis=(1, 2)),
+    ])
+    for g in np.flatnonzero(failed.any(axis=0)).tolist():
+        errors.setdefault(g, InvalidParamsError(_PARAM_CHECKS[int(np.argmax(failed[:, g]))]))
     return errors
 
 
 _PARAM_CHECKS = (
+    "theta, H and lam must be finite",
     "lam must be positive and descending",
     "H is not orthonormal in the J metric",
 )
@@ -411,8 +414,6 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != m:
         raise DimensionMismatchError("rhs rows must match design rows")
-    if not (params.sigma2 > 0):
-        raise InvalidParamsError("sigma2 must be positive")
     sigma2 = params.sigma2
     G = B @ params.xi
     V = (np.eye(params.d) + (G.T @ G) / sigma2)[:, :, None, None]
@@ -960,10 +961,6 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
     It is ``fit_from`` stopped after one update, so it runs the EM driver
     every fit runs, plus the E-step at the updated parameters.
     """
-    if params.d != config.d:
-        raise DimensionMismatchError(
-            f"params have d={params.d} but config requests d={config.d}"
-        )
     return fit_from(data, dataclasses.replace(config, max_iter=1), params).params
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
-from .model import Dataset, FitResult, ModelConfig, _warm_fits, fit, log_likelihood
+from .model import Dataset, FitResult, ModelConfig, _warm_fits, fit
 
 CRITERIA = ("aic", "bic", "cv")
 
@@ -47,20 +47,6 @@ def degrees_of_freedom(p: int, d: int) -> int:
     if d < 0 or d > p:
         raise DimensionMismatchError(f"d must be in [0, {p}], got {d}")
     return p + p * d + d + 1 - d * (d + 1) // 2
-
-
-def information_criterion(fit_result: FitResult, data: Dataset, c_n: float) -> float:
-    """Log-likelihood at the fitted parameters minus c_n * degrees of freedom."""
-    params = fit_result.params
-    return log_likelihood(params, data) - c_n * degrees_of_freedom(params.p, params.d)
-
-
-def aic(fit_result: FitResult, data: Dataset) -> float:
-    return information_criterion(fit_result, data, 1.0)
-
-
-def bic(fit_result: FitResult, data: Dataset) -> float:
-    return information_criterion(fit_result, data, math.log(data.n) / 2.0)
 
 
 def cross_validate(

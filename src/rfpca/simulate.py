@@ -11,6 +11,7 @@ span of the true components (exogenous outliers).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import ClassVar
@@ -141,23 +142,25 @@ class Contamination:
     multiples of the Doppler direction. The ``*_pc`` kinds split the affected
     curves into +/- halves so the sample mean is untouched in expectation.
 
-    The default endogenous_pc recipe turns the affected curves into pure
+    The endogenous_pc recipe turns the affected curves into pure
     second-direction outliers, z = (0, +/-K*sqrt(lambda2)), so the
     contaminated second-component variance is
     (1-eps)*lambda2 + eps*K^2*lambda2^2 and the first drops to
-    (1-eps)*lambda1. ``literal_scores`` switches to the alternative reading
-    that only replaces the second score by +/-K*sqrt(lambda2), leaving the
-    first score untouched.
+    (1-eps)*lambda1.
     """
 
     kind: str = "none"
     epsilon: float = 0.0
     K: float = 4.0
-    literal_scores: bool = False
 
     def __post_init__(self):
         if self.kind not in CONTAMINATION_KINDS:
             raise InvalidInputError(f"unknown contamination kind {self.kind!r}")
+        for name in ("epsilon", "K"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must be in [0, 1)")
 
@@ -211,8 +214,7 @@ def simulate_dataset(
         z[selected, 0] = K
     elif contamination.kind == "endogenous_pc":
         level = K * math.sqrt(lambdas[1])
-        if not contamination.literal_scores:
-            z[selected, :] = 0.0
+        z[selected, :] = 0.0
         z[plus, 1] = level
         z[minus, 1] = -level
 
@@ -411,12 +413,6 @@ class MonteCarloStudy:
             raise InvalidInputError(f"d_max must be in [0, {p}], got {self.d_max}")
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    mode: str
-    rows: tuple[dict, ...]
-
-
 def _study_basis(study: MonteCarloStudy) -> SplineBasis:
     return build_basis(STUDY_BASIS_ORDER, STUDY_BASIS_KNOTS, study.truth.domain)
 
@@ -499,8 +495,8 @@ def _rms_and_se(errors: np.ndarray) -> tuple[float, float]:
     return rms, se_mean_sq / (2.0 * rms)
 
 
-def monte_carlo(study: MonteCarloStudy) -> StudyResult:
-    """Run the configured study; deterministic given its seed.
+def monte_carlo(study: MonteCarloStudy) -> tuple[dict, ...]:
+    """Run the configured study and return its rows; deterministic given its seed.
 
     Replication ``rep`` draws its data from seed ``seed + rep``.
     """
@@ -537,15 +533,15 @@ def monte_carlo(study: MonteCarloStudy) -> StudyResult:
                     "reps_used": good.size,
                     "reps_excluded": len(cell) - good.size,
                 })
-    return StudyResult(mode=study.mode, rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # Canonical study configurations
 # ---------------------------------------------------------------------------
 
-def efficiency_scenarios(K: float = 4.0) -> tuple:
-    """Clean data plus all four contamination recipes at 10/20/30 percent."""
+def efficiency_study(reps: int = 200, seed: int = 0, n: int = 100) -> MonteCarloStudy:
+    """Table 1: clean data plus all four contamination recipes at 10/20/30 percent."""
     scens = [StudyScenario("clean", Contamination.none())]
     for kind, tag in (
         ("endogenous_mean", "endo_mean"),
@@ -554,27 +550,10 @@ def efficiency_scenarios(K: float = 4.0) -> tuple:
         ("exogenous_pc", "exo_pc"),
     ):
         for eps in (0.10, 0.20, 0.30):
-            scens.append(
-                StudyScenario(f"{tag}_{int(eps * 100)}", Contamination(kind, eps, K))
-            )
-    return tuple(scens)
-
-
-def selection_scenarios(K: float = 4.0) -> tuple:
-    scens = [StudyScenario("clean", Contamination.none())]
-    for eps in (0.10, 0.20, 0.30):
-        scens.append(
-            StudyScenario(
-                f"exo_pc_{int(eps * 100)}", Contamination("exogenous_pc", eps, K)
-            )
-        )
-    return tuple(scens)
-
-
-def efficiency_study(reps: int = 200, seed: int = 0, n: int = 100, K: float = 4.0) -> MonteCarloStudy:
+            scens.append(StudyScenario(f"{tag}_{int(eps * 100)}", Contamination(kind, eps)))
     return MonteCarloStudy(
         mode="estimation",
-        scenarios=efficiency_scenarios(K),
+        scenarios=tuple(scens),
         n=n,
         reps=reps,
         estimators=(math.inf, 1.0, 5.0),
@@ -582,10 +561,16 @@ def efficiency_study(reps: int = 200, seed: int = 0, n: int = 100, K: float = 4.
     )
 
 
-def selection_study(reps: int = 200, seed: int = 0, n: int = 60, K: float = 4.0) -> MonteCarloStudy:
+def selection_study(reps: int = 200, seed: int = 0, n: int = 60) -> MonteCarloStudy:
+    """Table 2: clean data and exogenous_pc contamination at 10/20/30 percent."""
+    scens = [StudyScenario("clean", Contamination.none())]
+    for eps in (0.10, 0.20, 0.30):
+        scens.append(
+            StudyScenario(f"exo_pc_{int(eps * 100)}", Contamination("exogenous_pc", eps))
+        )
     return MonteCarloStudy(
         mode="selection",
-        scenarios=selection_scenarios(K),
+        scenarios=tuple(scens),
         n=n,
         reps=reps,
         estimators=(math.inf, 1.0),

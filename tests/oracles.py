@@ -277,8 +277,7 @@ def reference_simulate(truth, design, n, contamination, seed):
     if kind == "endogenous_mean":
         z[selected, 0] = K
     elif kind == "endogenous_pc":
-        if not contamination.literal_scores:
-            z[selected, :] = 0.0
+        z[selected, :] = 0.0
         z[plus, 1] = K * math.sqrt(lambdas[1])
         z[minus, 1] = -K * math.sqrt(lambdas[1])
     shift = np.zeros(n)

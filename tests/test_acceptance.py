@@ -15,7 +15,6 @@ from scipy.integrate import simpson
 from rfpca import (
     ModelConfig,
     ModelParams,
-    bic,
     build_basis,
     degrees_of_freedom,
     estimating_equation_residuals,
@@ -66,10 +65,9 @@ def estimation_rows():
         estimators=(math.inf, 1.0, 5.0),
         seed=SEED,
     )
-    result = monte_carlo(study)
     return {
         (row["estimator"], row["scenario"], row["metric"]): row["value"]
-        for row in result.rows
+        for row in monte_carlo(study)
     }
 
 
@@ -87,10 +85,9 @@ SELECTION_STUDY = MonteCarloStudy(
 
 @pytest.fixture(scope="module")
 def selection_rows():
-    result = monte_carlo(SELECTION_STUDY)
     return {
         (row["estimator"], row["scenario"], row["d"]): row["percent"]
-        for row in result.rows
+        for row in monte_carlo(SELECTION_STUDY)
         if row["criterion"] == "bic"
     }
 
@@ -120,9 +117,11 @@ def exo10_replay():
     """The exo_pc_10 reps of ``selection_rows`` replayed one by one.
 
     Same seeds, design, basis, tol and max_iter as the harness; d is chosen
-    with ``rfpca.selection.bic``. Per estimator label, one record per rep:
-    whether every stage converged, the chosen d, and the largest principal
-    angle of the chosen stage's first two components (None for d < 2).
+    by a BIC computed here from ``log_likelihood`` at each stage's
+    parameters, apart from the harness's scorer. Per estimator label, one
+    record per rep: whether every stage converged, the chosen d, and the
+    largest principal angle of the chosen stage's first two components
+    (None for d < 2).
     ``bound_gain`` holds, per rep, the log-likelihood gain of the Cauchy d=2
     fit from one added loading column along the projected Doppler direction.
     """
@@ -131,6 +130,7 @@ def exo10_replay():
     doppler = doppler_projection(basis)
     records = {estimator_label(nu): [] for nu in study.estimators}
     bound_gain = []
+    c_bic = math.log(study.n) / 2.0
     for rep in range(study.reps):
         data, _ = simulate_dataset(
             study.truth, study.design, study.n, EXO10.contamination,
@@ -139,7 +139,10 @@ def exo10_replay():
         for nu in study.estimators:
             config = ModelConfig(nu=nu, d=study.d_max, max_iter=STUDY_MAX_ITER, tol=STUDY_TOL)
             chain = fit(data, config)
-            d = int(np.argmax([bic(stage, data) for stage in chain.stages]))
+            d = int(np.argmax([
+                log_likelihood(stage.params, data) - c_bic * degrees_of_freedom(basis.dimension, k)
+                for k, stage in enumerate(chain.stages)
+            ]))
             angle = _max_principal_angle(chain.stages[d].params, study.truth) if d >= 2 else None
             records[estimator_label(nu)].append({
                 "ok": all(stage.converged for stage in chain.stages), "d": d, "angle": angle,

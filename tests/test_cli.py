@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfpca import CsvParseError
+from rfpca import CsvParseError, InvalidInputError, cli
 from rfpca.cli import ingest, load_model, main, read_long_csv, save_model
 from rfpca.diagnostics import curve_diagnostics, mean_confidence_band
 from rfpca import model
@@ -20,6 +20,7 @@ from rfpca.selection import cross_validate, select_dimension
 from rfpca.simulate import (
     Contamination,
     GridDesign,
+    MonteCarloStudy,
     TrueModel,
     efficiency_study,
     monte_carlo,
@@ -426,6 +427,34 @@ def test_simulate_flags_override_study_file(tmp_path):
     assert reps == [2, 2] and from_flags == from_file
 
 
+def test_every_study_file_key_reaches_the_study(tmp_path):
+    # every key a study file accepts, each set off its default: a key that
+    # is accepted and then ignored, or one accepted with no value here, fails
+    scenario = {"name": "exo", "kind": "exogenous_pc", "epsilon": 0.2, "K": 3.0}
+    doc = {"mode": "selection", "scenarios": [scenario], "estimators": [5.0, "inf"],
+           "n": 30, "reps": 3, "seed": 9, "d_max": 2}
+    assert tuple(doc) == cli._STUDY_KEYS and tuple(scenario) == cli._SCENARIO_KEYS
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    study = cli._study_from_json(path, {})
+    assert study.estimators == (5.0, math.inf) != MonteCarloStudy.estimators
+    assert [scen.name for scen in study.scenarios] == ["exo"]
+    for obj, settings in ((study, doc), (study.scenarios[0].contamination, scenario)):
+        defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+        for key, value in settings.items():
+            if key not in ("scenarios", "estimators", "name"):
+                assert getattr(obj, key) == value != defaults[key], key
+
+    # one key more, at either level, is an input error naming it
+    for extra, bad in (
+        ("criteria", doc | {"criteria": ["aic"]}),
+        ("literal_scores", doc | {"scenarios": [scenario | {"literal_scores": True}]}),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(InvalidInputError, match=f"unknown .* key '{extra}'"):
+            cli._study_from_json(path, {})
+
+
 def test_penalized_model_file_loglik_is_unpenalized(tmp_path, sim_csv):
     out = tmp_path / "pen"
     code = main([
@@ -474,8 +503,9 @@ def test_missing_file_is_reported(tmp_path):
     assert code == 1
 
 
-# study-file numbers that are not integers of the allowed range; each ended
-# in a raw TypeError or ValueError, or (n = 1) in a table of NaN cells
+# study-file numbers that are not integers of the allowed range, or not real
+# numbers at all; each ended in a raw TypeError or ValueError, or (n = 1) in a
+# table of NaN cells, or (an estimator true) was read as 1
 _BAD_STUDY_NUMBERS = {
     "n-float": {"n": 2.5},
     "n-bool": {"n": True},
@@ -485,6 +515,17 @@ _BAD_STUDY_NUMBERS = {
     "seed-float": {"seed": 1.5},
     "seed-neg": {"seed": -1},
     "dmax-float": {"mode": "selection", "d_max": 1.5},
+    "K-string": {"scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": "4"}]},
+    "K-null": {"scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": None}]},
+    "estimator-bool": {"estimators": [True]},
+}
+
+# model-file parameters that are not finite; the first two were accepted and
+# gave NaN artifacts, the third failed as a singular sandwich matrix
+_NONFINITE_MODELS = {
+    "theta-nan": ("theta", math.nan),
+    "lam-inf": ("lambda", math.inf),
+    "sigma2-inf": ("sigma2", math.inf),
 }
 
 
@@ -523,6 +564,11 @@ _BAD_STUDY_NUMBERS = {
         pytest.param(
             ["diagnose", "--data", "{csv}", "--model", "{model_no_basis}"], id="model-no-basis"
         ),
+        *(
+            pytest.param(["diagnose", "--data", "{csv}", "--model", f"{{model_{name}}}"],
+                         id=f"model-{name}")
+            for name in _NONFINITE_MODELS
+        ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
         pytest.param(["simulate", "--study", "{study_repeated}"], id="study-repeated-labels"),
@@ -538,7 +584,7 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     one = tmp_path / "one.csv"
     _write_csv(one, [("a", 0.1, 1.0), ("a", 0.5, 2.0), ("a", 0.9, 1.5)])
     model = tmp_path / "model.json"
-    save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=0)))
+    save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=1)))
     # the byte 0xff past the reader's first chunk: the parse, not the header
     # read, meets it
     non_utf8 = tmp_path / "non_utf8.csv"
@@ -567,6 +613,14 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    for name, (key, value) in _NONFINITE_MODELS.items():
+        doc = json.loads(model.read_text())
+        if isinstance(doc[key], list):
+            doc[key][0] = value
+        else:
+            doc[key] = value
+        paths[f"model_{name}"] = tmp_path / f"model_{name}.json"
+        paths[f"model_{name}"].write_text(json.dumps(doc))
     for name, field in _BAD_STUDY_NUMBERS.items():
         doc = {"mode": "estimation", "scenarios": [{"name": "clean"}], "estimators": [1.0],
                "n": 20, "reps": 1} | field

@@ -328,6 +328,10 @@ def test_params_check_reports_each_model_of_a_stack(rng):
         {"lam": np.array([good.lam[0], -1.0])},
         swapped,  # ascending lam
         {"H": good.H * 1.1},  # not J-orthonormal
+        {"sigma2": math.inf},
+        {"theta": np.full(9, np.nan)},
+        {"lam": np.array([math.inf, good.lam[1]])},  # descending, J-orthonormal H
+        {"H": np.where(good.H == good.H[0, 0], np.nan, good.H)},
     ]
     stacks = [dataclasses.asdict(good) | change for change in variants]
     errors = model._params_errors(

@@ -8,15 +8,12 @@ import pytest
 
 from rfpca import (
     ModelConfig,
-    aic,
-    bic,
     build_basis,
     cross_validate,
     degrees_of_freedom,
     em_step,
     fit,
     fit_from,
-    information_criterion,
     log_likelihood,
     select_dimension,
     simulate_dataset,
@@ -62,17 +59,6 @@ def test_degrees_of_freedom_monotone():
         assert degrees_of_freedom(9, d + 1) - degrees_of_freedom(9, d) == 9 - d
     with pytest.raises(ValueError):
         degrees_of_freedom(9, 10)
-
-
-def test_information_criterion_values():
-    data, _ = simulate_dataset(
-        TrueModel(), GridDesign.random_uniform(12), 20, Contamination.none(), seed=1
-    )
-    res = fit(data, ModelConfig(nu=1.0, d=1))
-    ll = log_likelihood(res.params, data)
-    assert abs(information_criterion(res, data, 0.0) - ll) < 1e-9
-    assert abs(aic(res, data) - (ll - degrees_of_freedom(9, 1))) < 1e-9
-    assert abs(bic(res, data) - (ll - math.log(20) / 2 * degrees_of_freedom(9, 1))) < 1e-9
 
 
 def test_bic_penalty_difference_for_nested_dims():
@@ -454,6 +440,13 @@ def test_select_dimension_nested_loglik_nondecreasing():
     assert [row["df"] for row in report.per_d] == [10, 19, 27, 34]
     assert report.per_d[2]["lambda_share"] is not None
     assert report.per_d[0]["lambda_share"] is None
+    # each row's AIC and BIC are ll - c * df, with ll recomputed at its
+    # stage's parameters
+    stages = fit(data, ModelConfig(nu=1.0, d=3)).stages
+    for d, (row, stage) in enumerate(zip(report.per_d, stages, strict=True)):
+        ll = log_likelihood(stage.params, data)
+        assert abs(row["aic"] - (ll - degrees_of_freedom(9, d))) < 1e-9
+        assert abs(row["bic"] - (ll - math.log(40) / 2 * degrees_of_freedom(9, d))) < 1e-9
 
 
 def test_select_dimension_clean_two_component():

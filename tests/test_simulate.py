@@ -141,11 +141,10 @@ def test_exogenous_curves_add_signed_doppler(kind):
         Contamination.none(),
         Contamination("endogenous_mean", 0.2, 4.0),
         Contamination("endogenous_pc", 0.2, 4.0),
-        Contamination("endogenous_pc", 0.2, 4.0, literal_scores=True),
         Contamination("exogenous_mean", 0.2, 4.0),
         Contamination("exogenous_pc", 0.3, 4.0),
     ],
-    ids=["clean", "endo-mean", "endo-pc", "endo-pc-literal", "exo-mean", "exo-pc"],
+    ids=["clean", "endo-mean", "endo-pc", "exo-mean", "exo-pc"],
 )
 def test_pooled_generator_matches_per_curve_draws(design, contamination):
     # the pooled arrays hold, bit for bit, the curves drawn one at a time
@@ -171,10 +170,6 @@ def test_contamination_recipes_share_the_time_grids(design):
         simulate_dataset(TrueModel(), design, 30, Contamination(kind, eps, 4.0), seed=12)[0]
         for kind, eps in zip(CONTAMINATION_KINDS, (0.0, 0.1, 0.2, 0.2, 0.3))
     ]
-    datasets.append(simulate_dataset(
-        TrueModel(), design, 30, Contamination("endogenous_pc", 0.2, 4.0, literal_scores=True),
-        seed=12,
-    )[0])
     first = datasets[0]
     for data in datasets[1:]:
         assert data.m.tobytes() == first.m.tobytes()
@@ -209,7 +204,7 @@ def test_simulate_contamination_count_contract():
     assert np.all(record.z[record.contaminated, 0] == 4.0)
 
 
-def test_simulate_pure_pc_outliers_and_literal_flag():
+def test_simulate_pure_pc_outliers():
     _, rec = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(20), 100,
         Contamination("endogenous_pc", epsilon=0.20, K=4.0), seed=5,
@@ -220,11 +215,15 @@ def test_simulate_pure_pc_outliers_and_literal_flag():
     assert np.all(rec.z[rec.contaminated, 0] == 0.0)
     assert rec.plus.size == 10 and rec.minus.size == 10
 
-    _, rec_lit = simulate_dataset(
-        TrueModel(), GridDesign.random_uniform(20), 100,
-        Contamination("endogenous_pc", epsilon=0.20, K=4.0, literal_scores=True), seed=5,
-    )
-    assert not np.all(rec_lit.z[rec_lit.contaminated, 0] == 0.0)
+
+def test_contamination_rejects_settings_that_are_not_finite_numbers():
+    for kwargs in (
+        dict(K="4"), dict(K=None), dict(K=True), dict(K=math.inf), dict(K=math.nan),
+        dict(epsilon="0.1"), dict(epsilon=None), dict(epsilon=False),
+    ):
+        with pytest.raises(InvalidInputError, match="K|epsilon"):
+            Contamination("exogenous_mean", **kwargs)
+    assert Contamination("exogenous_mean", np.float64(0.1), np.int64(3)).K == 3
 
 
 def test_simulate_law_of_large_numbers():
@@ -286,15 +285,12 @@ def _tiny_study(**kwargs):
 
 
 def test_monte_carlo_deterministic():
-    r1 = monte_carlo(_tiny_study())
-    r2 = monte_carlo(_tiny_study())
-    assert r1.rows == r2.rows
+    assert monte_carlo(_tiny_study()) == monte_carlo(_tiny_study())
 
 
 def test_monte_carlo_excludes_nonconverged(monkeypatch):
     monkeypatch.setattr(simulate, "STUDY_MAX_ITER", 1)
-    res = monte_carlo(_tiny_study())
-    for row in res.rows:
+    for row in monte_carlo(_tiny_study()):
         assert row["reps_excluded"] == 2
         assert row["reps_used"] == 0
         assert math.isnan(row["value"])
@@ -310,8 +306,8 @@ def test_monte_carlo_selection_mode():
         seed=1,
         d_max=2,
     )
-    res = monte_carlo(study)
-    percents = {row["d"]: row["percent"] for row in res.rows if row["criterion"] == "bic"}
+    rows = monte_carlo(study)
+    percents = {row["d"]: row["percent"] for row in rows if row["criterion"] == "bic"}
     assert set(percents) == {0, 1, 2}
     assert abs(sum(percents.values()) - 100.0) < 1e-9
 
@@ -419,12 +415,12 @@ def test_monte_carlo_matches_label_keyed_aggregation(monkeypatch, study, rep_nam
         return per_rep[-1]
 
     monkeypatch.setattr(simulate, rep_name, recording)
-    rows = monte_carlo(study).rows
+    rows = monte_carlo(study)
     assert len(per_rep) == study.reps
     assert list(rows) == reference_study_rows(study, per_rep)
     # with the rows out of cell order, position no longer finds the cells
     monkeypatch.setattr(simulate, rep_name, lambda study, rep: per_rep[rep][::-1])
-    assert list(monte_carlo(study).rows) != reference_study_rows(study, per_rep)
+    assert list(monte_carlo(study)) != reference_study_rows(study, per_rep)
 
 
 def test_heavy_exogenous_mean_bias_tracks_eps_k():
@@ -437,8 +433,7 @@ def test_heavy_exogenous_mean_bias_tracks_eps_k():
         estimators=(math.inf,),
         seed=11,
     )
-    res = monte_carlo(study)
-    value = next(r["value"] for r in res.rows if r["metric"] == "rmse_mu")
+    value = next(r["value"] for r in monte_carlo(study) if r["metric"] == "rmse_mu")
     assert 0.9 <= value <= 1.2  # eps * K = 1.2, partially absorbed by the fit
 
 
@@ -456,10 +451,9 @@ def test_endogenous_pc_swaps_normal_component():
         estimators=(math.inf,),
         seed=7,
     )
-    res = monte_carlo(study)
     values = {
         row["scenario"]: row["value"]
-        for row in res.rows
+        for row in monte_carlo(study)
         if row["metric"] == "rmse_phi1"
     }
     assert values["endo_pc_20"] > 1.2
