@@ -155,6 +155,7 @@ def save_model(path, result: FitResult) -> None:
         "fit": {
             "loglik": result.loglik,
             "iterations": result.iterations,
+            "backtracks": result.backtracks,
             "converged": result.converged,
         },
     }
@@ -165,11 +166,12 @@ def save_model(path, result: FitResult) -> None:
 @contextmanager
 def _json_fields(path, what: str):
     """Report undecodable JSON or missing and mistyped fields as an input
-    error naming the file; the package's own errors pass through."""
+    error naming the file; the package's own errors keep their class and
+    gain the file's name."""
     try:
         yield
-    except RfpcaError:
-        raise
+    except RfpcaError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInputError(
             f"{path}: malformed {what} ({type(exc).__name__}: {exc})"
@@ -368,10 +370,10 @@ _STUDY_KEYS = ("mode", "scenarios", "estimators", "n", "reps", "seed", "d_max")
 _SCENARIO_KEYS = ("name", "kind", "epsilon", "K")
 
 
-def _check_keys(path, doc: dict, allowed: tuple, what: str) -> None:
+def _check_keys(doc: dict, allowed: tuple, what: str) -> None:
     unknown = [key for key in doc.keys() if key not in allowed]
     if unknown:
-        raise InvalidInputError(f"{path}: unknown {what} key {unknown[0]!r}")
+        raise InvalidInputError(f"unknown {what} key {unknown[0]!r}")
 
 
 def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
@@ -379,14 +381,18 @@ def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
     command line override the file's values."""
     with open(path) as fh, _json_fields(path, "study file"):
         doc = json.load(fh)
-        _check_keys(path, doc, _STUDY_KEYS, "study")
+        _check_keys(doc, _STUDY_KEYS, "study")
         scenarios = []
         for s in doc["scenarios"]:
-            _check_keys(path, s, _SCENARIO_KEYS, "scenario")
+            _check_keys(s, _SCENARIO_KEYS, "scenario")
+            if not isinstance(s["name"], str):
+                raise InvalidInputError(f"scenario names must be strings, got {s['name']!r}")
             recipe = {key: value for key, value in s.items() if key != "name"}
             scenarios.append(sim.StudyScenario(s["name"], sim.Contamination(**recipe)))
-        if any(isinstance(e, bool) for e in doc["estimators"]):
-            raise InvalidInputError(f'{path}: estimators must be numbers or "inf"')
+        bad = [e for e in doc["estimators"]
+               if e != "inf" and (isinstance(e, bool) or not isinstance(e, (int, float)))]
+        if bad:
+            raise InvalidInputError(f'estimators must be numbers or "inf", got {bad[0]!r}')
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
         settings = {key: doc[key] for key in ("n", "reps", "seed", "d_max") if key in doc}
         return sim.MonteCarloStudy(

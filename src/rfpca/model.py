@@ -289,15 +289,17 @@ class ModelParams:
 @dataclass(frozen=True)
 class FitResult:
     """A fitted stage. ``loglik_trace`` holds the objective (penalized when
-    the fit is) at each EM iterate, or for a warm start at the first two
-    iterates of each SqS3 cycle; ``iterations`` counts EM-map evaluations;
-    ``loglik``, ``s`` and ``weights`` come from the E-step at the returned
-    parameters."""
+    the fit is) at the first two iterates of each SqS3 cycle, and at every
+    iterate once fewer than three maps remain under ``max_iter``;
+    ``iterations`` counts EM-map evaluations and ``backtracks`` the
+    extrapolated points rejected for the plain double step; ``loglik``,
+    ``s`` and ``weights`` come from the E-step at the returned parameters."""
 
     params: ModelParams
     loglik_trace: np.ndarray
     converged: bool
     iterations: int
+    backtracks: int
     loglik: float        # unpenalized log-likelihood
     s: np.ndarray        # (n,) squared Mahalanobis distances
     weights: np.ndarray  # (n,) robust weights (nu + m_i) / (nu + s_i)
@@ -344,11 +346,7 @@ def _orthonormalize(xi: np.ndarray, J: np.ndarray):
     G, p, d = xi.shape
     if d == 0:
         return np.zeros((G, p, 0)), np.zeros((G, 0)), np.zeros(G, dtype=bool)
-    A = xi.transpose(0, 2, 1) @ J @ xi
-    A = 0.5 * (A + A.transpose(0, 2, 1))
-    evals, U = np.linalg.eigh(A)
-    evals, U = evals[:, ::-1], U[:, :, ::-1]
-    deficient = (evals[:, -1] <= 0) | (evals[:, -1] < 1e-12 * evals[:, 0])
+    evals, U, deficient = _spectrum(xi, J)
     evals = np.where(deficient[:, None], 1.0, evals)
     H = (xi @ U) / np.sqrt(evals)[:, None]
     ref = J @ np.ones(p)  # coefficient vector of the constant function is all ones
@@ -356,6 +354,23 @@ def _orthonormalize(xi: np.ndarray, J: np.ndarray):
     sgn = np.where(np.abs(sgn) < 1e-12, H[:, 0], sgn)
     H *= np.where(sgn < 0, -1.0, 1.0)[:, None]
     return H, evals, deficient
+
+
+def _spectrum(xi: np.ndarray, J: np.ndarray):
+    """Eigenvalues (descending) and eigenvectors of the (G, d, d) stack
+    xi^T J xi of a (G, p, d) stack of raw loadings, and the (G,) mask of the
+    models whose loadings do not span d directions: xi^T J xi is not finite
+    (its rows are then placeholders), or its smallest eigenvalue is not
+    positive or is below 1e-12 of the largest."""
+    A = xi.transpose(0, 2, 1) @ J @ xi
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        A[~finite] = np.eye(A.shape[1])
+    evals, U = np.linalg.eigh(A)
+    evals, U = evals[:, ::-1], U[:, :, ::-1]
+    deficient = ~finite | (evals[:, -1] <= 0) | (evals[:, -1] < 1e-12 * evals[:, 0])
+    return evals, U, deficient
 
 
 def _params_errors(theta, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsError]:
@@ -830,17 +845,23 @@ def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
 
 def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
     """E-step at each model's SqS3 point (phi, sigma2), kept where it succeeds
-    with a finite objective of at least ``floor`` (the objective at x1); the
-    other models fall back to x2 = (phi2, sigma2_2), evaluated as a batch of
-    their own whose rows replace theirs. Returns the E-step, the errors of
-    fallen-back models whose E-step fails, the kept (phi, sigma2) and the
-    rows that fell back."""
+    with a finite objective of at least ``floor`` (the objective at x1) and
+    loadings that span d directions (``_spectrum``'s rank rule, which the
+    stage's canonicalization applies); the other models fall back to
+    x2 = (phi2, sigma2_2), evaluated as a batch of their own whose rows
+    replace theirs. Returns the E-step, the errors of fallen-back models
+    whose E-step fails, the kept (phi, sigma2) and the rows that fell back."""
+    d = phi.shape[1] - 1
     with np.errstate(all="ignore"):
         e, failed = _estep(batch, phi, sigma2)
         obj = e.loglik if P is None else e.loglik - _penalty(phi, alpha, P) / sigma2
+        low_rank = (
+            _spectrum(phi[:, :d].transpose(0, 2, 1), batch.data.basis.gram_matrix)[2].tolist()
+            if d else [False] * len(phi)
+        )
     back = [
-        j for j, (value, low) in enumerate(zip(obj.tolist(), floor))
-        if j in failed or not (math.isfinite(value) and value >= low)
+        j for j, (value, low, deficient) in enumerate(zip(obj.tolist(), floor, low_rank))
+        if j in failed or deficient or not (math.isfinite(value) and value >= low)
     ]
     if not back:
         return e, {}, phi, sigma2, back
@@ -851,9 +872,7 @@ def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
     return e, {back[k]: err for k, err in failed.items()}, phi, sigma2, back
 
 
-def _em_loop(
-    batch: _Batch, phi, sigma2, alpha, P, max_iter, tol, accelerate=False
-) -> list[_Stop | RfpcaError]:
+def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop | RfpcaError]:
     """Iterate EM updates of the batch's models in lockstep until each one's
     objective stabilizes.
 
@@ -864,18 +883,18 @@ def _em_loop(
     keeps copies of its own rows of the E-step it stopped at, or the error
     it failed with, the one its fit raises alone.
 
-    With ``accelerate`` the models run SqS3 cycles while three maps fit under
-    ``max_iter``: x1 = F(x0), x2 = F(x1), then F of ``_sqs3_point``'s
-    extrapolation, or of x2 where ``_probe`` rejects it. Only x0 and x1 are
-    traced, and ``_converged`` judges only the plain step between them, so a
-    model stops by plain EM's rule.
+    The models run SqS3 cycles while three maps fit under ``max_iter``:
+    x1 = F(x0), x2 = F(x1), then F of ``_sqs3_point``'s extrapolation, or of
+    x2 where ``_probe`` rejects it. Only x0 and x1 are traced, and
+    ``_converged`` judges only the plain step between them, so a model stops
+    by plain EM's rule. With ``max_iter`` <= 2 every map is a plain EM map.
     """
     traces = [[] for _ in phi]
     backtracks = [0] * len(phi)
     stops: list = [None] * len(phi)
     running = list(range(len(phi)))
     evals = 0  # EM maps each running model has taken
-    phase = "x0" if accelerate and max_iter >= 3 else "plain"
+    phase = "x0" if max_iter >= 3 else "plain"
     judged = True  # whether the last map led from the last traced iterate
     saved: tuple = ()  # per-model rows that the cycle's next step reads
     while True:
@@ -1045,7 +1064,8 @@ def _stage_results(
             )
             stop = stops[g]
             out[g] = FitResult(
-                params, stop.trace, stop.converged, stop.iterations, stop.loglik, stop.s, stop.w
+                params, stop.trace, stop.converged, stop.iterations, stop.backtracks,
+                stop.loglik, stop.s, stop.w,
             )
     return out
 
@@ -1168,15 +1188,12 @@ def _fit_lockstep(
     return out
 
 
-def _lockstep_stage(
-    batch: _Batch, starts: dict, alpha, P, config: ModelConfig, accelerate=False
-) -> dict:
+def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) -> dict:
     """One stage of the batch rows ``starts`` maps to their starting
     (theta, xi, sigma2), in lockstep, ``_models_per_batch`` rows at a time.
     Returns per row its ``_Stop`` or the error its model left the batch with.
-    Every EM run goes through here: the plain stages of ``_fit_lockstep``
-    and the warm starts of ``_warm_fits``, which ``accelerate`` with SqS3
-    cycles (``_em_loop``)."""
+    Every EM run goes through here, in SqS3 cycles (``_em_loop``): the
+    stages of ``_fit_lockstep`` and the warm starts of ``_warm_fits``."""
     rows, out = list(starts), {}
     size = _models_per_batch(config.d, batch.data.n, batch.data.basis.dimension)
     for first in range(0, len(rows), size):
@@ -1184,7 +1201,7 @@ def _lockstep_stage(
         phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in map(starts.get, chunk)])
         sigma2 = np.array([starts[g][2] for g in chunk])
         run = batch if len(chunk) == len(batch.include) else batch.select(chunk)
-        stops = _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol, accelerate)
+        stops = _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)
         out.update(zip(chunk, stops))
     return out
 
@@ -1211,13 +1228,12 @@ def _warm_fits(
     observation count, or None to count every curve.
 
     The fits run in lockstep, ``_models_per_batch`` at a time, each stopping
-    on its own trace, in SqS3 cycles (``_em_loop``): each starts near a
-    maximum, so there is no other mode for the extrapolation to reach.
-    Yields per entry the ``_Stop`` of its fit, whose last
-    E-step is at its returned parameters and still holds the left-out
-    curve's log density, or the error with which it left its batch, the one
-    it raises on its own. The fits are yielded batch by batch, so only one
-    batch's stops (each with (n,) and (n, p) rows) are held at a time.
+    on its own trace, in SqS3 cycles (``_em_loop``). Yields per entry the
+    ``_Stop`` of its fit, whose last E-step is at its returned parameters
+    and still holds the left-out curve's log density, or the error with
+    which it left its batch, the one it raises on its own. The fits are
+    yielded batch by batch, so only one batch's stops (each with (n,) and
+    (n, p) rows) are held at a time.
     """
     if init.d != config.d:
         raise DimensionMismatchError(
@@ -1234,7 +1250,7 @@ def _warm_fits(
                 include[g, i] = 0.0
         starts = dict.fromkeys(range(len(chunk)), start)
         batch = _batch(data, config.nu, include)
-        yield from _lockstep_stage(batch, starts, alpha, P, config, accelerate=True).values()
+        yield from _lockstep_stage(batch, starts, alpha, P, config).values()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ def test_benchmark_reads(tmp_path):
     cli.save_model(tmp_path / "model.json", result)
     params, fit_block = cli.load_model(tmp_path / "model.json")
     assert fit_block["iterations"] == result.iterations
+    assert fit_block["backtracks"] == result.backtracks
+    assert all(stage.backtracks >= 0 for stage in result.stages)
     data = model.Dataset(cli.read_long_csv(path), params.basis)
     assert all(isinstance(d.outlier_flag, bool) for d in curve_diagnostics(params, data))
     assert np.isfinite(model.log_likelihood(params, data))

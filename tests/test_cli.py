@@ -505,7 +505,9 @@ def test_missing_file_is_reported(tmp_path):
 
 # study-file numbers that are not integers of the allowed range, or not real
 # numbers at all; each ended in a raw TypeError or ValueError, or (n = 1) in a
-# table of NaN cells, or (an estimator true) was read as 1
+# table of NaN cells, or (an estimator true) was read as 1, or (an estimator
+# string) was parsed as a number; and a scenario name that is not a string,
+# which labelled its cells
 _BAD_STUDY_NUMBERS = {
     "n-float": {"n": 2.5},
     "n-bool": {"n": True},
@@ -518,6 +520,8 @@ _BAD_STUDY_NUMBERS = {
     "K-string": {"scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": "4"}]},
     "K-null": {"scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": None}]},
     "estimator-bool": {"estimators": [True]},
+    "estimator-text": {"estimators": ["5"]},
+    "name-number": {"scenarios": [{"name": 3}]},
 }
 
 # model-file parameters that are not finite; the first two were accepted and
@@ -631,6 +635,29 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("rfpca: error:")
     assert "Traceback" not in err
+
+
+def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
+    # an error raised while building the model or the study from a file
+    # keeps its message and starts with the file's path
+    model = tmp_path / "model.json"
+    save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=1)))
+    doc = json.loads(model.read_text())
+    doc["theta"][0] = math.nan
+    model.write_text(json.dumps(doc))
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "mode": "estimation", "estimators": [1.0], "n": 20, "reps": 1,
+        "scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": "4"}],
+    }))
+    for argv, message in [
+        (["diagnose", "--data", str(sim_csv), "--model", str(model)],
+         f"{model}: theta, H and lam must be finite"),
+        (["simulate", "--study", str(study)], f"{study}: K must be"),
+    ]:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"rfpca: error: {message}"), err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Source checks: every error the package raises is a typed ``RfpcaError``,
 the package uses no NumPy name newer than the declared minimum, one
-function drives every EM run, only warm starts accelerate it, and one call
-makes every stage transition."""
+function drives every EM run, and one call makes every stage transition."""
 
 import ast
 from pathlib import Path
@@ -145,32 +144,6 @@ def test_one_em_driver():
     assert _references({"_mstep"}) == [("model.py", "_em_loop", "_mstep")]
     callers = {scope for _, scope, _ in _references({"_lockstep_stage"})}
     assert callers == {"_fit_lockstep", "_warm_fits"}
-
-
-def _stage_calls() -> dict[str, list[ast.Call]]:
-    """The ``_lockstep_stage`` calls in model.py, by enclosing function."""
-    tree = ast.parse((Path(rfpca.__file__).parent / "model.py").read_text())
-    calls: dict[str, list[ast.Call]] = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            calls[func.name] = [
-                node for node in ast.walk(func)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lockstep_stage"
-            ]
-    return calls
-
-
-def test_stage_fits_stay_plain_em():
-    # SqS3 cycles run only for warm starts, which begin near a maximum;
-    # _fit_lockstep's stages (fit, selection chains, the Monte Carlo
-    # tables) pass only the five arguments before ``accelerate``, so no
-    # stage fit is accelerated
-    calls = _stage_calls()
-    (stage,) = calls["_fit_lockstep"]
-    assert len(stage.args) == 5 and not stage.keywords
-    (warm,) = calls["_warm_fits"]
-    keywords = [(k.arg, ast.literal_eval(k.value)) for k in warm.keywords]
-    assert keywords == [("accelerate", True)]
 
 
 def test_one_stage_transition():

@@ -488,10 +488,10 @@ def test_fit_rank1_recovery(rng):
         x = 3.0 * z * math.sqrt(2) * np.sin(math.pi * times) + 0.01 * rng.normal(size=15)
         trajs.append((f"c{i}", times, x))
     data = dataset_of(trajs, basis)
-    # with noise variance 1e-4, EM on the component is slow: the last of
-    # max_iter iterates is already close enough
-    with pytest.warns(UserWarning, match="did not converge within max_iter=2000: d=1;"):
-        res = fit(data, ModelConfig(nu=math.inf, d=1))
+    # with noise variance 1e-4, EM on the component converges slowly; SqS3
+    # cycles still converge within max_iter
+    res = fit(data, ModelConfig(nu=math.inf, d=1))
+    assert res.converged
     err = l2_error(
         lambda t: res.params.components(t)[:, 0],
         lambda t: math.sqrt(2) * np.sin(math.pi * np.asarray(t)),
@@ -669,6 +669,7 @@ def _assert_same_fit(result, solo, rtol=1e-12):
     # stage by stage; a single-stage result (fit_from) is its own stage
     stages, solo_stages = result.stages or (result,), solo.stages or (solo,)
     assert [s.iterations for s in stages] == [s.iterations for s in solo_stages]
+    assert [s.backtracks for s in stages] == [s.backtracks for s in solo_stages]
     assert [s.converged for s in stages] == [s.converged for s in solo_stages]
     for got, want in zip(stages, solo_stages):
         for x, y in [
@@ -748,10 +749,8 @@ def test_lockstep_stage_error_stays_with_its_model():
     batch = _batch(data, 1.0, include, (
         np.repeat(stats.btx[None], 4, axis=0), np.repeat(stats.xtx[None], 4, axis=0)
     ))
-    # accelerated as _warm_fits runs it, so the survivors match fit_from
     stops = _lockstep_stage(
-        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config,
-        accelerate=True,
+        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config
     )
     without_late = Dataset(
         Curves(data.ids[:-1], data.times[:-1], data.values[:-1], data.m[:-1]), BASIS
@@ -786,15 +785,20 @@ def test_lockstep_fit_error_stays_with_its_dataset():
         _assert_same_fit(results[g], fit(datasets[g], config))
 
 
-def test_lockstep_rank_deficient_stage_stays_with_its_model():
-    # rep 110's clean sample loses rank at d = 4 (its stage-4 loadings
-    # collapse onto the d = 3 model); its contaminated twin shares the design
-    datasets = [
+def _clean_and_exo_pc(seed, n):
+    # a selection-study sample and its exo_pc_10 twin, which shares its design
+    return [
         simulate_dataset(
-            TrueModel(), GridDesign.random_uniform(), 60, contamination, seed=110, basis=BASIS
+            TrueModel(), GridDesign.random_uniform(), n, contamination, seed=seed, basis=BASIS
         )[0]
         for contamination in (Contamination.none(), Contamination("exogenous_pc", 0.10, 4.0))
     ]
+
+
+def test_lockstep_rank_deficient_stage_stays_with_its_model():
+    # this clean sample (n = 20) loses rank at d = 4: its stage-4 loadings
+    # collapse onto the d = 3 model, while its twin fits all five stages
+    datasets = _clean_and_exo_pc(113, 20)
     config = ModelConfig(nu=1.0, d=4)
     results = _fit_lockstep(datasets, config)
     assert isinstance(results[0], ConditioningError)
@@ -804,6 +808,10 @@ def test_lockstep_rank_deficient_stage_stays_with_its_model():
     for got, want in zip(results[0].stages, earlier.stages):
         _assert_same_fit(got, want)
     _assert_same_fit(results[1], fit(datasets[1], config))
+    assert len(results[1].stages) == 5
+    # rep 110's clean sample (n = 60) at tol 1e-8 keeps rank at d = 4
+    (rep110, _) = _fit_lockstep(_clean_and_exo_pc(110, 60), config)
+    assert len(rep110.stages) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +887,32 @@ def test_stage_transition_is_one_call_per_stage(monkeypatch):
     assert calls == (
         ["_em_loop"] * 4 + ["_orthonormalize", "_init_new_column"]
     ) * 2 + ["_em_loop"] * 4 + ["_orthonormalize"]
+
+
+def test_probe_rejects_rank_deficient_point():
+    # an extrapolated point whose loadings lose a direction falls back to x2,
+    # like a point that lowers the objective; a healthy point is kept
+    data = _scenario_datasets()[0]
+    batch = _batch(data, 1.0, np.ones((2, data.n)))
+    rng = np.random.default_rng(8)
+    xi = rng.normal(scale=0.3, size=(2, 9, 2))
+    theta = rng.normal(scale=0.1, size=(2, 1, 9))
+    phi2 = np.concatenate([xi.transpose(0, 2, 1), theta], axis=1)
+    sigma2_2 = np.array([0.4, 0.6])
+    phi = phi2 + rng.normal(scale=0.01, size=phi2.shape)
+    phi[0, 1] = 0.0  # row 0's second loading column vanishes
+    sigma2 = np.array([0.5, 0.5])
+    # no objective floor: only the rank rule can reject a point
+    e, failed, kept, kept_sigma2, back = model._probe(
+        batch, phi.copy(), sigma2.copy(), phi2, sigma2_2, [-math.inf] * 2, 0.0, None
+    )
+    assert back == [0] and not failed
+    assert np.array_equal(kept[0], phi2[0]) and kept_sigma2[0] == sigma2_2[0]
+    assert np.array_equal(kept[1], phi[1]) and kept_sigma2[1] == sigma2[1]
+    # the rejected row's E-step is that of x2
+    alone, _ = model._estep(batch.select([0]), phi2[:1], sigma2_2[:1])
+    assert e.loglik[0] == alone.loglik[0]
+    assert np.array_equal(e.w[0], alone.w[0])
 
 
 # ---------------------------------------------------------------------------

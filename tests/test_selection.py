@@ -309,7 +309,7 @@ def test_cross_validate_traced_memory_is_bounded():
 def _stub_fit(params, n):
     return FitResult(
         params=params, loglik_trace=np.zeros(1), converged=True, iterations=0,
-        loglik=0.0, s=np.zeros(n), weights=np.ones(n),
+        backtracks=0, loglik=0.0, s=np.zeros(n), weights=np.ones(n),
     )
 
 
@@ -516,7 +516,7 @@ def test_selection_error_names_the_failing_stage():
     # stage 4 collapses onto the d = 3 model (its loadings lose rank); the
     # stages before it fit, and the partial report keeps their rows
     data, _ = simulate_dataset(
-        TrueModel(), GridDesign.random_uniform(), 60, Contamination.none(), seed=110,
+        TrueModel(), GridDesign.random_uniform(), 20, Contamination.none(), seed=113,
         basis=BASIS,
     )
     config = ModelConfig(nu=1.0)
@@ -529,6 +529,13 @@ def test_selection_error_names_the_failing_stage():
     partial = exc_info.value.partial_report
     assert partial.chosen_d is None
     assert partial.per_d == select_dimension(data, 3, "bic", config).per_d
+    # rep 110's clean sample (n = 60) fits every stage at tol 1e-8, and BIC
+    # picks the true dimension
+    rep110, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(), 60, Contamination.none(), seed=110,
+        basis=BASIS,
+    )
+    assert select_dimension(rep110, 4, "bic", config).chosen_d == 2
 
 
 def test_report_round_trip():
