@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chi2, norm
 
 from rfpca import (
@@ -16,6 +18,7 @@ from rfpca import (
     mean_covariance,
     simulate_dataset,
 )
+from rfpca._special import ndtri
 from rfpca.diagnostics import OUTLIER_QUANTILE, _outlier_cutoff
 from rfpca.model import _estep_at
 from rfpca.simulate import Contamination, GridDesign, TrueModel
@@ -183,12 +186,40 @@ def test_band_shrinks_like_root_n():
     assert 0.4 <= ratio <= 0.6
 
 
-def test_outlier_cutoff_equals_chi2_ppf():
-    m = np.arange(1, 401)
-    assert np.array_equal(_outlier_cutoff(m), chi2.ppf(OUTLIER_QUANTILE, m))
+def test_outlier_cutoff_is_faithfully_rounded():
+    # the exact chi2(m) quantile lies strictly between the cutoff's neighbouring
+    # floats c- < c < c+: Q(m/2, c-/2) > tail > Q(m/2, c+/2) at 30 digits. The
+    # tail is 1 - OUTLIER_QUANTILE of the level as stored (0.01 + 8.9e-16), the
+    # value chi2.ppf also receives; scipy's own gammaincinv fails this at 67
+    # of the m = 1..400
+    m = np.array([*range(1, 401), 1000, 2000, 5000])
+    cutoff = _outlier_cutoff(m)
+    with mpmath.workdps(30):
+        tail = 1 - mpmath.mpf(OUTLIER_QUANTILE)
+
+        def upper(k, c):
+            a, x = mpmath.mpf(int(k)) / 2, mpmath.mpf(c) / 2
+            return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+        unfaithful = [
+            int(k) for k, c in zip(m, cutoff)
+            if not upper(k, np.nextafter(c, 0)) > tail > upper(k, np.nextafter(c, np.inf))
+        ]
+    assert unfaithful == []
     res, data = _clean_fit(n=40, seed=3, d=1)
     flags = [c.outlier_flag for c in curve_diagnostics(res.params, data)]
     assert flags == list(_estep_at(res.params, data).s > chi2.ppf(OUTLIER_QUANTILE, data.m))
+
+
+def test_ndtri_equals_scipy():
+    # the cephes port takes every branch: the centre, both tails and, below
+    # exp(-32), the far-tail approximation
+    rng = np.random.default_rng(5)
+    y = np.concatenate([
+        rng.random(2000), 10.0 ** -rng.uniform(0, 300, 2000),
+        1 - 10.0 ** -rng.uniform(0, 16, 2000), [0.0, 0.5, 1.0],
+    ])
+    assert np.array_equal([ndtri(v) for v in y.tolist()], scipy_ndtri(y))
 
 
 def test_band_half_width_uses_norm_ppf():

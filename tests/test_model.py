@@ -5,6 +5,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,29 @@ def test_large_nu_tends_to_normal_model(nu):
         if nu >= 1e12:
             theta, ref = fit(data, ModelConfig(nu=nu, d=0)).params.theta, normal[0].theta
             assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_log_density_constant_matches_mpmath():
+    # within 1e-14 (|c*| + m/2) of an 80-digit value at every finite nu,
+    # including the large nu where a difference of two log Gammas loses its
+    # digits; and exactly -(m/2) log(2 pi) once nu is past every digit
+    sizes = [*range(1, 41), 99, 401, 2001]
+    data = dataset_of(
+        [(f"c{m}", np.linspace(0.0, 1.0, m), np.zeros(m)) for m in sizes], BASIS
+    )
+    worst = {}
+    with mpmath.workdps(80):
+        for nu in (0.5, 1, 2, 5, 7.3, 30, 63.9, 64, 128, 1e3, 1e4, 1e6, 1e9, 1e12):
+            a = mpmath.mpf(nu) / 2
+            for m, c in zip(sizes, data.log_density_constant(nu)):
+                h = mpmath.mpf(m) / 2
+                exact = (
+                    mpmath.loggamma(a + h) - mpmath.loggamma(a)
+                    - h * mpmath.log(a) - h * mpmath.log(2 * mpmath.pi)
+                )
+                worst[nu, m] = float(abs(c - exact) / (abs(exact) + h))
+    assert max(worst.values()) <= 1e-14, max(worst, key=worst.get)
+    assert np.array_equal(data.log_density_constant(1.7e308), -(0.5 * data.m) * model.LOG_2PI)
 
 
 def test_loglik_matches_dense_oracle(rng):
