@@ -201,28 +201,23 @@ def load_model(path) -> tuple[ModelParams, dict]:
 # Small output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` with one ``csv.writer``. Rows hold Python
+    scalars only, so array columns come in through ``.tolist()``: a float is
+    written as its ``repr``, while how a numpy scalar is written depends on
+    the Python and numpy versions."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
-def _write_diagnostics_csv(path, diags) -> None:
+def _write_diagnostics_csv(path, table) -> None:
     _write_csv(
         path,
         ["id", "residual_norm", "s", "weight", "flag"],
-        [
-            (d.id, d.residual_norm, d.s, d.weight, int(d.outlier_flag))
-            for d in diags
-        ],
+        zip(table.ids, table.residual_norm.tolist(), table.s.tolist(),
+            table.weight.tolist(), table.outlier_flag.astype(int).tolist()),
     )
 
 
@@ -341,14 +336,16 @@ def cmd_select(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.grid < 1:
+        raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
+    if not 0.0 < args.level < 1.0:
+        raise InvalidInputError(f"--level must be in (0, 1), got {args.level}")
     params, _ = load_model(args.model)
     curves = read_long_csv(args.data)
     try:
         data = Dataset(curves, params.basis)
     except ValueError as exc:
         raise RfpcaError(f"data incompatible with the saved model basis: {exc}") from exc
-    if args.grid < 1:
-        raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
     a, b = params.basis.domain
     grid = np.linspace(a, b, args.grid)
     band = mean_confidence_band(params, data, grid, args.level)
@@ -359,7 +356,7 @@ def cmd_diagnose(args) -> int:
     _write_csv(
         out / "band.csv",
         ["t", "center", "lower", "upper"],
-        zip(band.band_grid, band.band_center, lower, upper),
+        zip(band.band_grid.tolist(), band.band_center.tolist(), lower.tolist(), upper.tolist()),
     )
     _write_diagnostics_csv(out / "outliers.csv", curve_diagnostics(params, data))
     return 0

@@ -4,6 +4,7 @@ mean via a sandwich covariance estimator."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,52 @@ def _pooled_fitted(params: ModelParams, data: Dataset, zhat_dn: np.ndarray) -> n
     return rows[0] + zrep.sum(axis=0)
 
 
-def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnostics]:
-    """Fitted values, residuals, distances, weights and outlier flags.
+@dataclass(frozen=True, eq=False)
+class CurveDiagnosticsTable(Sequence):
+    """Per-curve diagnostics held as columns: a read-only sequence of
+    ``CurveDiagnostics``.
+
+    Curve i has id ``ids[i]`` and the rows ``offsets[i]:offsets[i + 1]`` of
+    the pooled ``fitted`` and ``residuals``; ``residual_norm``, ``s``,
+    ``weight`` and ``outlier_flag`` have one entry per curve. Record i, with
+    views of the pooled rows and Python ``float`` and ``bool`` scalars, is
+    built only when it is indexed or iterated.
+    """
+
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    residual_norm: np.ndarray
+    s: np.ndarray
+    weight: np.ndarray
+    outlier_flag: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices count from the end
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return CurveDiagnostics(
+            self.ids[i], self.fitted[a:b], self.residuals[a:b], float(self.residual_norm[i]),
+            float(self.s[i]), float(self.weight[i]), bool(self.outlier_flag[i]),
+        )
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        for cid, a, b, norm, s, w, flag in zip(
+            self.ids, bounds[:-1], bounds[1:], self.residual_norm.tolist(),
+            self.s.tolist(), self.weight.tolist(), self.outlier_flag.tolist(),
+        ):
+            yield CurveDiagnostics(cid, self.fitted[a:b], self.residuals[a:b], norm, s, w, flag)
+
+
+def curve_diagnostics(params: ModelParams, data: Dataset) -> CurveDiagnosticsTable:
+    """Fitted values, residuals, distances, weights and outlier flags of every
+    curve, as a ``CurveDiagnosticsTable`` of columns.
 
     Fitted values come from one pooled design product; residual norms from
     segment sums over the pooled rows.
@@ -94,15 +139,10 @@ def curve_diagnostics(params: ModelParams, data: Dataset) -> list[CurveDiagnosti
     fitted = _pooled_fitted(params, data, e.zhat_dn)
     resid = data.values - fitted
     norms = np.sqrt(np.add.reduceat(resid * resid, data.offsets[:-1]))
-    flags = e.s > _outlier_cutoff(data.m)
-    bounds = data.offsets.tolist()
-    return [
-        CurveDiagnostics(cid, fitted[a:b], resid[a:b], norm, s, w, flag)
-        for cid, a, b, norm, s, w, flag in zip(
-            data.ids, bounds[:-1], bounds[1:], norms.tolist(),
-            e.s.tolist(), e.w.tolist(), flags.tolist(),
-        )
-    ]
+    return CurveDiagnosticsTable(
+        tuple(data.ids), data.offsets, fitted, resid, norms, e.s, e.w,
+        e.s > _outlier_cutoff(data.m),
+    )
 
 
 def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:
@@ -154,6 +194,7 @@ def mean_confidence_band(
 
 __all__ = [
     "CurveDiagnostics",
+    "CurveDiagnosticsTable",
     "MeanInference",
     "OUTLIER_QUANTILE",
     "curve_diagnostics",

@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 
-from rfpca import cli, model
+from rfpca import cli, diagnostics, model
 from rfpca import simulate as sim
 from rfpca.diagnostics import curve_diagnostics
 
@@ -38,6 +38,8 @@ def test_benchmark_reads(tmp_path):
     assert fit_block["backtracks"] == result.backtracks
     assert all(stage.backtracks >= 0 for stage in result.stages)
     data = model.Dataset(cli.read_long_csv(path), params.basis)
+    # the benchmark traces the CLI's curve_diagnostics through this name
+    assert cli.curve_diagnostics is diagnostics.curve_diagnostics
     assert all(isinstance(d.outlier_flag, bool) for d in curve_diagnostics(params, data))
     assert np.isfinite(model.log_likelihood(params, data))
     model.em_step(params, data, model.ModelConfig(nu=params.nu, d=params.d))

@@ -323,28 +323,63 @@ def test_fit_command_constant_data(tmp_path, rng):
 
 
 def test_fit_then_diagnose_round_trip(tmp_path, sim_csv):
+    # two curves get ids that CSV output must quote: a comma and a double quote
+    data_csv = tmp_path / "quoted.csv"
+    with open(sim_csv, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    first = rows[0][0]
+    second = next(row[0] for row in rows if row[0] != first)
+    renamed = {first: "a,b", second: 'say "hi"'}
+    with open(data_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *([renamed.get(i, i), t, v] for i, t, v in rows)])
     out = tmp_path / "out"
     code = main([
-        "fit", "--data", str(sim_csv), "--nu", "1", "--dim", "1",
+        "fit", "--data", str(data_csv), "--nu", "1", "--dim", "1",
         "--domain", "0,1", "--out", str(out),
     ])
     assert code == 0
     code = main([
-        "diagnose", "--data", str(sim_csv), "--model", str(out / "model.json"),
+        "diagnose", "--data", str(data_csv), "--model", str(out / "model.json"),
         "--out", str(out),
     ])
     assert code == 0
-    with open(out / "diagnostics.csv") as fh:
-        fit_norms = {row["id"]: float(row["residual_norm"]) for row in csv.DictReader(fh)}
-    with open(out / "outliers.csv") as fh:
-        diag_norms = {row["id"]: float(row["residual_norm"]) for row in csv.DictReader(fh)}
-    assert fit_norms == diag_norms
+    text = (out / "diagnostics.csv").read_bytes()
+    assert (out / "outliers.csv").read_bytes() == text
+    params, _ = load_model(out / "model.json")
+    data = model.Dataset(read_long_csv(data_csv), params.basis)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["id", "residual_norm", "s", "weight", "flag"])
+    writer.writerows(
+        (d.id, repr(d.residual_norm), repr(d.s), repr(d.weight), int(d.outlier_flag))
+        for d in curve_diagnostics(params, data)
+    )
+    lines = text.decode("utf-8").splitlines(keepends=True)
+    assert lines == expected.getvalue().splitlines(keepends=True)
+    assert sum(line.startswith(('"a,b",', '"say ""hi""",')) for line in lines) == 2
     with open(out / "band.csv") as fh:
         band = list(csv.DictReader(fh))
     assert len(band) == 201
     for row in band[:10]:
         lo, hi, c = float(row["lower"]), float(row["upper"]), float(row["center"])
         assert abs((hi - c) - (c - lo)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "flag", [["--grid", "0"], ["--level", "1.5"]], ids=["grid-0", "level-above-1"]
+)
+def test_diagnose_checks_flags_before_reading_inputs(tmp_path, capsys, flag):
+    # the data file has no rows and the model file does not exist: either
+    # would fail too, but the flag is checked first
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,time,value\n")
+    code = main([
+        "diagnose", "--data", str(empty), "--model", str(tmp_path / "missing.json"),
+        "--out", str(tmp_path / "out"), *flag,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rfpca: error: {flag[0]} must be"), err
 
 
 def test_select_command(tmp_path, sim_csv):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections.abc import Sequence
 
 import mpmath
 import numpy as np
@@ -70,6 +72,37 @@ def test_curve_diagnostics_matches_per_curve_loop(d):
         np.testing.assert_allclose(g.residuals, resid, rtol=0, atol=1e-12)
         assert abs(g.residual_norm - np.linalg.norm(resid)) <= 1e-12 * np.linalg.norm(resid)
         assert g.s == float(e.s[i]) and g.weight == float(e.w[i])
+
+
+def test_curve_diagnostics_table_contract():
+    res, data = _clean_fit(n=30, d=1, m=8)
+    table = curve_diagnostics(res.params, data)
+    assert isinstance(table, Sequence) and len(table) == data.n
+    assert table.ids == tuple(data.ids)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.s = table.weight
+    with pytest.raises(IndexError):
+        table[data.n]
+
+    def fields(d):
+        return (d.id, d.fitted_values.tolist(), d.residuals.tolist(), d.residual_norm, d.s,
+                d.weight, d.outlier_flag)
+
+    records = list(table)
+    assert len(records) == data.n
+    for i, d in enumerate(records):
+        a, b = table.offsets[i], table.offsets[i + 1]
+        columns = (
+            table.ids[i], table.fitted[a:b].tolist(), table.residuals[a:b].tolist(),
+            table.residual_norm[i], table.s[i], table.weight[i], table.outlier_flag[i],
+        )
+        assert fields(d) == fields(table[i]) == fields(table[i - data.n]) == columns
+        for record in (d, table[i]):
+            assert record.fitted_values.base is table.fitted
+            assert record.residuals.base is table.residuals
+            assert [type(v) for v in fields(record)[3:]] == [float, float, float, bool]
+    assert fields(table[-1]) == fields(records[-1])
+    assert [fields(d) for d in table[1:4]] == [fields(d) for d in records[1:4]]
 
 
 def test_curve_diagnostics_near_noiseless():
