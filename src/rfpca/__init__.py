@@ -41,8 +41,6 @@ from .model import (
     fit,
     fit_from,
     log_likelihood,
-    orthonormalize,
-    robust_weight,
     sigma_solve,
 )
 from .selection import (

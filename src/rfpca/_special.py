@@ -19,7 +19,9 @@ import math
 import numpy as np
 
 # cephes ndtri: a rational approximation in y - 1/2 on the centre, and two in
-# 1/sqrt(-2 log y) on the tails
+# 1/sqrt(-2 log y) on the tails. The denominators Q are monic: cephes
+# evaluates them with p1evl, which _polevl over the stored leading 1.0 matches
+# bitwise, since 1.0 * x == x
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _EXPM2 = 0.13533528323661269189  # exp(-2)
 _P0 = (
@@ -27,6 +29,7 @@ _P0 = (
     1.39312609387279679503e1, -1.23916583867381258016e0,
 )
 _Q0 = (
+    1.0,
     1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
     1.59056225126211695515e1, -1.18331621121330003142e0,
@@ -37,6 +40,7 @@ _P1 = (
     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
 )
 _Q1 = (
+    1.0,
     1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
     -3.80806407691578277194e-2, -9.33259480895457427372e-4,
@@ -47,6 +51,7 @@ _P2 = (
     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
 )
 _Q2 = (
+    1.0,
     6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
@@ -55,14 +60,6 @@ _Q2 = (
 
 def _polevl(x: float, coef) -> float:
     ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef) -> float:
-    # as _polevl with an implicit leading coefficient 1
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -85,15 +82,15 @@ def ndtri(y0: float) -> float:
     if y > _EXPM2:
         y = y - 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
         return x * _S2PI
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     if x < 8.0:  # y > exp(-32)
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
     else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
 

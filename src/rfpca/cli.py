@@ -179,19 +179,33 @@ def _json_fields(path, what: str):
         ) from exc
 
 
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number; JSON true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path) -> tuple[ModelParams, dict]:
     with open(path) as fh, _json_fields(path, "model file"):
         doc = json.load(fh)
         basis = SplineBasis.from_dict(doc["basis"])
-        nu = math.inf if doc["nu"] == "inf" else float(doc["nu"])
-        H = np.asarray(doc["H"], dtype=float).reshape(basis.dimension, doc["d"])
-        lam = np.asarray(doc["lambda"], dtype=float)
+        nu, d, sigma2 = doc["nu"], doc["d"], doc["sigma2"]
+        if not (nu == "inf" or _is_number(nu)):
+            raise InvalidInputError(f'nu must be a number or "inf", got {nu!r}')
+        if not _is_number(sigma2):
+            raise InvalidInputError(f"sigma2 must be a number, got {sigma2!r}")
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise InvalidInputError(f"d must be a non-negative integer, got {d!r}")
+        H = np.asarray(doc["H"], dtype=float)
+        if H.shape != (basis.dimension, d):
+            raise InvalidInputError(
+                f"H must be {basis.dimension} x {d} to match p and d, got shape {H.shape}"
+            )
         params = ModelParams(
             theta=np.asarray(doc["theta"], dtype=float),
             H=H,
-            lam=lam,
-            sigma2=float(doc["sigma2"]),
-            nu=nu,
+            lam=np.asarray(doc["lambda"], dtype=float),
+            sigma2=float(sigma2),
+            nu=math.inf if nu == "inf" else float(nu),
             basis=basis,
         )
         return params, doc.get("fit", {})
@@ -387,8 +401,7 @@ def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
                 raise InvalidInputError(f"scenario names must be strings, got {s['name']!r}")
             recipe = {key: value for key, value in s.items() if key != "name"}
             scenarios.append(sim.StudyScenario(s["name"], sim.Contamination(**recipe)))
-        bad = [e for e in doc["estimators"]
-               if e != "inf" and (isinstance(e, bool) or not isinstance(e, (int, float)))]
+        bad = [e for e in doc["estimators"] if not (e == "inf" or _is_number(e))]
         if bad:
             raise InvalidInputError(f'estimators must be numbers or "inf", got {bad[0]!r}')
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])

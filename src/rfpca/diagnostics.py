@@ -191,14 +191,3 @@ def mean_confidence_band(
         level=level,
     )
 
-
-__all__ = [
-    "CurveDiagnostics",
-    "CurveDiagnosticsTable",
-    "MeanInference",
-    "OUTLIER_QUANTILE",
-    "curve_diagnostics",
-    "g_weight",
-    "mean_covariance",
-    "mean_confidence_band",
-]

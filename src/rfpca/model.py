@@ -137,9 +137,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.ids)
 
-    def __len__(self) -> int:
-        return self.n
-
     @cached_property
     def trajectories(self) -> list[Trajectory]:
         """The curves as ``Trajectory`` views of the pooled arrays."""
@@ -267,12 +264,16 @@ class ModelParams:
 
     @classmethod
     def from_xi(cls, theta, xi, sigma2, nu, basis) -> "ModelParams":
-        """Build canonical parameters from raw loadings via orthonormalization."""
-        H, lam = orthonormalize(xi, basis.gram_matrix)
+        """Build canonical parameters from one model's raw (p, d) loadings,
+        rotated by ``_orthonormalize``. Raises ``ConditioningError`` when the
+        loadings do not span d directions."""
+        H, lam, deficient = _orthonormalize(np.asarray(xi, dtype=float)[None], basis.gram_matrix)
+        if deficient[0]:
+            raise ConditioningError(_RANK_DEFICIENT)
         return cls(
             theta=np.asarray(theta, dtype=float),
-            H=H,
-            lam=lam,
+            H=H[0],
+            lam=lam[0],
             sigma2=float(sigma2),
             nu=float(nu),
             basis=basis,
@@ -311,25 +312,7 @@ class FitResult:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def robust_weight(nu: float, m, s):
-    """Downweighting factor (nu + m) / (nu + s); exactly 1 when nu is inf."""
-    if math.isinf(nu):
-        return np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else 1.0
-    return (nu + np.asarray(m)) / (nu + np.asarray(s))
-
-
 _RANK_DEFICIENT = "xi^T J xi is rank deficient; loadings do not span d directions"
-
-
-def orthonormalize(xi: np.ndarray, J: np.ndarray):
-    """Rotate one model's raw (p, d) loadings to J-orthonormal components
-    with descending variances: (H, lam) of shapes (p, d) and (d,), the
-    G = 1 case of ``_orthonormalize``. Raises ``ConditioningError`` when the
-    loadings do not span d directions."""
-    H, lam, deficient = _orthonormalize(np.asarray(xi, dtype=float)[None], J)
-    if deficient[0]:
-        raise ConditioningError(_RANK_DEFICIENT)
-    return H[0], lam[0]
 
 
 def _orthonormalize(xi: np.ndarray, J: np.ndarray):

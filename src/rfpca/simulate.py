@@ -63,13 +63,9 @@ _DOPPLER_SQUARED_NORM = 0.0866567852733991
 _DOPPLER_SCALE = 1.0 / math.sqrt(_DOPPLER_SQUARED_NORM)
 
 
-def _doppler_unit(t):
+def doppler_phi3(t):
+    """The unit-norm Doppler function at ``t``, the exogenous outlier direction."""
     return _DOPPLER_SCALE * _doppler_raw(t)
-
-
-def doppler_phi3():
-    """Unit-norm Doppler function used as the exogenous outlier direction."""
-    return _doppler_unit
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,6 @@ def simulate_dataset(
     # signed multiple of the Doppler direction added to each curve
     shift = np.zeros(n)
     if contamination.kind in ("exogenous_mean", "exogenous_pc"):
-        phi3 = doppler_phi3()
         level = K * math.sqrt(lambdas[0]) if n_comp else K
         shift[selected if contamination.kind == "exogenous_mean" else plus] = level
         if contamination.kind == "exogenous_pc":
@@ -237,7 +232,7 @@ def simulate_dataset(
     row_shift = np.repeat(shift, m)
     hit = row_shift != 0
     if hit.any():
-        x[hit] = x[hit] + row_shift[hit] * phi3(times[hit])
+        x[hit] = x[hit] + row_shift[hit] * doppler_phi3(times[hit])
     curves = Curves([f"curve{i:04d}" for i in range(n)], times, x, m)
 
     if basis is None:

@@ -66,6 +66,14 @@ def greville_abscissae(basis):
     return np.array([t[i + 1 : i + k + 1].mean() for i in range(basis.dimension)])
 
 
+def robust_weight(nu, m, s):
+    """The t model's downweighting factor (nu + m) / (nu + s) of a curve with
+    m observations at squared distance s; exactly 1 when nu is inf."""
+    if math.isinf(nu):
+        return np.ones_like(np.asarray(s, dtype=float))
+    return (nu + np.asarray(m)) / (nu + np.asarray(s))
+
+
 def dense_covariance(params, design):
     """Sigma_i assembled explicitly."""
     design = np.asarray(design, dtype=float)
@@ -117,7 +125,7 @@ def doppler_projection(basis):
     wt = (half * w).ravel()
     B = reference_design_matrix(basis, t)
     gram = B.T @ (wt[:, None] * B)
-    return np.linalg.solve(gram, B.T @ (wt * doppler_phi3()(t)))
+    return np.linalg.solve(gram, B.T @ (wt * doppler_phi3(t)))
 
 
 def added_column_gain(loglik, xi, direction, sigma2):
@@ -288,14 +296,13 @@ def reference_simulate(truth, design, n, contamination, seed):
             shift[minus] = -level
     from rfpca.simulate import doppler_phi3
 
-    phi3 = doppler_phi3()
     out = []
     for i, times in enumerate(grids):
         x = truth.mu(times) + math.sqrt(truth.sigma2) * noise[i]
         for k, phi in enumerate(truth.phis):
             x = x + z[i, k] * math.sqrt(lambdas[k]) * phi(times)
         if shift[i]:
-            x = x + shift[i] * phi3(times)
+            x = x + shift[i] * doppler_phi3(times)
         out.append((f"curve{i:04d}", times, x))
     return out
 

@@ -336,7 +336,6 @@ def test_criterion_9_influence_boundedness(acceptance_report):
     base, _ = simulate_dataset(
         TrueModel(), GridDesign.random_uniform(20), 100, Contamination.none(), seed=SEED
     )
-    phi3 = doppler_phi3()
     t_out = np.sort(rng.uniform(0, 1, 20))
     base_curve = 0.5 * rng.standard_normal(20)
     shifts = {}
@@ -344,7 +343,7 @@ def test_criterion_9_influence_boundedness(acceptance_report):
         clean_mean = fit(base, ModelConfig(nu=nu, d=0)).params
         shifts[nu] = []
         for K in (4, 8, 16, 32):
-            out = ("outlier", t_out, base_curve + K * phi3(t_out))
+            out = ("outlier", t_out, base_curve + K * doppler_phi3(t_out))
             data = dataset_of(base.trajectories + [out], base.basis)
             mean_k = fit(data, ModelConfig(nu=nu, d=0)).params
             shifts[nu].append(

@@ -567,6 +567,16 @@ _NONFINITE_MODELS = {
     "sigma2-inf": ("sigma2", math.inf),
 }
 
+# model-file fields of the wrong JSON type; each was read as a number: d = -1
+# took H's width, "5" and "0.2" were parsed, and true was read as 1
+_MISTYPED_MODELS = {
+    "d-neg": ("d", -1),
+    "nu-text": ("nu", "5"),
+    "nu-bool": ("nu", True),
+    "sigma2-text": ("sigma2", "0.2"),
+    "sigma2-bool": ("sigma2", True),
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -606,7 +616,7 @@ _NONFINITE_MODELS = {
         *(
             pytest.param(["diagnose", "--data", "{csv}", "--model", f"{{model_{name}}}"],
                          id=f"model-{name}")
-            for name in _NONFINITE_MODELS
+            for name in {**_NONFINITE_MODELS, **_MISTYPED_MODELS}
         ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
@@ -652,7 +662,7 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
-    for name, (key, value) in _NONFINITE_MODELS.items():
+    for name, (key, value) in {**_NONFINITE_MODELS, **_MISTYPED_MODELS}.items():
         doc = json.loads(model.read_text())
         if isinstance(doc[key], list):
             doc[key][0] = value
@@ -678,6 +688,8 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
     model = tmp_path / "model.json"
     save_model(model, fit(ingest(sim_csv, domain=(0, 1)), ModelConfig(nu=1.0, d=1)))
     doc = json.loads(model.read_text())
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps(doc | {"sigma2": "0.2"}))
     doc["theta"][0] = math.nan
     model.write_text(json.dumps(doc))
     study = tmp_path / "study.json"
@@ -688,6 +700,8 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
     for argv, message in [
         (["diagnose", "--data", str(sim_csv), "--model", str(model)],
          f"{model}: theta, H and lam must be finite"),
+        (["diagnose", "--data", str(sim_csv), "--model", str(mistyped)],
+         f"{mistyped}: sigma2 must be a number"),
         (["simulate", "--study", str(study)], f"{study}: K must be"),
     ]:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -155,7 +155,7 @@ def test_one_stage_transition():
         ("model.py", "_fit_lockstep", "_init_new_column")
     ]
     for name, callers in [
-        ("_orthonormalize", ["_stage_results", "orthonormalize"]),
+        ("_orthonormalize", ["_stage_results", "from_xi"]),
         ("_stage_results", ["_fit_lockstep", "fit_from"]),
         ("_params_errors", ["__post_init__", "_stage_results"]),
     ]:

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,28 @@ def test_cli_runs_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+
+
+def _stored_names(tree: ast.AST) -> set:
+    """Every name a module assigns anywhere, by any kind of assignment."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_api_is_the_package_imports_and_the_readme_lists_it():
+    # the API is declared once, by what rfpca/__init__.py imports: no module
+    # keeps a second list, and the README's API section names every export
+    src = Path(rfpca.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        assert "__all__" not in _stored_names(ast.parse(path.read_text())), path
+    init = ast.parse((src / "__init__.py").read_text())
+    bound = _stored_names(init) | {alias.asname or alias.name for node in init.body
+                                   if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = {name for name in bound if not name.startswith("_")}
+    readme = (src.parents[1] / "README.md").read_text()
+    section = re.search(r"^## API\n(.*?)^## ", readme, re.M | re.S)
+    assert section, "README.md has no API section"
+    listed = set(re.findall(r"`([A-Za-z_]\w*)", section.group(1)))
+    assert sorted(exported - listed) == []

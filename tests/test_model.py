@@ -32,8 +32,6 @@ from rfpca import (
     fit_from,
     log_likelihood,
     mean_confidence_band,
-    orthonormalize,
-    robust_weight,
     sigma_solve,
     simulate_dataset,
 )
@@ -51,7 +49,7 @@ from rfpca.model import (
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import (
     dataset_of, dense_covariance, dense_t_logpdf, init_new_column, random_dataset, random_params,
-    singular_at_right_end,
+    robust_weight, singular_at_right_end,
 )
 
 
@@ -102,13 +100,6 @@ def test_woodbury_sweep(rng):
         sigma = dense_covariance(params, B)
         np.testing.assert_allclose(sol, np.linalg.solve(sigma, rhs), rtol=1e-10, atol=1e-11)
         assert abs(logdet - np.linalg.slogdet(sigma)[1]) < 1e-10 * max(1, abs(logdet))
-
-
-def test_robust_weight():
-    assert robust_weight(math.inf, 5, 123.4) == 1.0
-    for nu in (0.5, 1.0, 5.0, 50.0):
-        assert abs(robust_weight(nu, 20, 20.0) - 1.0) < 1e-15
-    assert abs(robust_weight(1.0, 20, 100.0) - 21.0 / 101.0) < 1e-15
 
 
 @pytest.mark.parametrize("nu", [1.0, math.inf])
@@ -288,18 +279,25 @@ def test_loglik_decreasing_in_distance(rng):
 # orthonormalization
 # ---------------------------------------------------------------------------
 
+def _from_xi(xi):
+    """(H, lam) of ModelParams.from_xi, the one-model orthonormalization."""
+    params = ModelParams.from_xi(np.zeros(9), xi, 1.0, 1.0, BASIS)
+    return params.H, params.lam
+
+
 def test_orthonormalize_identity_metric():
     J = np.eye(4)
     xi = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    H, lam = orthonormalize(xi, J)
-    np.testing.assert_allclose(lam, [4.0, 1.0])
-    np.testing.assert_allclose(np.abs(H), np.abs(xi / np.array([2.0, 1.0])), atol=1e-12)
+    H, lam, deficient = model._orthonormalize(xi[None], J)
+    assert not deficient[0]
+    np.testing.assert_allclose(lam[0], [4.0, 1.0])
+    np.testing.assert_allclose(np.abs(H[0]), np.abs(xi / np.array([2.0, 1.0])), atol=1e-12)
 
 
 def test_orthonormalize_d1(rng):
     J = BASIS.gram_matrix
     xi = rng.normal(size=(9, 1))
-    H, lam = orthonormalize(xi, J)
+    H, lam = _from_xi(xi)
     assert abs(lam[0] - float(xi[:, 0] @ J @ xi[:, 0])) < 1e-12
     np.testing.assert_allclose(np.abs(H[:, 0]), np.abs(xi[:, 0]) / math.sqrt(lam[0]), atol=1e-12)
 
@@ -308,7 +306,7 @@ def test_orthonormalize_reconstruction(rng):
     J = BASIS.gram_matrix
     for d in (1, 2, 3):
         xi = rng.normal(size=(9, d))
-        H, lam = orthonormalize(xi, J)
+        H, lam = _from_xi(xi)
         np.testing.assert_allclose(H.T @ J @ H, np.eye(d), atol=1e-10)
         np.testing.assert_allclose((H * lam) @ H.T, xi @ xi.T, atol=1e-10)
         assert np.all(np.diff(lam) <= 1e-12)
@@ -318,19 +316,17 @@ def test_orthonormalize_reconstruction(rng):
 
 
 def test_orthonormalize_rank_deficient():
-    J = np.eye(5)
-    xi = np.zeros((5, 2))
+    xi = np.zeros((9, 2))
     xi[0, 0] = 1.0
     xi[0, 1] = 1.0  # second column duplicates the first
-    with pytest.raises(ConditioningError):
-        orthonormalize(xi, J)
+    with pytest.raises(ConditioningError, match="rank deficient"):
+        _from_xi(xi)
 
 
 def test_orthonormalize_deterministic(rng):
-    J = BASIS.gram_matrix
     xi = rng.normal(size=(9, 2))
-    H1, l1 = orthonormalize(xi, J)
-    H2, l2 = orthonormalize(xi.copy(), J)
+    H1, l1 = _from_xi(xi)
+    H2, l2 = _from_xi(xi.copy())
     assert np.array_equal(H1, H2) and np.array_equal(l1, l2)
 
 
@@ -892,7 +888,7 @@ def test_stacked_orthonormalize_matches_per_model(rng, d):
     H, lam, deficient = model._orthonormalize(xi, J)
     assert deficient.tolist() == [g == 4 and d > 1 for g in range(13)]
     for g in np.flatnonzero(~deficient):
-        H1, lam1 = orthonormalize(xi[g], J)
+        H1, lam1 = _from_xi(xi[g])
         assert np.array_equal(H[g], H1) and np.array_equal(lam[g], lam1)
 
 

@@ -39,19 +39,17 @@ def test_true_model_component_orthonormality():
 
 
 def test_doppler_endpoints_and_norm():
-    phi3 = doppler_phi3()
-    assert phi3(np.array([0.0]))[0] == 0.0
-    assert phi3(np.array([1.0]))[0] == 0.0
+    assert doppler_phi3(np.array([0.0]))[0] == 0.0
+    assert doppler_phi3(np.array([1.0]))[0] == 0.0
     grid = np.linspace(0, 1, 20001)
-    assert abs(simpson(phi3(grid) ** 2, x=grid) - 1.0) < 1e-6
+    assert abs(simpson(doppler_phi3(grid) ** 2, x=grid) - 1.0) < 1e-6
 
 
 def test_doppler_matches_formula():
-    phi3 = doppler_phi3()
     shift = 2.0 ** (-11.0 / 5.0)  # (9 - 4k)/5 at k = 5
     t = np.array([0.2, 0.5, 0.8])
     raw = np.sqrt(t * (1 - t)) * np.sin(2 * math.pi * (1 + shift) / (t + shift))
-    ratio = phi3(t) / raw
+    ratio = doppler_phi3(t) / raw
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)  # common scale only
 
 
@@ -118,15 +116,14 @@ def test_exogenous_curves_add_signed_doppler(kind):
         truth, GridDesign.random_uniform(12), 30, Contamination(kind, 0.2, 4.0), seed=11
     )
     shift = 4.0 * math.sqrt(truth.lambdas[0])
-    phi3 = doppler_phi3()
     minus = set(rec.minus.tolist()) if kind == "exogenous_pc" else set()
     for i, (a, b) in enumerate(zip(clean.trajectories, dirty.trajectories)):
         if i not in rec.contaminated:
             expected = a.values
         elif i in minus:
-            expected = a.values - shift * phi3(a.times)
+            expected = a.values - shift * doppler_phi3(a.times)
         else:
-            expected = a.values + shift * phi3(a.times)
+            expected = a.values + shift * doppler_phi3(a.times)
         assert np.array_equal(b.values, expected)
 
 
