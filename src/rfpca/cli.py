@@ -184,9 +184,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# the keys save_model writes; an unknown key, like an unknown version, marks
+# a file of a format this reader cannot vouch for
+_MODEL_KEYS = ("version", "basis", "nu", "d", "theta", "H", "lambda", "sigma2", "fit")
+
+
 def load_model(path) -> tuple[ModelParams, dict]:
     with open(path) as fh, _json_fields(path, "model file"):
         doc = json.load(fh)
+        _check_keys(doc, _MODEL_KEYS, "model file")
+        version = doc["version"]
+        if type(version) is not int or version != MODEL_FILE_VERSION:
+            raise InvalidInputError(
+                f"model file version must be {MODEL_FILE_VERSION}, got {version!r}"
+            )
+        fit_block = doc.get("fit", {})
+        if not isinstance(fit_block, dict):
+            raise InvalidInputError(f"fit must be a JSON object, got {fit_block!r}")
         basis = SplineBasis.from_dict(doc["basis"])
         nu, d, sigma2 = doc["nu"], doc["d"], doc["sigma2"]
         if not (nu == "inf" or _is_number(nu)):
@@ -208,7 +222,7 @@ def load_model(path) -> tuple[ModelParams, dict]:
             nu=math.inf if nu == "inf" else float(nu),
             basis=basis,
         )
-        return params, doc.get("fit", {})
+        return params, fit_block
 
 
 # ---------------------------------------------------------------------------

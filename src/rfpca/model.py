@@ -154,34 +154,49 @@ class Dataset:
 
     @cached_property
     def design_stats(self) -> _DesignStats:
-        n, p = self.n, self.basis.dimension
-        btb = np.empty((n, p, p))
-        bounds, design = self.offsets.tolist(), self.pooled_design
-        for a, b, out in zip(bounds[:-1], bounds[1:], btb):
-            B = design[a:b]
-            np.matmul(B.T, B, out=out)
-        btx, xtx = self._value_stats(self.values[None])
+        """B_i^T B_i, B_i^T x_i and x_i^T x_i of every curve, as ``_value_stats``
+        takes them: one batched product per distinct curve length."""
+        btb = np.empty((self.n, self.basis.dimension, self.basis.dimension))
+        btx, xtx = self._value_stats(self.values[None], btb)
         return _DesignStats(self.m, btb, btx[0], xtx[0], int(self.offsets[-1]))
 
-    def _value_stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _value_stats(
+        self, values: np.ndarray, btb: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """B_i^T x_i, shape (G, n, p), and x_i^T x_i, shape (G, n), of G rows
-        of pooled values, shape (G, N), observed at this dataset's times.
+        of pooled values, shape (G, N), observed at this dataset's times;
+        also B_i^T B_i into ``btb``, shape (n, p, p), when it is given.
 
-        One loop over curves takes every row's products at once, each
-        bitwise the one its row's curve takes alone. A value statistic that
-        overflows is left infinite, without a numpy warning, for the fit to
-        report.
+        The k curves of each length m are gathered into C-ordered blocks,
+        (k, m, p) of the design and (G, k, m, 1) of the values, and each
+        product is one stacked ``np.matmul`` per block, whose results go
+        back into curve order. Every stack element is the BLAS call that its
+        curve's contiguous rows take alone, so each statistic is bitwise the
+        one its curve gives alone, whatever the memory layout of ``values``:
+        a strided gather would take BLAS's strided kernels, whose sums
+        differ in the last digits. A value statistic that overflows is left
+        infinite, without a numpy warning, for the fit to report.
         """
-        G, bounds, design = values.shape[0], self.offsets.tolist(), self.pooled_design
-        btx = np.empty((self.n, G, self.basis.dimension, 1))
-        xtx = np.empty((self.n, G, 1, 1))
-        cols = values[:, :, None]
+        G, n, p = values.shape[0], self.n, self.basis.dimension
+        order = np.argsort(self.m, kind="stable")
+        m = self.m[order]
+        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), n]
+        steps, m = np.arange(m[-1]), m.tolist()
+        sorted_btx, sorted_xtx = np.empty((G, n, p, 1)), np.empty((G, n, 1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, btx_i, xtx_i in zip(bounds[:-1], bounds[1:], btx, xtx):
-                x = cols[:, a:b]  # (G, m_i, 1)
-                np.matmul(design[a:b].T, x, out=btx_i)
-                np.matmul(x.transpose(0, 2, 1), x, out=xtx_i)
-        return btx[..., 0].transpose(1, 0, 2).copy(), xtx[..., 0, 0].T.copy()
+            for c, e in zip(cuts[:-1], cuts[1:]):
+                curves = order[c:e]
+                rows = self.offsets[curves, None] + steps[: m[c]]  # (k, m)
+                B = np.take(self.pooled_design, rows, axis=0)  # (k, m, p)
+                Bt = B.transpose(0, 2, 1)
+                if btb is not None:
+                    btb[curves] = np.matmul(Bt, B)
+                x = np.take(values, rows, axis=1)[..., None]  # (G, k, m, 1)
+                np.matmul(Bt, x, out=sorted_btx[:, c:e])
+                np.matmul(x.transpose(0, 1, 3, 2), x, out=sorted_xtx[:, c:e])
+        btx, xtx = np.empty((G, n, p)), np.empty((G, n))
+        btx[:, order], xtx[:, order] = sorted_btx[..., 0], sorted_xtx[..., 0, 0]
+        return btx, xtx
 
     def log_density_constant(self, nu: float) -> np.ndarray:
         """Per-curve terms of the log density that depend only on (m_i, nu):

@@ -217,6 +217,22 @@ def dataset_of(records, basis):
     )
 
 
+def reference_design_stats(data):
+    """``Dataset.design_stats`` one curve at a time: B_i^T B_i, B_i^T x_i and
+    x_i^T x_i, each product taken on the curve's own contiguous rows of the
+    pooled design and values."""
+    n, p = data.n, data.basis.dimension
+    btb, btx, xtx = np.empty((n, p, p)), np.empty((n, p)), np.empty(n)
+    bounds, design = data.offsets.tolist(), data.pooled_design
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        B, x = design[a:b], data.values[a:b]
+        np.matmul(B.T, B, out=btb[i])
+        btx[i] = B.T @ x
+        xtx[i] = x @ x
+    m = np.diff(bounds)
+    return SimpleNamespace(m=m, btb=btb, btx=btx, xtx=xtx, total_obs=int(m.sum()))
+
+
 def random_trajectory(rng, basis, m, params=None, noise=0.5, id_="curve"):
     """One random curve as an (id, times, values) record."""
     a, b = basis.domain

@@ -577,6 +577,16 @@ _MISTYPED_MODELS = {
     "sigma2-bool": ("sigma2", True),
 }
 
+# a model file of a format the reader does not know: another or no version,
+# a key save_model never writes, a fit block that is not an object; each
+# loaded, and diagnose exited 0. None stands for the key left out
+_UNKNOWN_FORMAT_MODELS = {
+    "version-99": ("version", 99),
+    "version-missing": ("version", None),
+    "extra-key": ("extra", 1),
+    "fit-text": ("fit", "x"),
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -616,7 +626,7 @@ _MISTYPED_MODELS = {
         *(
             pytest.param(["diagnose", "--data", "{csv}", "--model", f"{{model_{name}}}"],
                          id=f"model-{name}")
-            for name in {**_NONFINITE_MODELS, **_MISTYPED_MODELS}
+            for name in {**_NONFINITE_MODELS, **_MISTYPED_MODELS, **_UNKNOWN_FORMAT_MODELS}
         ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
@@ -662,9 +672,12 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
-    for name, (key, value) in {**_NONFINITE_MODELS, **_MISTYPED_MODELS}.items():
+    edits = {**_NONFINITE_MODELS, **_MISTYPED_MODELS, **_UNKNOWN_FORMAT_MODELS}
+    for name, (key, value) in edits.items():
         doc = json.loads(model.read_text())
-        if isinstance(doc[key], list):
+        if value is None:
+            del doc[key]
+        elif isinstance(doc.get(key), list):
             doc[key][0] = value
         else:
             doc[key] = value
@@ -690,6 +703,8 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
     doc = json.loads(model.read_text())
     mistyped = tmp_path / "mistyped.json"
     mistyped.write_text(json.dumps(doc | {"sigma2": "0.2"}))
+    future = tmp_path / "future.json"
+    future.write_text(json.dumps(doc | {"version": 2}))
     doc["theta"][0] = math.nan
     model.write_text(json.dumps(doc))
     study = tmp_path / "study.json"
@@ -702,6 +717,8 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
          f"{model}: theta, H and lam must be finite"),
         (["diagnose", "--data", str(sim_csv), "--model", str(mistyped)],
          f"{mistyped}: sigma2 must be a number"),
+        (["diagnose", "--data", str(sim_csv), "--model", str(future)],
+         f"{future}: model file version must be 1, got 2"),
         (["simulate", "--study", str(study)], f"{study}: K must be"),
     ]:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -49,7 +49,7 @@ from rfpca.model import (
 from rfpca.simulate import Contamination, GridDesign, TrueModel, l2_error
 from oracles import (
     dataset_of, dense_covariance, dense_t_logpdf, init_new_column, random_dataset, random_params,
-    robust_weight, singular_at_right_end,
+    random_trajectory, reference_design_stats, robust_weight, singular_at_right_end,
 )
 
 
@@ -865,6 +865,44 @@ def test_value_stats_rows_match_each_row_alone():
     stats = base.design_stats
     assert np.array_equal(stats.btx, base._value_stats(base.values[None])[0][0])
     assert np.array_equal(stats.xtx, base._value_stats(base.values[None])[1][0])
+
+
+def _lengths_unsorted():
+    # lengths out of order; m = 1, 4, 11 and 600 are each held by one curve
+    rng = np.random.default_rng(21)
+    lengths = [6, 2, 1, 6, 11, 600, 2, 4, 6, 2]
+    return dataset_of(
+        [random_trajectory(rng, BASIS, m, id_=f"c{i}") for i, m in enumerate(lengths)], BASIS
+    )
+
+
+@pytest.mark.parametrize(
+    "make_data",
+    [
+        # the benchmark's large-n design: about 30 distinct lengths over 5,000 curves
+        pytest.param(lambda: simulate_dataset(
+            TrueModel(), GridDesign.poisson_uniform(15.0), 5000,
+            Contamination("exogenous_mean", 0.10, 4.0), seed=1,
+        )[0], id="poisson-5000"),
+        pytest.param(_lengths_unsorted, id="lengths-unsorted"),
+    ],
+)
+def test_design_stats_match_each_curve_alone(make_data):
+    data = make_data()
+    stats, alone = data.design_stats, reference_design_stats(data)
+    for name in ("m", "btb", "btx", "xtx"):
+        assert np.array_equal(getattr(stats, name), getattr(alone, name)), name
+    assert stats.total_obs == alone.total_obs
+
+
+def test_value_stats_independent_of_the_layout_of_values():
+    base = _scenario_datasets()[0]
+    rows = base.values * np.random.default_rng(6).normal(size=(13, 1))
+    btx, xtx = base._value_stats(rows)
+    for layout in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+        assert not layout.flags.c_contiguous
+        other_btx, other_xtx = base._value_stats(layout)
+        assert np.array_equal(other_btx, btx) and np.array_equal(other_xtx, xtx)
 
 
 @pytest.mark.parametrize("nu", [1.0, math.inf])
