@@ -23,7 +23,7 @@ import numpy as np
 from . import simulate as sim
 from .basis import SplineBasis, build_basis
 from .diagnostics import curve_diagnostics, mean_confidence_band
-from .errors import CsvParseError, InvalidInputError, RfpcaError
+from .errors import CsvParseError, InvalidInputError, RfpcaError, is_real
 from .model import Curves, Dataset, FitResult, ModelConfig, ModelParams, fit
 from .selection import select_dimension
 
@@ -179,11 +179,6 @@ def _json_fields(path, what: str):
         ) from exc
 
 
-def _is_number(value) -> bool:
-    """Whether a decoded JSON value is a number; JSON true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # the keys save_model writes; an unknown key, like an unknown version, marks
 # a file of a format this reader cannot vouch for
 _MODEL_KEYS = ("version", "basis", "nu", "d", "theta", "H", "lambda", "sigma2", "fit")
@@ -203,9 +198,9 @@ def load_model(path) -> tuple[ModelParams, dict]:
             raise InvalidInputError(f"fit must be a JSON object, got {fit_block!r}")
         basis = SplineBasis.from_dict(doc["basis"])
         nu, d, sigma2 = doc["nu"], doc["d"], doc["sigma2"]
-        if not (nu == "inf" or _is_number(nu)):
+        if not (nu == "inf" or is_real(nu)):
             raise InvalidInputError(f'nu must be a number or "inf", got {nu!r}')
-        if not _is_number(sigma2):
+        if not is_real(sigma2):
             raise InvalidInputError(f"sigma2 must be a number, got {sigma2!r}")
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InvalidInputError(f"d must be a non-negative integer, got {d!r}")
@@ -415,7 +410,7 @@ def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
                 raise InvalidInputError(f"scenario names must be strings, got {s['name']!r}")
             recipe = {key: value for key, value in s.items() if key != "name"}
             scenarios.append(sim.StudyScenario(s["name"], sim.Contamination(**recipe)))
-        bad = [e for e in doc["estimators"] if not (e == "inf" or _is_number(e))]
+        bad = [e for e in doc["estimators"] if not (e == "inf" or is_real(e))]
         if bad:
             raise InvalidInputError(f'estimators must be numbers or "inf", got {bad[0]!r}')
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])

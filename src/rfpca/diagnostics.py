@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import chi2_quantile, ndtri
-from .errors import ConditioningError, DimensionMismatchError, InvalidInputError
+from .errors import ConditioningError, InvalidInputError, is_real
 from .model import Dataset, ModelParams, _estep_at, _whitened_terms
 
 # Curves whose squared distance exceeds this chi-square quantile (with m_i
@@ -51,11 +51,6 @@ class MeanInference:
     band_center: np.ndarray
     band_half_width: np.ndarray
     level: float
-
-
-def _require_same_basis(params: ModelParams, data: Dataset) -> None:
-    if params.basis != data.basis:
-        raise DimensionMismatchError("model and data use different spline bases")
 
 
 def g_weight(nu: float, m, s):
@@ -118,14 +113,6 @@ class CurveDiagnosticsTable(Sequence):
             float(self.s[i]), float(self.weight[i]), bool(self.outlier_flag[i]),
         )
 
-    def __iter__(self):
-        bounds = self.offsets.tolist()
-        for cid, a, b, norm, s, w, flag in zip(
-            self.ids, bounds[:-1], bounds[1:], self.residual_norm.tolist(),
-            self.s.tolist(), self.weight.tolist(), self.outlier_flag.tolist(),
-        ):
-            yield CurveDiagnostics(cid, self.fitted[a:b], self.residuals[a:b], norm, s, w, flag)
-
 
 def curve_diagnostics(params: ModelParams, data: Dataset) -> CurveDiagnosticsTable:
     """Fitted values, residuals, distances, weights and outlier flags of every
@@ -134,7 +121,6 @@ def curve_diagnostics(params: ModelParams, data: Dataset) -> CurveDiagnosticsTab
     Fitted values come from one pooled design product; residual norms from
     segment sums over the pooled rows.
     """
-    _require_same_basis(params, data)
     e = _estep_at(params, data)
     fitted = _pooled_fitted(params, data, e.zhat_dn)
     resid = data.values - fitted
@@ -153,7 +139,6 @@ def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:
     both sides. Includes the 1/n factor, so this is the covariance of the
     estimate itself, not of a single observation.
     """
-    _require_same_basis(params, data)
     n = data.n
     stats = data.design_stats
     sigma2 = params.sigma2
@@ -175,8 +160,8 @@ def mean_confidence_band(
     params: ModelParams, data: Dataset, grid, level: float = 0.95
 ) -> MeanInference:
     """Pointwise normal-approximation band for the mean function on a grid."""
-    if not 0.0 < level < 1.0:
-        raise InvalidInputError(f"level must be in (0, 1), got {level}")
+    if not (is_real(level) and 0.0 < level < 1.0):
+        raise InvalidInputError(f"level must be in (0, 1), got {level!r}")
     grid = np.asarray(grid, dtype=float)
     v_theta = mean_covariance(params, data)
     B = data.basis.design_matrix(grid)

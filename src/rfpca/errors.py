@@ -1,4 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks of numeric
+settings that raise them."""
+
+import math
+import numbers
 
 
 class RfpcaError(Exception):
@@ -43,3 +47,20 @@ class NumericalOverflowError(RfpcaError, RuntimeError):
 
 class CsvParseError(RfpcaError, ValueError):
     """Malformed input CSV; the message carries the offending line number."""
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy scalars included; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_finite_real(name: str, value) -> None:
+    """Raise ``InvalidInputError`` naming ``name`` unless ``value`` is finite and real."""
+    if not (is_real(value) and math.isfinite(value)):
+        raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ``InvalidInputError`` naming ``name`` unless ``value`` is an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")

@@ -33,6 +33,8 @@ from .errors import (
     NumericalOverflowError,
     OutOfDomainError,
     RfpcaError,
+    check_integer,
+    is_real,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -229,16 +231,18 @@ class ModelConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise InvalidInputError(f"nu must be positive or inf, got {self.nu}")
+        if not (is_real(self.nu) and self.nu > 0):
+            raise InvalidInputError(f"nu must be positive or inf, got {self.nu!r}")
+        check_integer("d", self.d)
         if self.d < 0:
             raise InvalidInputError(f"d must be >= 0, got {self.d}")
-        if not (0 <= self.penalty < math.inf):
-            raise InvalidInputError(f"penalty must be finite and >= 0, got {self.penalty}")
+        if not (is_real(self.penalty) and 0 <= self.penalty < math.inf):
+            raise InvalidInputError(f"penalty must be finite and >= 0, got {self.penalty!r}")
+        check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
-        if not (0 < self.tol < math.inf):
-            raise InvalidInputError(f"tol must be positive and finite, got {self.tol}")
+        if not (is_real(self.tol) and 0 < self.tol < math.inf):
+            raise InvalidInputError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -257,6 +261,8 @@ class ModelParams:
     basis: SplineBasis
 
     def __post_init__(self):
+        if not is_real(self.sigma2):
+            raise InvalidParamsError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         errors = _params_errors(
             self.theta[None], self.H[None], self.lam[None], np.array([self.sigma2]), self.nu,
             self.basis,
@@ -306,8 +312,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class FitResult:
     """A fitted stage. ``loglik_trace`` holds the objective (penalized when
-    the fit is) at the first two iterates of each SqS3 cycle, and at every
-    iterate once fewer than three maps remain under ``max_iter``;
+    the fit is) at the first two iterates x0 and x1 of each SqS3 cycle, and
+    at x2 when ``max_iter`` leaves no map after it;
     ``iterations`` counts EM-map evaluations and ``backtracks`` the
     extrapolated points rejected for the plain double step; ``loglik``,
     ``s`` and ``weights`` come from the E-step at the returned parameters."""
@@ -391,7 +397,7 @@ def _params_errors(theta, H, lam, sigma2, nu, basis) -> dict[int, InvalidParamsE
         g: InvalidParamsError(f"sigma2 must be positive and finite, got {sigma2[g]}")
         for g in np.flatnonzero(~((sigma2 > 0) & np.isfinite(sigma2))).tolist()
     }
-    if not (nu > 0):
+    if not (is_real(nu) and nu > 0):
         for g in range(G):
             errors.setdefault(g, InvalidParamsError(f"nu must be positive or inf, got {nu}"))
     eye, Ht = np.eye(d), H.transpose(0, 2, 1)
@@ -422,11 +428,13 @@ def sigma_solve(params: ModelParams, design: np.ndarray, rhs: np.ndarray):
     formed; V^{-1} and log det V come from the E-step's pivot sweep.
     """
     B = np.asarray(design, dtype=float)
+    if B.ndim != 2:
+        raise DimensionMismatchError(f"design must be an (m, p) matrix, got shape {B.shape}")
     m, p = B.shape
     if p != params.p:
         raise DimensionMismatchError(f"design has {p} columns, basis has {params.p}")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != m:
+    if rhs.shape[:1] != (m,):
         raise DimensionMismatchError("rhs rows must match design rows")
     sigma2 = params.sigma2
     G = B @ params.xi
@@ -467,6 +475,8 @@ class _Batch(NamedTuple):
     btx: np.ndarray        # (1 or G, n, p) B_i^T x_i
     xtx: np.ndarray        # (1 or G, n) x_i^T x_i
     sigma2_floor: np.ndarray  # (G,) (eps * RMS of the counted values)^2, rounding level
+    alpha: float           # every model's roughness penalty weight
+    P: np.ndarray | None   # (p, p) penalty matrix, None when alpha is 0
 
     def select(self, keep) -> "_Batch":
         """The batch of the models ``keep`` selects."""
@@ -480,11 +490,12 @@ class _Batch(NamedTuple):
 
 
 def _batch(
-    data: Dataset, nu: float, include: np.ndarray | None = None, values=None
+    data: Dataset, nu: float, include: np.ndarray | None = None, values=None,
+    penalty: float = 0.0,
 ) -> _Batch:
-    """Batch over ``data``'s design; the default is one model counting every
-    curve. ``values`` is a (btx, xtx) pair of per-model value statistics,
-    default ``data``'s own as one shared row."""
+    """Batch over ``data``'s design; the default is one unpenalized model
+    counting every curve. ``values`` is a (btx, xtx) pair of per-model value
+    statistics, default ``data``'s own as one shared row."""
     stats = data.design_stats
     if include is None:
         include = np.ones((1, data.n))
@@ -495,9 +506,11 @@ def _batch(
     n, p = stats.btx.shape
     total_obs = include @ stats.m
     floor = np.finfo(float).eps ** 2 * (include * values[1]).sum(axis=1) / total_obs
+    alpha = float(penalty)
     return _Batch(
         data, nu, include, wnum, total_obs, data.log_density_constant(nu), 0.5 * nu_m,
         stats.btb.reshape(n * p, p).T, stats.btb.reshape(n, p * p), *values, floor,
+        alpha, data.basis.penalty_matrix if alpha > 0 else None,
     )
 
 
@@ -694,15 +707,15 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
-def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
+def _mstep(batch: _Batch, e: _EStep, pen):
     """Closed-form updates of every model in the batch, all E-quantities held
-    at the current parameters; ``P`` is the penalty matrix, None when the fit
-    is unpenalized, and ``pen`` the models' penalty values (``_penalty``).
-    Left-out curves enter through their zero weights and V^{-1} blocks. Also
-    returns by batch row the error of each model whose update fails."""
+    at the current parameters; ``pen`` holds the models' penalty values
+    (``_penalty``). Left-out curves enter through their zero weights and
+    V^{-1} blocks. Also returns by batch row the error of each model whose
+    update fails."""
     n, p = batch.btx.shape[1:]
-    G, d1, _ = phi.shape
-    d = d1 - 1
+    d, G = e.zhat_dn.shape[:2]
+    alpha, P = batch.alpha, batch.P
     w = e.w
     wz = w * e.zhat_dn  # (d, G, n)
 
@@ -762,13 +775,13 @@ def _mstep(batch: _Batch, e: _EStep, phi, sigma2, alpha, P, pen):
     return phi_new, sigma2_new, failed
 
 
-def _penalty(phi: np.ndarray, alpha: float, P) -> np.ndarray | float:
+def _penalty(batch: _Batch, phi: np.ndarray) -> np.ndarray | float:
     """alpha (theta^T P theta + sum_k xi_k^T P xi_k) for each model, 0.0 when
-    the fit is unpenalized."""
-    if P is None:
+    the batch is unpenalized."""
+    if batch.P is None:
         return 0.0
-    d = phi.shape[1] - 1
-    quad = (phi[:, :, None] @ P @ phi[..., None])[..., 0, 0]  # (G, d + 1)
+    alpha, d = batch.alpha, phi.shape[1] - 1
+    quad = (phi[:, :, None] @ batch.P @ phi[..., None])[..., 0, 0]  # (G, d + 1)
     val = alpha * quad[:, d]
     for k in range(d):
         val = val + alpha * quad[:, k]
@@ -842,18 +855,19 @@ def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     return phi, sigma2
 
 
-def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
+def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor):
     """E-step at each model's SqS3 point (phi, sigma2), kept where it succeeds
     with a finite objective of at least ``floor`` (the objective at x1) and
     loadings that span d directions (``_spectrum``'s rank rule, which the
     stage's canonicalization applies); the other models fall back to
-    x2 = (phi2, sigma2_2), evaluated as a batch of their own whose rows
-    replace theirs. Returns the E-step, the errors of fallen-back models
-    whose E-step fails, the kept (phi, sigma2) and the rows that fell back."""
+    x2 = (phi2, sigma2_2), which overwrites their rows of ``phi`` and
+    ``sigma2`` and is evaluated as a batch of its own whose rows replace
+    theirs. Returns the E-step, the errors of fallen-back models whose
+    E-step fails, and the rows that fell back."""
     d = phi.shape[1] - 1
     with np.errstate(all="ignore"):
         e, failed = _estep(batch, phi, sigma2)
-        obj = e.loglik if P is None else e.loglik - _penalty(phi, alpha, P) / sigma2
+        obj = e.loglik if batch.P is None else e.loglik - _penalty(batch, phi) / sigma2
         low_rank = (
             _spectrum(phi[:, :d].transpose(0, 2, 1), batch.data.basis.gram_matrix)[2].tolist()
             if d else [False] * len(phi)
@@ -863,15 +877,15 @@ def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, alpha, P):
         if j in failed or deficient or not (math.isfinite(value) and value >= low)
     ]
     if not back:
-        return e, {}, phi, sigma2, back
+        return e, {}, back
     phi[back], sigma2[back] = phi2[back], sigma2_2[back]
     e_back, failed = _estep(batch.select(back), phi[back], sigma2[back])
     for full, part, index in zip(e, e_back, _ESTEP_MODEL_INDEX):
         full[index + (back,)] = part
-    return e, {back[k]: err for k, err in failed.items()}, phi, sigma2, back
+    return e, {back[k]: err for k, err in failed.items()}, back
 
 
-def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop | RfpcaError]:
+def _em_loop(batch: _Batch, phi, sigma2, max_iter, tol) -> list[_Stop | RfpcaError]:
     """Iterate EM updates of the batch's models in lockstep until each one's
     objective stabilizes.
 
@@ -882,30 +896,31 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
     keeps copies of its own rows of the E-step it stopped at, or the error
     it failed with, the one its fit raises alone.
 
-    The models run SqS3 cycles while three maps fit under ``max_iter``:
-    x1 = F(x0), x2 = F(x1), then F of ``_sqs3_point``'s extrapolation, or of
-    x2 where ``_probe`` rejects it. Only x0 and x1 are traced, and
+    The models run SqS3 cycles in three phases: x0, x1 = F(x0), then the
+    probe of ``_sqs3_point``'s extrapolation from x0, x1 and x2 = F(x1),
+    which is kept or, where ``_probe`` rejects it, replaced by x2; F of the
+    probed point is the next cycle's x0. Only x0 and x1 are traced, and
     ``_converged`` judges only the plain step between them, so a model stops
-    by plain EM's rule. With ``max_iter`` <= 2 every map is a plain EM map.
+    by plain EM's rule. When no map remains under ``max_iter`` after x2, x2
+    is traced as the next x1 instead, and every model stops there.
     """
     traces = [[] for _ in phi]
     backtracks = [0] * len(phi)
     stops: list = [None] * len(phi)
     running = list(range(len(phi)))
     evals = 0  # EM maps each running model has taken
-    phase = "x0" if max_iter >= 3 else "plain"
-    judged = True  # whether the last map led from the last traced iterate
+    phase = "x0"
     saved: tuple = ()  # per-model rows that the cycle's next step reads
     while True:
         if phase == "probe":
-            e, stopped, phi, sigma2, back = _probe(batch, phi, sigma2, *saved, alpha, P)
+            e, stopped, back = _probe(batch, phi, sigma2, *saved)
             for j in back:
                 backtracks[running[j]] += 1
-            pen = _penalty(phi, alpha, P)
+            pen = _penalty(batch, phi)
         else:
             e, stopped = _estep(batch, phi, sigma2)
-            pen = _penalty(phi, alpha, P)
-            obj = e.loglik if P is None else e.loglik - pen / sigma2
+            pen = _penalty(batch, phi)
+            obj = e.loglik if batch.P is None else e.loglik - pen / sigma2
             for j, value in enumerate(obj.tolist()):
                 if j not in stopped and not math.isfinite(value):
                     stopped[j] = _overflow("log-likelihood", e.ll_curve[j], batch.data)
@@ -913,7 +928,7 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
                     continue
                 trace = traces[running[j]]
                 trace.append(value)
-                converged = judged and _converged(trace, tol)
+                converged = phase == "x1" and _converged(trace, tol)
                 if converged or evals >= max_iter:
                     stopped[j] = _Stop(
                         phi[j], float(sigma2[j]), np.array(trace), converged, float(e.loglik[j]),
@@ -921,7 +936,7 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
                         _model_btr(e.model(j)), evals, backtracks[running[j]],
                     )
         if len(stopped) < len(running):
-            phi_new, sigma2_new, failed = _mstep(batch, e, phi, sigma2, alpha, P, pen)
+            phi_new, sigma2_new, failed = _mstep(batch, e, pen)
             stopped = failed | stopped  # a model that stopped keeps its stop
         del e  # free this E-step before the next one is computed
         evals += 1
@@ -935,23 +950,25 @@ def _em_loop(batch: _Batch, phi, sigma2, alpha, P, max_iter, tol) -> list[_Stop 
             phi_new, sigma2_new = phi_new[keep], sigma2_new[keep]
             saved = tuple(a[keep] for a in saved)
             running = [g for g, k in zip(running, keep) if k]
-        if phase == "plain":
-            judged, phi, sigma2 = True, phi_new, sigma2_new
-        elif phase == "x0":
-            phase, saved, judged = "x1", (phi, sigma2), True
+        if phase == "x0":
+            phase, saved = "x1", (phi, sigma2)
             phi, sigma2 = phi_new, sigma2_new
-        elif phase == "x1":
+        elif phase == "x1" and evals < max_iter:
             floor = np.array([traces[g][-1] for g in running])
             x0, saved = saved, (phi_new, sigma2_new, floor)
             phi, sigma2 = _sqs3_point(x0, (phi, sigma2), (phi_new, sigma2_new))
             phase = "probe"
-        else:  # the map from the kept point ends the cycle
-            phase = "x0" if evals + 3 <= max_iter else "plain"
-            saved, judged, phi, sigma2 = (), False, phi_new, sigma2_new
+        elif phase == "x1":  # x2 is traced as the next x1, at the cap
+            phi, sigma2 = phi_new, sigma2_new
+        else:  # the map from the probed point starts the next cycle
+            phase, saved, phi, sigma2 = "x0", (), phi_new, sigma2_new
 
 
 def _estep_at(params: "ModelParams", data: Dataset) -> _EStep:
-    """One model's E-step over every curve of ``data`` (model axis dropped)."""
+    """One model's E-step over every curve of ``data`` (model axis dropped);
+    the model and the data must share a spline basis."""
+    if params.basis != data.basis:
+        raise DimensionMismatchError("model and data use different spline bases")
     phi, sigma2 = _phi(params.theta, params.xi), np.array([params.sigma2])
     e, failed = _estep(_batch(data, params.nu), phi, sigma2)
     if failed:
@@ -980,11 +997,6 @@ def em_step(params: ModelParams, data: Dataset, config: ModelConfig) -> ModelPar
     every fit runs, plus the E-step at the updated parameters.
     """
     return fit_from(data, dataclasses.replace(config, max_iter=1), params).params
-
-
-def _penalty_terms(config: ModelConfig, basis: SplineBasis):
-    alpha = float(config.penalty)
-    return alpha, (basis.penalty_matrix if alpha > 0 else None)
 
 
 _INIT_TRIM = 0.25  # fraction of highest-distance curves excluded from the init scatter
@@ -1157,12 +1169,11 @@ def _fit_lockstep(
             out[g] = DegenerateFitError("all observed values are zero; nothing to fit")
         else:
             starts[g] = (np.zeros(p), np.zeros((p, 0)), sigma2)
-    alpha, P = _penalty_terms(config, base.basis)
-    batch = _batch(base, config.nu, np.ones((copies, base.n)), values)
+    batch = _batch(base, config.nu, np.ones((copies, base.n)), values, penalty=config.penalty)
 
     stages: dict[int, list[FitResult]] = {g: [] for g in starts}
     for d in range(config.d + 1):
-        stops = _lockstep_stage(batch, starts, alpha, P, config)
+        stops = _lockstep_stage(batch, starts, config)
         for g, stage in zip(stops, _stage_results(list(stops.values()), config.nu, base.basis)):
             if isinstance(stage, RfpcaError):
                 stage.stages = tuple(stages[g])
@@ -1187,7 +1198,7 @@ def _fit_lockstep(
     return out
 
 
-def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) -> dict:
+def _lockstep_stage(batch: _Batch, starts: dict, config: ModelConfig) -> dict:
     """One stage of the batch rows ``starts`` maps to their starting
     (theta, xi, sigma2), in lockstep, ``_models_per_batch`` rows at a time.
     Returns per row its ``_Stop`` or the error its model left the batch with.
@@ -1200,7 +1211,7 @@ def _lockstep_stage(batch: _Batch, starts: dict, alpha, P, config: ModelConfig) 
         phi = np.concatenate([_phi(theta, xi) for theta, xi, _ in map(starts.get, chunk)])
         sigma2 = np.array([starts[g][2] for g in chunk])
         run = batch if len(chunk) == len(batch.include) else batch.select(chunk)
-        stops = _em_loop(run, phi, sigma2, alpha, P, config.max_iter, config.tol)
+        stops = _em_loop(run, phi, sigma2, config.max_iter, config.tol)
         out.update(zip(chunk, stops))
     return out
 
@@ -1232,13 +1243,14 @@ def _warm_fits(
     and still holds the left-out curve's log density, or the error with
     which it left its batch, the one it raises on its own. The fits are
     yielded batch by batch, so only one batch's stops (each with (n,) and
-    (n, p) rows) are held at a time.
+    (n, p) rows) are held at a time. ``init`` must be on ``data``'s basis.
     """
+    if init.basis != data.basis:
+        raise DimensionMismatchError("model and data use different spline bases")
     if init.d != config.d:
         raise DimensionMismatchError(
             f"init params have d={init.d} but config requests d={config.d}"
         )
-    alpha, P = _penalty_terms(config, data.basis)
     start = (init.theta, init.xi, init.sigma2)
     size = _models_per_batch(config.d, data.n, data.basis.dimension)
     for first in range(0, len(left_out), size):
@@ -1248,8 +1260,8 @@ def _warm_fits(
             if i is not None:
                 include[g, i] = 0.0
         starts = dict.fromkeys(range(len(chunk)), start)
-        batch = _batch(data, config.nu, include)
-        yield from _lockstep_stage(batch, starts, alpha, P, config).values()
+        batch = _batch(data, config.nu, include, penalty=config.penalty)
+        yield from _lockstep_stage(batch, starts, config).values()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, RfpcaError
+from .errors import DimensionMismatchError, InvalidInputError, RfpcaError, check_integer
 from .model import Dataset, FitResult, ModelConfig, _warm_fits, fit
 
 CRITERIA = ("aic", "bic", "cv")
@@ -105,6 +105,7 @@ def select_dimension(
         raise InvalidInputError(
             "information criteria are unavailable for penalized fits; use cv"
         )
+    check_integer("d_max", d_max)
     p = data.basis.dimension
     if d_max > p:
         raise DimensionMismatchError(f"d_max={d_max} exceeds basis dimension p={p}")

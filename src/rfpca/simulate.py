@@ -11,7 +11,6 @@ span of the true components (exogenous outliers).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import ClassVar
@@ -21,6 +20,7 @@ import numpy as np
 from . import selection
 from .basis import SplineBasis, build_basis
 from .errors import DimensionMismatchError, InvalidInputError, InvalidParamsError, RfpcaError
+from .errors import check_finite_real, check_integer, is_real
 from .model import Curves, Dataset, FitResult, ModelConfig, _fit_lockstep
 
 ERROR_NORM_GRID = 401  # composite-Simpson grid for L2 error norms; odd, as _simpson needs
@@ -81,8 +81,14 @@ class TrueModel:
     def __post_init__(self):
         if len(self.phis) != len(self.lambdas):
             raise DimensionMismatchError("phis and lambdas must have equal length")
-        if self.sigma2 <= 0:
-            raise InvalidParamsError("sigma2 must be positive")
+        if not all(is_real(lam) and 0 <= lam < math.inf for lam in self.lambdas):
+            raise InvalidParamsError(f"lambdas must be finite and >= 0, got {self.lambdas!r}")
+        if not (is_real(self.sigma2) and 0 < self.sigma2 < math.inf):
+            raise InvalidParamsError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
+        domain = self.domain
+        if not (len(domain) == 2 and all(map(is_real, domain))
+                and -math.inf < domain[0] < domain[1] < math.inf):
+            raise InvalidParamsError(f"domain must be finite numbers a < b, got {domain!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,8 @@ class GridDesign:
     def __post_init__(self):
         if self.kind not in ("fixed_uniform", "random_uniform", "poisson_uniform"):
             raise InvalidInputError(f"unknown grid design {self.kind!r}")
+        check_integer("m", self.m)
+        check_finite_real("mean_count", self.mean_count)
         if self.kind != "poisson_uniform" and self.m < 2:
             raise InvalidInputError("m must be >= 2")
         if self.kind == "poisson_uniform" and self.mean_count <= 0:
@@ -152,11 +160,8 @@ class Contamination:
     def __post_init__(self):
         if self.kind not in CONTAMINATION_KINDS:
             raise InvalidInputError(f"unknown contamination kind {self.kind!r}")
-        for name in ("epsilon", "K"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+        check_finite_real("epsilon", self.epsilon)
+        check_finite_real("K", self.K)
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must be in [0, 1)")
 
@@ -189,8 +194,12 @@ def simulate_dataset(
     Fully deterministic given the seed; the contamination draws come after
     the base draws, so epsilon = 0 reproduces the clean dataset bit for bit.
     """
+    check_integer("n", n)
+    check_integer("seed", seed)
     if n < 1:
         raise InvalidInputError("n must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grids = design.sample(rng, n, truth.domain)
     n_comp = len(truth.lambdas)
@@ -384,9 +393,7 @@ class MonteCarloStudy:
         if self.mode not in ("estimation", "selection"):
             raise InvalidInputError(f"unknown study mode {self.mode!r}")
         for name in ("n", "reps", "seed", "d_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.n < 2:
             raise InvalidInputError(f"n must be >= 2, as a fit needs two curves, got {self.n}")
         if self.reps < 1:

@@ -146,6 +146,32 @@ def test_one_em_driver():
     assert callers == {"_fit_lockstep", "_warm_fits"}
 
 
+def test_penalty_matrix_read_once():
+    # a batch carries its penalty: nothing in the EM core reads the basis's
+    # penalty matrix but the batch builder
+    assert _references({"penalty_matrix"}) == [("model.py", "_batch", "penalty_matrix")]
+
+
+def test_one_basis_check():
+    # every (params, data) entry point reaches the E-step core through
+    # _estep_at or _warm_fits, which check that model and data share a basis
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [
+                    (path.name, func.name) for node in ast.walk(func)
+                    if isinstance(node, ast.Constant)
+                    and "different spline bases" in str(node.value)
+                ]
+    assert found == [("model.py", "_estep_at"), ("model.py", "_warm_fits")]
+    assert all(
+        "different spline bases" not in path.read_text() for path in SOURCES
+        if path.name != "model.py"
+    )
+
+
 def test_one_stage_transition():
     # a stage ends on the model axis: new columns come from one batched
     # initializer, canonical parameters from one stacked orthonormalization

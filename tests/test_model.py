@@ -32,10 +32,12 @@ from rfpca import (
     fit_from,
     log_likelihood,
     mean_confidence_band,
+    select_dimension,
     sigma_solve,
     simulate_dataset,
 )
 from rfpca import model
+from rfpca.selection import cross_validate
 from rfpca.errors import NumericalOverflowError
 from rfpca.model import (
     _batch,
@@ -599,6 +601,22 @@ def test_fit_warns_naming_capped_stages():
     assert [s.converged for s in res.stages] == [True, False]
 
 
+@pytest.mark.parametrize("nu", [1.0, math.inf])
+def test_fit_from_stops_at_the_cap(nu):
+    # with no map left after a cycle's x1, x2 is traced and the fit stops
+    # there: each SqS3 cycle traces x0 and x1, the cap's partial cycle every
+    # iterate
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(12), 30, Contamination.none(), seed=2
+    )
+    init = fit(data, ModelConfig(nu=nu, d=1, tol=1e-4)).params
+    for k in range(1, 10):
+        result = fit_from(data, ModelConfig(nu=nu, d=1, max_iter=k, tol=1e-300), init)
+        assert result.iterations == k
+        assert len(result.loglik_trace) == 2 * (k // 3) + k % 3 + 1
+        assert not result.converged
+
+
 def test_fit_zero_data_degenerate():
     times = np.linspace(0, 1, 5)
     data = dataset_of([(f"c{i}", times, np.zeros(5)) for i in range(4)], BASIS)
@@ -770,7 +788,7 @@ def test_lockstep_stage_error_stays_with_its_model():
         np.repeat(stats.btx[None], 4, axis=0), np.repeat(stats.xtx[None], 4, axis=0)
     ))
     stops = _lockstep_stage(
-        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, 0.0, None, config
+        batch, {g: (p.theta, p.xi, p.sigma2) for g, p in enumerate(starts)}, config
     )
     without_late = Dataset(
         Curves(data.ids[:-1], data.times[:-1], data.values[:-1], data.m[:-1]), BASIS
@@ -847,7 +865,7 @@ def _stage0_stops(G, nu):
     batch = _batch(base, nu, np.ones((G, base.n)), (btx, xtx))
     sigma2 = xtx.sum(axis=1) / base.design_stats.total_obs
     starts = {g: (np.zeros(9), np.zeros((9, 0)), float(s)) for g, s in enumerate(sigma2)}
-    stops = _lockstep_stage(batch, starts, 0.0, None, ModelConfig(nu=nu, d=1, tol=1e-4))
+    stops = _lockstep_stage(batch, starts, ModelConfig(nu=nu, d=1, tol=1e-4))
     return base, list(stops.values())
 
 
@@ -961,9 +979,8 @@ def test_probe_rejects_rank_deficient_point():
     phi[0, 1] = 0.0  # row 0's second loading column vanishes
     sigma2 = np.array([0.5, 0.5])
     # no objective floor: only the rank rule can reject a point
-    e, failed, kept, kept_sigma2, back = model._probe(
-        batch, phi.copy(), sigma2.copy(), phi2, sigma2_2, [-math.inf] * 2, 0.0, None
-    )
+    kept, kept_sigma2 = phi.copy(), sigma2.copy()
+    e, failed, back = model._probe(batch, kept, kept_sigma2, phi2, sigma2_2, [-math.inf] * 2)
     assert back == [0] and not failed
     assert np.array_equal(kept[0], phi2[0]) and kept_sigma2[0] == sigma2_2[0]
     assert np.array_equal(kept[1], phi[1]) and kept_sigma2[1] == sigma2[1]
@@ -1321,6 +1338,49 @@ def test_dataset_pools_curves_and_builds_views():
     assert same.values.tobytes() == data.values.tobytes()
 
 
+@functools.lru_cache(maxsize=None)
+def _small_fit():
+    # a d = 1 fit on BASIS, and its data
+    data, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(8), 12, Contamination.none(), seed=4, basis=BASIS
+    )
+    return fit(data, ModelConfig(nu=1.0, d=1, tol=1e-4)), data
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, data: log_likelihood(f.params, data), id="log_likelihood"),
+        pytest.param(
+            lambda f, data: estimating_equation_residuals(f.params, data),
+            id="estimating_equation_residuals",
+        ),
+        pytest.param(
+            lambda f, data: fit_from(data, ModelConfig(nu=1.0, d=1), f.params), id="fit_from"
+        ),
+        pytest.param(
+            lambda f, data: em_step(f.params, data, ModelConfig(nu=1.0, d=1)), id="em_step"
+        ),
+        pytest.param(
+            lambda f, data: cross_validate(data, ModelConfig(nu=1.0, d=1), full_fit=f),
+            id="cross_validate",
+        ),
+        pytest.param(lambda f, data: curve_diagnostics(f.params, data), id="curve_diagnostics"),
+        pytest.param(
+            lambda f, data: mean_confidence_band(f.params, data, np.linspace(0, 1, 5)),
+            id="mean_confidence_band",
+        ),
+    ],
+)
+def test_model_and_data_must_share_the_basis(call):
+    fitted, data = _small_fit()
+    other = build_basis(4, 5, (0, 2))  # the same dimension p = 9
+    assert other.dimension == BASIS.dimension
+    on_other = dataset_of(data.trajectories, other)
+    with pytest.raises(DimensionMismatchError, match="different spline bases"):
+        call(fitted, on_other)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(nu=0.0)
@@ -1341,3 +1401,58 @@ def test_config_rejects_nonfinite_penalty_and_tol(field, value):
     # and an infinite tol stopped every stage after two updates as converged
     with pytest.raises(InvalidInputError, match=f"{field} must be"):
         ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda params, data: ModelConfig(d=1.5), InvalidInputError,
+                     "d must be an integer", id="config-d"),
+        pytest.param(lambda params, data: ModelConfig(max_iter=2.5), InvalidInputError,
+                     "max_iter must be an integer", id="config-max_iter"),
+        pytest.param(lambda params, data: ModelConfig(nu="1"), InvalidInputError,
+                     "nu must be", id="config-nu"),
+        pytest.param(lambda params, data: ModelConfig(penalty="0"), InvalidInputError,
+                     "penalty must be", id="config-penalty"),
+        pytest.param(lambda params, data: ModelConfig(tol="1"), InvalidInputError,
+                     "tol must be", id="config-tol"),
+        pytest.param(lambda params, data: dataclasses.replace(params, nu="1"),
+                     InvalidParamsError, "nu must be positive", id="params-nu"),
+        pytest.param(lambda params, data: dataclasses.replace(params, sigma2="1"),
+                     InvalidParamsError, "sigma2 must be positive", id="params-sigma2"),
+        pytest.param(
+            lambda params, data: select_dimension(data, 1.5, "bic", ModelConfig()),
+            InvalidInputError, "d_max must be an integer", id="select-d_max",
+        ),
+        pytest.param(
+            lambda params, data: mean_confidence_band(params, data, [0.5], level="0.9"),
+            InvalidInputError, "level must be", id="band-level",
+        ),
+        pytest.param(
+            lambda params, data: sigma_solve(params, np.ones(9), np.ones(9)),
+            DimensionMismatchError, r"design must be an \(m, p\) matrix", id="sigma_solve-1d",
+        ),
+        pytest.param(
+            lambda params, data: sigma_solve(params, np.ones((1, 9)), 1.0),
+            DimensionMismatchError, "rhs rows must match design rows", id="sigma_solve-0d-rhs",
+        ),
+    ],
+)
+def test_library_settings_of_the_wrong_type_raise_typed_errors(call, error, message):
+    fitted, data = _small_fit()
+    with pytest.raises(error, match=message):
+        call(fitted.params, data)
+
+
+def test_library_settings_take_numpy_scalars():
+    fitted, data = _small_fit()
+    params = fitted.params
+    config = ModelConfig(
+        nu=np.float64(1.0), d=np.int64(1), penalty=np.float64(0.0), max_iter=np.int64(500),
+        tol=np.float64(1e-4),
+    )
+    assert fit(data, config).params.d == 1
+    report = select_dimension(data, np.int64(1), "bic", dataclasses.replace(config, d=0))
+    assert len(report.per_d) == 2
+    band = mean_confidence_band(params, data, [0.5], level=np.float64(0.9))
+    assert band.level == 0.9

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
-from rfpca.errors import InvalidInputError, OutOfDomainError
+from rfpca.errors import InvalidInputError, InvalidParamsError, OutOfDomainError
 from rfpca import simulate
 from rfpca.model import _shares_design
 from rfpca.simulate import (
@@ -221,6 +221,46 @@ def test_contamination_rejects_settings_that_are_not_finite_numbers():
         with pytest.raises(InvalidInputError, match="K|epsilon"):
             Contamination("exogenous_mean", **kwargs)
     assert Contamination("exogenous_mean", np.float64(0.1), np.int64(3)).K == 3
+
+
+def _simulate(n=5, seed=1):
+    return simulate_dataset(TrueModel(), GridDesign.random_uniform(4), n, Contamination.none(), seed)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: GridDesign.random_uniform(2.5), InvalidInputError,
+                     "m must be an integer", id="grid-m"),
+        pytest.param(lambda: GridDesign.poisson_uniform(math.nan), InvalidInputError,
+                     "mean_count must be a finite real number", id="grid-mean_count-nan"),
+        pytest.param(lambda: GridDesign.poisson_uniform(math.inf), InvalidInputError,
+                     "mean_count must be a finite real number", id="grid-mean_count-inf"),
+        pytest.param(lambda: TrueModel(domain=(1.0, 0.0)), InvalidParamsError,
+                     "domain must be finite numbers a < b", id="truth-domain"),
+        pytest.param(lambda: TrueModel(lambdas=(-1.0, 0.5)), InvalidParamsError,
+                     "lambdas must be finite and >= 0", id="truth-lambdas"),
+        pytest.param(lambda: _simulate(n=2.5), InvalidInputError, "n must be an integer",
+                     id="simulate-n"),
+        pytest.param(lambda: _simulate(seed=-1), InvalidInputError, "seed must be >= 0",
+                     id="simulate-seed"),
+    ],
+)
+def test_simulation_settings_of_the_wrong_kind_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_simulation_settings_take_numpy_scalars():
+    truth = TrueModel(lambdas=(np.float64(1.0), np.int64(1)), sigma2=np.float64(0.25))
+    data, _ = simulate_dataset(
+        truth, GridDesign.random_uniform(np.int64(5)), np.int64(4), Contamination.none(),
+        seed=np.int64(2),
+    )
+    assert data.n == 4 and data.m.tolist() == [5] * 4
+    assert GridDesign.poisson_uniform(np.float64(3.0)).sample(
+        np.random.default_rng(0), 2, (0.0, 1.0)
+    )
 
 
 def test_simulate_law_of_large_numbers():
