@@ -13,6 +13,7 @@ one ``scipy.interpolate.BSpline`` computes.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +24,18 @@ from .errors import (
     InvalidInputError,
     OutOfDomainError,
     UnsupportedOrderError,
+    check_integer,
+    is_real,
 )
+
+
+def _domain(domain) -> tuple[float, float]:
+    """``domain`` as floats (a, b); ``InvalidDomainError`` unless it is two
+    finite real numbers a < b."""
+    if not (np.ndim(domain) == 1 and len(domain) == 2 and all(map(is_real, domain))
+            and -math.inf < domain[0] < domain[1] < math.inf):
+        raise InvalidDomainError(f"domain must be two finite real numbers a < b, got {domain!r}")
+    return float(domain[0]), float(domain[1])
 
 
 class SplineBasis:
@@ -45,12 +57,11 @@ class SplineBasis:
     """
 
     def __init__(self, order: int, interior_knots, domain) -> None:
-        order = int(order)
+        check_integer("order", order)
         if order < 1:
             raise UnsupportedOrderError(f"order must be >= 1, got {order}")
-        a, b = (float(domain[0]), float(domain[1]))
-        if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-            raise InvalidDomainError(f"domain must satisfy a < b, got [{a}, {b}]")
+        order = int(order)
+        a, b = _domain(domain)
         interior = np.asarray(interior_knots, dtype=float)
         if interior.ndim != 1:
             raise InvalidInputError("interior_knots must be a 1-d sequence")
@@ -202,11 +213,10 @@ def build_basis(order: int, num_interior_knots: int, domain) -> SplineBasis:
     ``num_interior_knots`` counts knots strictly inside the domain, so the
     dimension is ``num_interior_knots + order``.
     """
-    if int(num_interior_knots) < 0:
+    check_integer("num_interior_knots", num_interior_knots)
+    if num_interior_knots < 0:
         raise InvalidInputError(f"num_interior_knots must be >= 0, got {num_interior_knots}")
-    a, b = (float(domain[0]), float(domain[1]))
-    if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-        raise InvalidDomainError(f"domain must satisfy a < b, got [{a}, {b}]")
-    interior = np.linspace(a, b, int(num_interior_knots) + 2)[1:-1]
+    a, b = _domain(domain)
+    interior = np.linspace(a, b, num_interior_knots + 2)[1:-1]
     return SplineBasis(order, interior, (a, b))
 

@@ -9,7 +9,6 @@ full-precision floats.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import json
 import math
@@ -449,33 +448,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"rfpca: warning: {message}", file=sys.stderr)
 
 
-# glibc serves every block above its mmap threshold (128 KiB at start) from a
-# fresh mapping and unmaps it on free, so the (models x curves)-sized
-# temporaries of each EM iteration fault in new pages every time: about 7,900
-# page faults per BIC-plus-CV selection on 100 curves, against about 20 with
-# these settings. glibc raises the threshold by itself only after some large
-# mapped block is freed; these are the values it settles on after a 32 MiB one
-# (mmap threshold 32 MiB, trim threshold twice that).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
-
-
-def _keep_temporaries_on_heap() -> None:
-    """Set glibc's malloc thresholds to ``_MALLOC_SETTINGS``; elsewhere a no-op."""
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for option, value in _MALLOC_SETTINGS:
-        mallopt(option, value)
-
-
 def main(argv=None) -> int:
-    _keep_temporaries_on_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

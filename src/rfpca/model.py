@@ -602,7 +602,7 @@ def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, n
     return V, np.log(pivots).sum(axis=0), failed
 
 
-def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> tuple[_EStep, dict]:
+def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray, out=None) -> tuple[_EStep, dict]:
     """Conditional quantities of every model's curves at its parameters, and
     by batch row the ``ConditioningError`` of each model whose sweep fails.
 
@@ -610,13 +610,15 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray) -> tuple[_EStep, 
     is (G,). One pass over the (n, p, p) design blocks gives every model's
     BtB xi and BtB theta: a product of the stacked rows with
     ``btb.reshape(n * p, p)^T`` (each block is symmetric), which lands
-    curve-axis-last without a transpose copy.
+    curve-axis-last without a transpose copy. Given ``out``, with n * p columns,
+    the product fills its leading G * (d + 1) rows, which ``A`` and ``btr`` view.
     """
     data = batch.data
     n, p = batch.btx.shape[1:]
     G, d1, _ = phi.shape
     d = d1 - 1
-    prods = (phi.reshape(G * d1, p) @ batch.btb_rows).reshape(G, d1, n, p)
+    rows = None if out is None else out[: G * d1]
+    prods = np.matmul(phi.reshape(G * d1, p), batch.btb_rows, out=rows).reshape(G, d1, n, p)
     A = prods[:, :d]
     btheta = prods[:, d]
     xi_rows = phi[:, :d]
@@ -855,7 +857,7 @@ def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     return phi, sigma2
 
 
-def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor):
+def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, out=None):
     """E-step at each model's SqS3 point (phi, sigma2), kept where it succeeds
     with a finite objective of at least ``floor`` (the objective at x1) and
     loadings that span d directions (``_spectrum``'s rank rule, which the
@@ -863,10 +865,10 @@ def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor):
     x2 = (phi2, sigma2_2), which overwrites their rows of ``phi`` and
     ``sigma2`` and is evaluated as a batch of its own whose rows replace
     theirs. Returns the E-step, the errors of fallen-back models whose
-    E-step fails, and the rows that fell back."""
+    E-step fails, and the rows that fell back; ``out`` goes to the first."""
     d = phi.shape[1] - 1
     with np.errstate(all="ignore"):
-        e, failed = _estep(batch, phi, sigma2)
+        e, failed = _estep(batch, phi, sigma2, out)
         obj = e.loglik if batch.P is None else e.loglik - _penalty(batch, phi) / sigma2
         low_rank = (
             _spectrum(phi[:, :d].transpose(0, 2, 1), batch.data.basis.gram_matrix)[2].tolist()
@@ -911,14 +913,17 @@ def _em_loop(batch: _Batch, phi, sigma2, max_iter, tol) -> list[_Stop | RfpcaErr
     evals = 0  # EM maps each running model has taken
     phase = "x0"
     saved: tuple = ()  # per-model rows that the cycle's next step reads
+    # every E-step's design products, in the leading rows as models leave: a
+    # fresh array of this size per map is mmapped and faults in new pages
+    prods = np.empty((phi.shape[0] * phi.shape[1], batch.btb_rows.shape[1]))
     while True:
         if phase == "probe":
-            e, stopped, back = _probe(batch, phi, sigma2, *saved)
+            e, stopped, back = _probe(batch, phi, sigma2, *saved, prods)
             for j in back:
                 backtracks[running[j]] += 1
             pen = _penalty(batch, phi)
         else:
-            e, stopped = _estep(batch, phi, sigma2)
+            e, stopped = _estep(batch, phi, sigma2, prods)
             pen = _penalty(batch, phi)
             obj = e.loglik if batch.P is None else e.loglik - pen / sigma2
             for j, value in enumerate(obj.tolist()):

@@ -79,6 +79,10 @@ class TrueModel:
     domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
+        if not callable(self.mu):
+            raise InvalidParamsError(f"mu must be callable, got {self.mu!r}")
+        if not all(map(callable, self.phis)):
+            raise InvalidParamsError(f"phis must be callables, got {self.phis!r}")
         if len(self.phis) != len(self.lambdas):
             raise DimensionMismatchError("phis and lambdas must have equal length")
         if not all(is_real(lam) and 0 <= lam < math.inf for lam in self.lambdas):
@@ -200,9 +204,15 @@ def simulate_dataset(
         raise InvalidInputError("n must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    n_comp = len(truth.lambdas)
+    # the endogenous recipes set the first (mean) or second (pc) score
+    needed = {"endogenous_mean": 1, "endogenous_pc": 2}.get(contamination.kind, 0)
+    if n_comp < needed:
+        raise InvalidParamsError(
+            f"{contamination.kind} contamination needs len(lambdas) >= {needed}, got {n_comp}"
+        )
     rng = np.random.default_rng(seed)
     grids = design.sample(rng, n, truth.domain)
-    n_comp = len(truth.lambdas)
     z = rng.standard_normal((n, n_comp))
     m = np.array([g.size for g in grids])
     # one draw of every curve's noise: the same stream as one draw per curve

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -5,7 +7,9 @@ from scipy.interpolate import BSpline
 
 from rfpca import (
     InvalidDomainError,
+    InvalidInputError,
     OutOfDomainError,
+    SplineBasis,
     UnsupportedOrderError,
     DimensionMismatchError,
     build_basis,
@@ -41,6 +45,40 @@ def test_invalid_construction():
         build_basis(0, 5, (0, 1))
     with pytest.raises(ValueError):
         build_basis(4, -1, (0, 1))
+
+
+# settings of the wrong kind; each was coerced: order 4.7 built a cubic
+# basis, "4" and the domain ("0", "1") were parsed, 2.9 knots became 2
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: SplineBasis(4.7, [0.5], (0, 1)), InvalidInputError,
+                     "order must be an integer", id="order-fraction"),
+        pytest.param(lambda: SplineBasis("4", [0.5], (0, 1)), InvalidInputError,
+                     "order must be an integer", id="order-text"),
+        pytest.param(lambda: build_basis(True, 2, (0, 1)), InvalidInputError,
+                     "order must be an integer", id="order-bool"),
+        pytest.param(lambda: build_basis(4, 2.9, (0, 1)), InvalidInputError,
+                     "num_interior_knots must be an integer", id="knots-fraction"),
+        pytest.param(lambda: build_basis(4, 2, ("0", "1")), InvalidDomainError,
+                     "domain must be two finite real numbers", id="domain-text"),
+        pytest.param(lambda: SplineBasis(4, [0.5], ("0", "1")), InvalidDomainError,
+                     "domain must be two finite real numbers", id="basis-domain-text"),
+        pytest.param(lambda: build_basis(4, 2, (0, math.inf)), InvalidDomainError,
+                     "domain must be two finite real numbers", id="domain-inf"),
+        pytest.param(lambda: build_basis(4, 2, (0, 0.5, 1)), InvalidDomainError,
+                     "domain must be two finite real numbers", id="domain-three"),
+    ],
+)
+def test_settings_of_the_wrong_kind_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_settings_take_numpy_scalars():
+    basis = build_basis(np.int64(4), np.int64(2), (np.float64(0.0), np.int64(1)))
+    assert basis == build_basis(4, 2, (0.0, 1.0))
+    assert type(basis.order) is int and all(type(v) is float for v in basis.domain)
 
 
 def test_design_matrix_endpoints():

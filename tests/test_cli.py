@@ -577,6 +577,13 @@ _MISTYPED_MODELS = {
     "sigma2-bool": ("sigma2", True),
 }
 
+# basis fields of the wrong JSON type; 4.7 was read as a cubic basis and "4"
+# was parsed, and diagnose exited 0
+_MISTYPED_BASES = {
+    "order-fraction": ("order", 4.7),
+    "order-text": ("order", "4"),
+}
+
 # a model file of a format the reader does not know: another or no version,
 # a key save_model never writes, a fit block that is not an object; each
 # loaded, and diagnose exited 0. None stands for the key left out
@@ -626,7 +633,10 @@ _UNKNOWN_FORMAT_MODELS = {
         *(
             pytest.param(["diagnose", "--data", "{csv}", "--model", f"{{model_{name}}}"],
                          id=f"model-{name}")
-            for name in {**_NONFINITE_MODELS, **_MISTYPED_MODELS, **_UNKNOWN_FORMAT_MODELS}
+            for name in {
+                **_NONFINITE_MODELS, **_MISTYPED_MODELS, **_MISTYPED_BASES,
+                **_UNKNOWN_FORMAT_MODELS,
+            }
         ),
         pytest.param(["simulate", "--study", "{study_no_estimators}"], id="study-no-estimators"),
         pytest.param(["simulate", "--study", "{study_dmax_20}"], id="study-dmax-above-p"),
@@ -672,10 +682,14 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
     ]:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
-    edits = {**_NONFINITE_MODELS, **_MISTYPED_MODELS, **_UNKNOWN_FORMAT_MODELS}
+    edits = {
+        **_NONFINITE_MODELS, **_MISTYPED_MODELS, **_MISTYPED_BASES, **_UNKNOWN_FORMAT_MODELS,
+    }
     for name, (key, value) in edits.items():
         doc = json.loads(model.read_text())
-        if value is None:
+        if name in _MISTYPED_BASES:
+            doc["basis"][key] = value
+        elif value is None:
             del doc[key]
         elif isinstance(doc.get(key), list):
             doc[key][0] = value

@@ -81,6 +81,24 @@ def test_no_numpy2_only_names(path):
     assert not found, found
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_allocator_settings(path):
+    # the EM loop reuses its one large temporary (the E-step's product
+    # buffer), so no module reaches for the C allocator's process-wide
+    # settings, which library callers would not get
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]] + [alias.name for alias in node.names]
+        else:  # a name, an attribute or a string
+            names = [getattr(node, key, None) for key in ("id", "attr", "value")]
+        found += [f"{path.name}:{node.lineno} names {name}" for name in names
+                  if name in ("ctypes", "mallopt")]
+    assert not found, found
+
+
 def test_numpy2_guard_sees_module_lookups_only():
     source = (
         "import numpy as np\n"

@@ -223,8 +223,12 @@ def test_contamination_rejects_settings_that_are_not_finite_numbers():
     assert Contamination("exogenous_mean", np.float64(0.1), np.int64(3)).K == 3
 
 
-def _simulate(n=5, seed=1):
-    return simulate_dataset(TrueModel(), GridDesign.random_uniform(4), n, Contamination.none(), seed)
+def _simulate(n=5, seed=1, truth=TrueModel(), contamination=Contamination.none()):
+    return simulate_dataset(truth, GridDesign.random_uniform(4), n, contamination, seed)
+
+
+_ONE_COMPONENT = TrueModel(phis=TrueModel().phis[:1], lambdas=(1.0,))
+_NO_COMPONENTS = TrueModel(phis=(), lambdas=())
 
 
 @pytest.mark.parametrize(
@@ -244,6 +248,30 @@ def _simulate(n=5, seed=1):
                      id="simulate-n"),
         pytest.param(lambda: _simulate(seed=-1), InvalidInputError, "seed must be >= 0",
                      id="simulate-seed"),
+        pytest.param(lambda: TrueModel(mu=3), InvalidParamsError, "mu must be callable",
+                     id="truth-mu"),
+        pytest.param(lambda: TrueModel(phis=(1, 2)), InvalidParamsError,
+                     "phis must be callables", id="truth-phis"),
+        pytest.param(
+            lambda: _simulate(truth=_ONE_COMPONENT,
+                              contamination=Contamination("endogenous_pc", 0.4)),
+            InvalidParamsError, r"endogenous_pc contamination needs len\(lambdas\) >= 2",
+            id="simulate-endogenous_pc-one-component",
+        ),
+        pytest.param(
+            lambda: monte_carlo(MonteCarloStudy(
+                "estimation", (StudyScenario("pc", Contamination("endogenous_pc", 0.2)),),
+                n=10, reps=1, truth=_ONE_COMPONENT,
+            )),
+            InvalidParamsError, r"endogenous_pc contamination needs len\(lambdas\) >= 2",
+            id="monte_carlo-endogenous_pc-one-component",
+        ),
+        pytest.param(
+            lambda: _simulate(truth=_NO_COMPONENTS,
+                              contamination=Contamination("endogenous_mean", 0.4)),
+            InvalidParamsError, r"endogenous_mean contamination needs len\(lambdas\) >= 1",
+            id="simulate-endogenous_mean-no-components",
+        ),
     ],
 )
 def test_simulation_settings_of_the_wrong_kind_raise_typed_errors(call, error, message):
