@@ -44,6 +44,7 @@ from .model import (
     sigma_solve,
 )
 from .selection import (
+    SelectionError,
     SelectionReport,
     cross_validate,
     degrees_of_freedom,

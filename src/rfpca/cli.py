@@ -299,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_basis_flags(p_fit)
     _add_fit_flags(p_fit)
     p_fit.add_argument("--out", default=".", help="output directory")
+    p_fit.set_defaults(run=cmd_fit)
 
     p_sel = sub.add_parser("select", help="choose the model dimension; writes selection.json")
     p_sel.add_argument("--data", required=True)
@@ -307,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_basis_flags(p_sel)
     _add_fit_flags(p_sel)
     p_sel.add_argument("--out", default=".")
+    p_sel.set_defaults(run=cmd_select)
 
     p_diag = sub.add_parser("diagnose", help="score curves against a saved model; writes band.csv + outliers.csv")
     p_diag.add_argument("--data", required=True)
@@ -314,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
     p_diag.add_argument("--grid", type=int, default=201, help="evaluation grid size (default 201)")
     p_diag.add_argument("--out", default=".")
+    p_diag.set_defaults(run=cmd_diagnose)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study; writes a tidy CSV")
     group = p_sim.add_mutually_exclusive_group(required=True)
@@ -325,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="seed of replication 0 (default: the study file's, else 0)")
     p_sim.add_argument("--out", default=".")
+    p_sim.set_defaults(run=cmd_simulate)
 
     return parser
 
@@ -347,8 +351,8 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     data = ingest(args.data, args.order, args.knots, args.domain)
-    config = ModelConfig(nu=args.nu, d=args.dmax, penalty=args.penalty,
-                         max_iter=args.max_iter, tol=args.tol)
+    # select_dimension sets the dimension of every fit it runs
+    config = ModelConfig(nu=args.nu, penalty=args.penalty, max_iter=args.max_iter, tol=args.tol)
     report = select_dimension(data, args.dmax, args.criterion, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,17 +455,11 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "fit": cmd_fit,
-        "select": cmd_select,
-        "diagnose": cmd_diagnose,
-        "simulate": cmd_simulate,
-    }
     with warnings.catch_warnings():
         # one line per warning, without Python's source location
         warnings.showwarning = _print_warning
         try:
-            return handlers[args.command](args)
+            return args.run(args)
         except (RfpcaError, OSError) as exc:
             print(f"rfpca: error: {exc}", file=sys.stderr)
             return 1

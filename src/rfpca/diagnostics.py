@@ -139,13 +139,9 @@ def mean_covariance(params: ModelParams, data: Dataset) -> np.ndarray:
     both sides. Includes the 1/n factor, so this is the covariance of the
     estimate itself, not of a single observation.
     """
-    n = data.n
-    stats = data.design_stats
-    sigma2 = params.sigma2
-    e = _estep_at(params, data)
-    bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
-    g = g_weight(params.nu, stats.m, e.s)
-    p = params.p
+    n, p = data.n, params.p
+    e, bt_sinv_r, bt_sinv_b = _whitened_terms(params, data)
+    g = g_weight(params.nu, data.m, e.s)
     m11 = (g @ bt_sinv_b.reshape(n, p * p)).reshape(p, p) / n
     a_mid = ((e.w**2)[:, None] * bt_sinv_r).T @ bt_sinv_r / n
     try:

@@ -539,22 +539,15 @@ class _EStep(NamedTuple):
     """
 
     A: np.ndarray        # (G, d, n, p) BtB @ xi
-    xtbx: np.ndarray     # (d, d, G, n) Xi^T BtB Xi
     Vinv: np.ndarray     # (d, d, G, n), 0 at left-out curves
     btr: np.ndarray      # (G, n, p) B^T (x - B theta)
-    u: np.ndarray        # (d, G, n) Xi^T btr
     zhat_dn: np.ndarray  # (d, G, n) posterior means of z
-    uz: np.ndarray       # (G, n) u . zhat
-    rtr: np.ndarray      # (G, n) squared residual norms
+    resid2: np.ndarray   # (G, n) squared norms of the residuals from the predicted fits
+    trace: np.ndarray    # (G,) sum_i tr(V_i^{-1} Xi^T BtB_i Xi) over counted curves
     s: np.ndarray        # (G, n)
     w: np.ndarray        # (G, n), 0 at left-out curves
     ll_curve: np.ndarray # (G, n) per-curve log density
     loglik: np.ndarray   # (G,) sum over each model's counted curves
-
-    @property
-    def zhat(self) -> np.ndarray:
-        """One model's posterior means of z, shape (n, d) (a transposed view)."""
-        return self.zhat_dn.T
 
     def model(self, g: int) -> "_EStep":
         """Model g's quantities without the model axis (views)."""
@@ -564,7 +557,7 @@ class _EStep(NamedTuple):
 # the slices over the axes before the model axis of each _EStep field, so
 # that field[index + (rows,)] takes or sets those models' rows of the field
 _ESTEP_MODEL_INDEX = _EStep(*(
-    (slice(None),) * axis for axis in (0, 2, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0)
+    (slice(None),) * axis for axis in (0, 2, 0, 1, 0, 0, 0, 0, 0, 0)
 ))
 
 
@@ -643,6 +636,11 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray, out=None) -> tupl
     zhat = (Vinv * u[None]).sum(axis=1) / sigma2_col
     Vinv *= batch.include
     uz = (u * zhat).sum(axis=0)
+    resid2 = np.maximum(rtr - 2.0 * uz + (zhat * (xtbx * zhat[None]).sum(axis=1)).sum(axis=0), 0.0)
+    trace = _rowdot(
+        Vinv.transpose(2, 0, 1, 3).reshape(G, d * d * n),
+        xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n),
+    )
     s = np.maximum((rtr - uz) / sigma2_col, 0.0)
     # libm's log, as for a scalar sigma2: numpy's vectorized log differs
     # from it in the last bit for about 0.1% of inputs
@@ -658,15 +656,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray, out=None) -> tupl
         #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
         ll = batch.const - 0.5 * logdet - batch.half_nu_m * np.log1p(s / nu)
     loglik = (ll * batch.include).sum(axis=1)
-    return _EStep(A, xtbx, Vinv, btr, u, zhat, uz, rtr, s, w, ll, loglik), failed
-
-
-def _resid2(e: _EStep) -> np.ndarray:
-    """Squared norms of the curves' residuals from their predicted fits."""
-    z = e.zhat_dn
-    return np.maximum(
-        e.rtr - 2.0 * e.uz + (z * (e.xtbx * z[None]).sum(axis=1)).sum(axis=0), 0.0
-    )
+    return _EStep(A, Vinv, btr, zhat, resid2, trace, s, w, ll, loglik), failed
 
 
 def _model_btr(e: _EStep) -> np.ndarray:
@@ -674,18 +664,19 @@ def _model_btr(e: _EStep) -> np.ndarray:
     return e.btr - (e.A * e.zhat_dn[:, :, None]).sum(axis=0)
 
 
-def _whitened_terms(stats: _DesignStats, e: _EStep, sigma2: float):
-    """Per-curve B_i^T Sigma_i^{-1} r_i, shape (n, p), and B_i^T Sigma_i^{-1} B_i,
-    shape (n, p, p), by the low-rank identity behind ``sigma_solve``; ``e`` is
-    one model's E-step."""
+def _whitened_terms(params: ModelParams, data: Dataset):
+    """One model's E-step over ``data`` (``_estep_at``), and its per-curve
+    B_i^T Sigma_i^{-1} r_i, shape (n, p), and B_i^T Sigma_i^{-1} B_i, shape
+    (n, p, p), by the low-rank identity behind ``sigma_solve``."""
+    e, sigma2 = _estep_at(params, data), params.sigma2
     bt_sinv_r = _model_btr(e) / sigma2
     A = e.A.transpose(1, 2, 0)  # (n, p, d)
     # (BtB - A V^{-1} A^T / sigma2) / sigma2, in place in one (n, p, p) array
     bt_sinv_b = (A @ e.Vinv.transpose(2, 0, 1)) @ A.transpose(0, 2, 1)
     bt_sinv_b /= -sigma2
-    bt_sinv_b += stats.btb
+    bt_sinv_b += data.design_stats.btb
     bt_sinv_b /= sigma2
-    return bt_sinv_r, bt_sinv_b
+    return e, bt_sinv_r, bt_sinv_b
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray, what: str, failed: dict) -> np.ndarray:
@@ -759,11 +750,7 @@ def _mstep(batch: _Batch, e: _EStep, pen):
     else:
         phi_new = theta_new[:, None]
 
-    trace = _rowdot(
-        e.Vinv.transpose(2, 0, 1, 3).reshape(G, d * d * n),
-        e.xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n),
-    )
-    num = _rowdot(w, _resid2(e)) + trace
+    num = _rowdot(w, e.resid2) + e.trace
     if alpha > 0:
         # keep the penalized objective ascending: the penalty enters the scale
         # update with the same 1/sigma2 weighting as the residual sum
@@ -825,14 +812,18 @@ class _Stop(NamedTuple):
     backtracks: int       # SqS3 points rejected for the plain double step
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_LOG_TINY, _LOG_MAX = math.log(_TINY), math.log(np.finfo(float).max)
+
+
 def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """SqS3 extrapolation (Varadhan & Roland 2008, Scand. J. Stat. 35:335) of
     each model from its (phi, sigma2) iterates x0, x1 = F(x0), x2 = F(x1): on
     rows (phi, log sigma2), x0 - 2 a r + a^2 v with r = x1 - x0,
     v = x2 - 2 x1 + x0 and a = -||r|| / ||v|| capped at -1 and rounded toward
     -1 to a power of two, so every product with a is exact and batch-size
-    rounding is not amplified. A row whose sigma2 leaves the float range is
-    NaN, which ``_probe`` rejects."""
+    rounding is not amplified. A row whose sigma2 leaves the range of normal
+    floats is NaN, which ``_probe`` rejects."""
     G = len(x0[1])
 
     def rows(phi, sigma2):
@@ -850,7 +841,7 @@ def _sqs3_point(x0, x1, x2) -> tuple[np.ndarray, np.ndarray]:
         y = y0 + (2.0 * step) * r + (step * step) * v
     phi, sigma2 = y[:, :-1].reshape(x0[0].shape), np.ones(G)
     for g, value in enumerate(y[:, -1].tolist()):
-        if -700.0 < value < 700.0:
+        if _LOG_TINY < value < _LOG_MAX:
             sigma2[g] = math.exp(value)
         else:
             phi[g] = math.nan
@@ -1149,7 +1140,9 @@ def _fit_lockstep(
     its own trace, so it takes the iterations its own fit takes, and a model
     that fails, in EM or in canonicalization, leaves the batch with its own
     error while the others go on. A dataset whose sum of squared values
-    overflows gets a ``NumericalOverflowError`` naming its first such curve.
+    overflows gets a ``NumericalOverflowError`` naming its first such curve,
+    and one whose mean squared value is below the smallest normal float a
+    ``DegenerateFitError``.
     """
     base = datasets[0]
     if not all(_shares_design(base, data) for data in datasets[1:]):
@@ -1170,8 +1163,11 @@ def _fit_lockstep(
             sigma2 = float(x.sum() / stats.total_obs)
         if not math.isfinite(sigma2):
             out[g] = _overflow("sum of squared values", x, base)
-        elif sigma2 <= 0:
-            out[g] = DegenerateFitError("all observed values are zero; nothing to fit")
+        elif sigma2 < _TINY:  # squares of nonzero values can underflow to 0
+            out[g] = DegenerateFitError(
+                f"mean squared value {sigma2:.3g} is below the smallest normal float "
+                f"{_TINY:.3g}; rescale the values" if datasets[g].values.any()
+                else "all observed values are zero; nothing to fit")
         else:
             starts[g] = (np.zeros(p), np.zeros((p, 0)), sigma2)
     batch = _batch(base, config.nu, np.ones((copies, base.n)), values, penalty=config.penalty)
@@ -1281,12 +1277,8 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
     the noise-variance equation. All vanish at an exact fixed point of the
     unpenalized EM.
     """
-    stats = data.design_stats
-    n = data.n
-    sigma2, d = params.sigma2, params.d
-    e = _estep_at(params, data)
-
-    bt_sinv_r, bt_sinv_b = _whitened_terms(stats, e, sigma2)
+    n, sigma2, d = data.n, params.sigma2, params.d
+    e, bt_sinv_r, bt_sinv_b = _whitened_terms(params, data)
     eq1 = e.w @ bt_sinv_r
     S_n = -bt_sinv_b.sum(axis=0) + (e.w[:, None] * bt_sinv_r).T @ bt_sinv_r
 
@@ -1299,8 +1291,8 @@ def estimating_equation_residuals(params: ModelParams, data: Dataset) -> np.ndar
         eq2 = np.zeros((params.p, 0))
         eq3 = np.zeros(0)
 
-    tr_sinv = (stats.m - (d - np.trace(e.Vinv, axis1=0, axis2=1))) / sigma2
-    eq4 = -0.5 * tr_sinv.sum() + 0.5 * float(e.w @ (_resid2(e) / sigma2**2))
+    tr_sinv = (data.m - (d - np.trace(e.Vinv, axis1=0, axis2=1))) / sigma2
+    eq4 = -0.5 * tr_sinv.sum() + 0.5 * float(e.w @ (e.resid2 / sigma2**2))
 
     return np.array(
         [

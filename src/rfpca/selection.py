@@ -107,6 +107,8 @@ def select_dimension(
         )
     check_integer("d_max", d_max)
     p = data.basis.dimension
+    if d_max < 0:
+        raise InvalidInputError(f"d_max must be >= 0, got {d_max}")
     if d_max > p:
         raise DimensionMismatchError(f"d_max={d_max} exceeds basis dimension p={p}")
 

@@ -168,6 +168,10 @@ class Contamination:
         check_finite_real("K", self.K)
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must be in [0, 1)")
+        if self.kind == "none" and self.epsilon != 0:
+            raise InvalidInputError(
+                f"epsilon must be 0 for contamination kind 'none', got {self.epsilon!r}"
+            )
 
     @classmethod
     def none(cls) -> "Contamination":
@@ -412,6 +416,9 @@ class MonteCarloStudy:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.scenarios or not self.estimators:
             raise InvalidInputError("a study needs at least one scenario and one estimator")
+        bad = [nu for nu in self.estimators if not (is_real(nu) and nu > 0)]
+        if bad:
+            raise InvalidInputError(f"estimators must be positive or inf, got {bad[0]!r}")
         for what, labels in (
             ("scenario name", [scen.name for scen in self.scenarios]),
             ("estimator", [estimator_label(nu) for nu in self.estimators]),

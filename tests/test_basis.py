@@ -68,6 +68,12 @@ def test_invalid_construction():
                      "domain must be two finite real numbers", id="domain-inf"),
         pytest.param(lambda: build_basis(4, 2, (0, 0.5, 1)), InvalidDomainError,
                      "domain must be two finite real numbers", id="domain-three"),
+        pytest.param(lambda: SplineBasis(4, [0.6, 0.3], (0, 1)), InvalidInputError,
+                     "interior knots must be strictly increasing", id="knots-unsorted"),
+        pytest.param(lambda: SplineBasis(4, [0.5, 1.5], (0, 1)), InvalidInputError,
+                     "interior knots must lie strictly inside the domain", id="knots-outside"),
+        pytest.param(lambda: build_basis(4, 2, (0, 1)).design_matrix([[0.1, 0.2]]),
+                     DimensionMismatchError, "times must be a 1-d array", id="times-2d"),
     ],
 )
 def test_settings_of_the_wrong_kind_raise_typed_errors(call, error, message):

@@ -442,6 +442,19 @@ def test_simulate_command_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_simulate_table_2_runs_both_sample_sizes(tmp_path):
+    assert main(["simulate", "--table", "2", "--reps", "1", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "table2.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = [
+        {"n": n, **row}
+        for n in (20, 60)
+        for row in monte_carlo(selection_study(reps=1, seed=3, n=n))
+    ]
+    assert rows == [{key: str(value) for key, value in row.items()} for row in expected]
+
+
 def test_simulate_flags_override_study_file(tmp_path):
     def run(name, doc, *flags):
         cfg, out = tmp_path / f"{name}.json", tmp_path / name
@@ -531,6 +544,12 @@ def test_usage_errors(tmp_path, sim_csv):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", str(sim_csv), "--domain", "zero,one"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(sim_csv), "--domain", "1,2,3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(sim_csv), "--nu", "abc"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_reported(tmp_path):
@@ -557,6 +576,7 @@ _BAD_STUDY_NUMBERS = {
     "estimator-bool": {"estimators": [True]},
     "estimator-text": {"estimators": ["5"]},
     "name-number": {"scenarios": [{"name": 3}]},
+    "none-epsilon": {"scenarios": [{"name": "clean", "kind": "none", "epsilon": 0.3}]},
 }
 
 # model-file parameters that are not finite; the first two were accepted and
@@ -568,9 +588,11 @@ _NONFINITE_MODELS = {
 }
 
 # model-file fields of the wrong JSON type; each was read as a number: d = -1
-# took H's width, "5" and "0.2" were parsed, and true was read as 1
+# took H's width, "5" and "0.2" were parsed, and true was read as 1; and a d
+# that H's width does not match
 _MISTYPED_MODELS = {
     "d-neg": ("d", -1),
+    "d-wider-than-H": ("d", 2),
     "nu-text": ("nu", "5"),
     "nu-bool": ("nu", True),
     "sigma2-text": ("sigma2", "0.2"),
@@ -726,6 +748,11 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
         "mode": "estimation", "estimators": [1.0], "n": 20, "reps": 1,
         "scenarios": [{"name": "exo", "kind": "exogenous_mean", "K": "4"}],
     }))
+    zero_nu = tmp_path / "zero_nu.json"
+    zero_nu.write_text(json.dumps({
+        "mode": "estimation", "estimators": [0.0], "n": 20, "reps": 1,
+        "scenarios": [{"name": "clean"}],
+    }))
     for argv, message in [
         (["diagnose", "--data", str(sim_csv), "--model", str(model)],
          f"{model}: theta, H and lam must be finite"),
@@ -734,10 +761,18 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
         (["diagnose", "--data", str(sim_csv), "--model", str(future)],
          f"{future}: model file version must be 1, got 2"),
         (["simulate", "--study", str(study)], f"{study}: K must be"),
+        (["simulate", "--study", str(zero_nu)], f"{zero_nu}: estimators must be positive"),
     ]:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"rfpca: error: {message}"), err
+
+
+def test_select_names_a_negative_dmax(tmp_path, sim_csv, capsys):
+    # select_dimension sets the dimension of every fit, so --dmax -1 is
+    # reported as d_max, not as the d of a config no fit uses
+    assert main(["select", "--data", str(sim_csv), "--dmax", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("rfpca: error: d_max must be >= 0")
 
 
 @pytest.mark.parametrize(

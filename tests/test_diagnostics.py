@@ -66,7 +66,7 @@ def test_curve_diagnostics_matches_per_curve_loop(d):
     assert [g.id for g in diags] == [t.id for t in data.trajectories]
     for i, (g, traj) in enumerate(zip(diags, data.trajectories)):
         B = data.basis.design_matrix(traj.times)
-        fitted = B @ (params.theta + params.xi @ e.zhat[i])
+        fitted = B @ (params.theta + params.xi @ e.zhat_dn.T[i])
         resid = traj.values - fitted
         np.testing.assert_allclose(g.fitted_values, fitted, rtol=0, atol=1e-12)
         np.testing.assert_allclose(g.residuals, resid, rtol=0, atol=1e-12)

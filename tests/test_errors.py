@@ -1,6 +1,7 @@
 """Source checks: every error the package raises is a typed ``RfpcaError``,
 the package uses no NumPy name newer than the declared minimum, one
-function drives every EM run, and one call makes every stage transition."""
+function drives every EM run, one call makes every stage transition, and
+the E-step record carries only what its readers read."""
 
 import ast
 from pathlib import Path
@@ -122,6 +123,7 @@ class _References(ast.NodeVisitor):
     def __init__(self):
         self.scope: list[str] = []
         self.found: list[tuple[str, str]] = []
+        self.estep_reads: list[tuple[str, str]] = []  # e.<attr>, e being an E-step
 
     def _record(self, name: str) -> None:
         self.found.append((name, self.scope[-1] if self.scope else ""))
@@ -136,6 +138,8 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._record(node.attr)
+        if isinstance(node.value, ast.Name) and node.value.id == "e":
+            self.estep_reads.append((node.attr, self.scope[-1] if self.scope else ""))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
@@ -209,3 +213,29 @@ def test_one_stage_transition():
 def test_batch_sizing_stays_in_model():
     found = _references({"_models_per_batch", "_BATCH_BYTES"})
     assert found and {file for file, _, _ in found} == {"model.py"}, found
+
+
+def test_estep_record_holds_what_its_readers_read():
+    # every field of the E-step record is read off an E-step (``e``) outside
+    # the function that builds it, and nothing else is: the record carries no
+    # working array that a reader re-derives a sum from, and no alias
+    from rfpca.model import _EStep
+
+    read = set()
+    for path in SOURCES:
+        visitor = _References()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        read |= {name for name, scope in visitor.estep_reads if scope != "_estep"}
+    assert read == set(_EStep._fields) | {"model"}
+    assert _references({"_resid2"}) == []
+
+
+def test_whitened_terms_are_the_one_way_to_the_estep_for_inference():
+    # the sandwich and the estimating equations read the E-step and its
+    # whitened terms from one call, not each from its own preamble
+    core = {"_estep", "_estep_at", "_batch", "design_stats", "_model_btr", "_whitened_terms"}
+    for func in ("mean_covariance", "estimating_equation_residuals"):
+        assert {name for _, scope, name in _references(core) if scope == func} == {
+            "_whitened_terms"
+        }, func
+    assert ("model.py", "_whitened_terms", "_estep_at") in _references({"_estep_at"})

@@ -116,13 +116,13 @@ def test_estep_matches_dense(rng, d, nu):
     )
     e = _estep_at(params, data)
     assert e.s[0] == 0.0
-    np.testing.assert_allclose(e.zhat[0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(e.zhat_dn.T[0], 0.0, atol=1e-12)
     for i, traj in enumerate(data.trajectories[1:], start=1):
         B = BASIS.design_matrix(traj.times)
         r = traj.values - B @ params.theta
         sol = np.linalg.solve(dense_covariance(params, B), r)
         assert abs(e.s[i] - r @ sol) < 1e-10 * (r @ sol)
-        np.testing.assert_allclose(e.zhat[i], params.xi.T @ B.T @ sol, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(e.zhat_dn.T[i], params.xi.T @ B.T @ sol, rtol=1e-10, atol=1e-12)
         if d == 0:
             assert abs(e.s[i] - r @ r / params.sigma2) < 1e-12
     np.testing.assert_array_equal(e.w, robust_weight(nu, data.design_stats.m, e.s))
@@ -1112,6 +1112,33 @@ def test_fit_invariant_to_time_shift(nu):
         assert rel(result.weights, base.weights) <= 1e-10
 
 
+def test_fits_near_the_bottom_of_the_float_range():
+    # SqS3 keeps extrapolating while sigma2 is a normal float, so at 1e-152
+    # and 1e-153 (sigma2 about 2e-305 and 2e-307) the fit takes the maps of
+    # 1e-151; below, squared values are subnormal and the fit asks for
+    # rescaled values instead of failing on a later check
+    base, _ = simulate_dataset(
+        TrueModel(), GridDesign.random_uniform(10), 40, Contamination.none(), seed=3
+    )
+
+    def scaled(scale):
+        return Dataset(Curves(base.ids, base.times, scale * base.values, base.m), base.basis)
+
+    config = ModelConfig(nu=1.0, d=2)
+    ref = fit(scaled(1e-151), config)
+    for scale in (1e-152, 1e-153):
+        result = fit(scaled(scale), config)
+        assert [s.iterations for s in result.stages] == [s.iterations for s in ref.stages]
+        assert [s.backtracks for s in result.stages] == [s.backtracks for s in ref.stages]
+        ratio = (result.params.sigma2 / scale**2) / (ref.params.sigma2 / 1e-151**2)
+        assert abs(ratio - 1.0) < 1e-9
+    for scale in (1e-154, 1e-160, 1e-170):
+        with pytest.raises(DegenerateFitError, match="below the smallest normal float"):
+            fit(scaled(scale), config)
+    with pytest.raises(DegenerateFitError, match="all observed values are zero"):
+        fit(scaled(0.0), config)
+
+
 @functools.lru_cache(maxsize=None)
 def _edge_data(family: str) -> Dataset:
     """A small dataset at one edge of the input space, on ``BASIS``."""
@@ -1232,10 +1259,11 @@ def test_ee_theta_residual_grows_off_root(rng):
 
 
 def test_ee_residuals_match_dense_assembly(rng):
-    """Batched estimating equations agree with a per-curve dense computation."""
+    """Batched estimating equations agree with a per-curve dense computation,
+    with components and without."""
     data = random_dataset(rng, BASIS, n=10, m_range=(4, 9))
-    for nu in (1.0, math.inf):
-        params = random_params(rng, BASIS, d=2, sigma2=0.5, nu=nu)
+    for d, nu in [(2, 1.0), (2, math.inf), (0, 1.0), (0, math.inf)]:
+        params = random_params(rng, BASIS, d=d, sigma2=0.5, nu=nu)
         eq1 = np.zeros(9)
         S_n = np.zeros((9, 9))
         eq4 = 0.0
@@ -1252,7 +1280,7 @@ def test_ee_residuals_match_dense_assembly(rng):
         J = BASIS.gram_matrix
         proj = np.eye(9) - J @ params.H @ params.H.T
         eq2 = proj @ S_n @ params.H
-        eq3 = np.array([params.H[:, k] @ S_n @ params.H[:, k] for k in range(2)])
+        eq3 = np.array([params.H[:, k] @ S_n @ params.H[:, k] for k in range(d)])
         n = data.n
         ref = np.array([
             np.linalg.norm(eq1) / n,
@@ -1423,6 +1451,10 @@ def test_config_rejects_nonfinite_penalty_and_tol(field, value):
         pytest.param(
             lambda params, data: select_dimension(data, 1.5, "bic", ModelConfig()),
             InvalidInputError, "d_max must be an integer", id="select-d_max",
+        ),
+        pytest.param(
+            lambda params, data: select_dimension(data, -1, "bic", ModelConfig()),
+            InvalidInputError, "d_max must be >= 0", id="select-d_max-neg",
         ),
         pytest.param(
             lambda params, data: mean_confidence_band(params, data, [0.5], level="0.9"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from rfpca import ModelConfig, ModelParams, build_basis, degrees_of_freedom, fit
-from rfpca.errors import InvalidInputError, InvalidParamsError, OutOfDomainError
+from rfpca.errors import (
+    DegenerateFitError,
+    DimensionMismatchError,
+    InvalidInputError,
+    InvalidParamsError,
+    OutOfDomainError,
+)
 from rfpca import simulate
 from rfpca.model import _shares_design
 from rfpca.simulate import (
@@ -231,6 +238,13 @@ _ONE_COMPONENT = TrueModel(phis=TrueModel().phis[:1], lambdas=(1.0,))
 _NO_COMPONENTS = TrueModel(phis=(), lambdas=())
 
 
+def _fit_on(domain):
+    """A stand-in fit result: the zero mean on a cubic basis over ``domain``."""
+    basis = build_basis(4, 5, domain)
+    params = ModelParams.from_xi(np.zeros(9), np.zeros((9, 0)), 1.0, 1.0, basis)
+    return type("F", (), {"params": params})()
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -244,6 +258,16 @@ _NO_COMPONENTS = TrueModel(phis=(), lambdas=())
                      "domain must be finite numbers a < b", id="truth-domain"),
         pytest.param(lambda: TrueModel(lambdas=(-1.0, 0.5)), InvalidParamsError,
                      "lambdas must be finite and >= 0", id="truth-lambdas"),
+        pytest.param(lambda: TrueModel(lambdas=(1.0,)), DimensionMismatchError,
+                     "phis and lambdas must have equal length", id="truth-lambdas-length"),
+        pytest.param(lambda: TrueModel(sigma2=0.0), InvalidParamsError,
+                     "sigma2 must be positive and finite", id="truth-sigma2"),
+        pytest.param(lambda: GridDesign.poisson_uniform(0), InvalidInputError,
+                     "mean_count must be positive", id="grid-mean_count-0"),
+        pytest.param(lambda: Contamination("none", epsilon=0.3), InvalidInputError,
+                     "epsilon must be 0 for contamination kind 'none'", id="none-epsilon"),
+        pytest.param(lambda: error_norms(_fit_on((0.0, 2.0)), TrueModel()), InvalidInputError,
+                     "fit domain differs from truth domain", id="error_norms-domain"),
         pytest.param(lambda: _simulate(n=2.5), InvalidInputError, "n must be an integer",
                      id="simulate-n"),
         pytest.param(lambda: _simulate(seed=-1), InvalidInputError, "seed must be >= 0",
@@ -361,6 +385,36 @@ def test_monte_carlo_excludes_nonconverged(monkeypatch):
         assert math.isnan(row["value"])
 
 
+@pytest.mark.parametrize("mode", ["estimation", "selection"])
+def test_monte_carlo_excludes_failed_fits(monkeypatch, mode):
+    # the Cauchy fit of the second scenario fails in replication 1: its cells
+    # count that replication as excluded and aggregate replication 0 alone
+    scenarios = (
+        StudyScenario("clean", Contamination.none()),
+        StudyScenario("exo_pc_20", Contamination("exogenous_pc", 0.2, 4.0)),
+    )
+    study = _tiny_study(mode=mode, scenarios=scenarios, estimators=(math.inf, 1.0), d_max=2)
+    alone = monte_carlo(dataclasses.replace(study, reps=1))
+    fit_lockstep, calls = simulate._fit_lockstep, []
+
+    def failing(datasets, config):
+        results = fit_lockstep(datasets, config)
+        calls.append(config.nu)
+        if len(calls) > len(study.estimators) and config.nu == 1.0:
+            results[1] = DegenerateFitError("injected")
+        return results
+
+    monkeypatch.setattr(simulate, "_fit_lockstep", failing)
+    rows = monte_carlo(study)
+    assert len(calls) == study.reps * len(study.estimators)
+    value = "value" if mode == "estimation" else "percent"
+    for row, ref in zip(rows, alone, strict=True):
+        failed = row["scenario"] == "exo_pc_20" and row["estimator"] == "cauchy"
+        assert (row["reps_used"], row["reps_excluded"]) == ((1, 1) if failed else (2, 0))
+        if failed:
+            assert row[value] == ref[value]
+
+
 def test_monte_carlo_selection_mode():
     study = MonteCarloStudy(
         mode="selection",
@@ -397,6 +451,8 @@ def test_study_validation():
         )),
         dict(estimators=(math.inf, math.inf)),
         dict(estimators=(1, 1.0)),
+        dict(estimators=(0.0,)),
+        dict(estimators=(math.nan,)),
     ],
     ids=repr,
 )
