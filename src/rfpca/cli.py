@@ -46,18 +46,14 @@ def read_long_csv(path) -> Curves:
     read as UTF-8. Rows may come in any order: curves are numbered by first
     appearance of their ids, and a stable sort puts each curve's rows in time
     order, so tied times keep their file order. One ``np.loadtxt`` call parses
-    the rows; only if it fails, or a number is not finite, is the file scanned
-    again line by line, so that the ``CsvParseError`` names the first
-    offending line.
+    the rows; only if the header is wrong, the text is not UTF-8, the parse
+    fails or a number is not finite is the file scanned again line by line,
+    so that the ``CsvParseError`` names the first offending line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.rstrip("\r\n") != LONG_CSV_HEADER:
-                raise CsvParseError(
-                    f"{path}: line 1: expected header {LONG_CSV_HEADER!r}"
-                )
-            try:
+            header_ok = fh.readline().rstrip("\r\n") == LONG_CSV_HEADER
+            if header_ok:
                 with warnings.catch_warnings():
                     # an empty body is reported below, as a CsvParseError
                     warnings.simplefilter("ignore", UserWarning)
@@ -65,12 +61,10 @@ def read_long_csv(path) -> Curves:
                         fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"',
                         ndmin=1,
                     )
-            except ValueError as exc:
-                raise _first_bad_line(path) or CsvParseError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        # from the header read, the parse or the rescan, whichever decodes
-        # the offending bytes first
-        raise _undecodable_line(path) from None
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise _first_bad_line(path) or CsvParseError(f"{path}: {exc}") from None
+    if not header_ok:
+        raise _first_bad_line(path)
     time, value = rows["time"], rows["value"]
     if not (np.isfinite(time).all() and np.isfinite(value).all()):
         raise _first_bad_line(path) or CsvParseError(f"{path}: non-finite time or value")
@@ -85,24 +79,30 @@ def read_long_csv(path) -> Curves:
     return Curves(ids[order].tolist(), time[perm], value[perm], np.bincount(curve))
 
 
-def _undecodable_line(path) -> CsvParseError:
-    """The error naming the first line of ``path`` that is not UTF-8."""
-    with open(path, "rb") as fh:
-        # a UTF-8 multibyte sequence never holds the newline byte
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return CsvParseError(f"{path}: line {lineno}: not valid UTF-8 text")
-    return CsvParseError(f"{path}: not valid UTF-8 text")
-
-
 def _first_bad_line(path) -> CsvParseError | None:
-    """The error of the first data line that breaks ``read_long_csv``'s
-    rules, or None; a slow scan, made only after the fast parse failed."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, row in enumerate(csv.reader(fh), start=2):
+    """The error of the first line, in file order, that breaks
+    ``read_long_csv``'s rules, or None; a slow scan, made only after the fast
+    parse failed. Lines end at LF, CRLF or CR, as in ``newline=""`` reading,
+    and each is decoded on its own (no UTF-8 multibyte sequence holds either
+    byte). A record is named by the line it starts on."""
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines(keepends=True)
+
+    def lines():
+        for lineno, line in enumerate(raw, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CsvParseError(f"{path}: line {lineno}: not valid UTF-8 text") from None
+
+    text = lines()
+    try:
+        if next(text, "").rstrip("\r\n") != LONG_CSV_HEADER:
+            return CsvParseError(f"{path}: line 1: expected header {LONG_CSV_HEADER!r}")
+        reader = csv.reader(text)
+        start = 2
+        for row in reader:
+            lineno, start = start, reader.line_num + 2
             if not row:
                 continue
             if len(row) != 3:
@@ -112,6 +112,8 @@ def _first_bad_line(path) -> CsvParseError | None:
                 return CsvParseError(f"{path}: line {lineno}: non-numeric time or value")
             if not (math.isfinite(t) and math.isfinite(v)):
                 return CsvParseError(f"{path}: line {lineno}: non-finite time or value")
+    except CsvParseError as exc:
+        return exc
     return None
 
 
@@ -248,9 +250,7 @@ def _write_diagnostics_csv(path, table) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_nu(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
+    try:  # float reads "inf" and "infinity" in any case and spacing
         nu = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid nu: {text!r}") from None
@@ -389,7 +389,8 @@ def cmd_diagnose(args) -> int:
 
 
 # every key a study file may set; any other key is an input error, so a
-# misspelled or retired setting cannot be silently ignored
+# misspelled or retired setting cannot be silently ignored, and so is a key
+# that the study would ignore (K on a clean scenario, d_max when estimating)
 _STUDY_KEYS = ("mode", "scenarios", "estimators", "n", "reps", "seed", "d_max")
 _SCENARIO_KEYS = ("name", "kind", "epsilon", "K")
 
@@ -411,17 +412,26 @@ def _study_from_json(path, flags: dict) -> sim.MonteCarloStudy:
             _check_keys(s, _SCENARIO_KEYS, "scenario")
             if not isinstance(s["name"], str):
                 raise InvalidInputError(f"scenario names must be strings, got {s['name']!r}")
-            recipe = {key: value for key, value in s.items() if key != "name"}
-            scenarios.append(sim.StudyScenario(s["name"], sim.Contamination(**recipe)))
+            recipe = sim.Contamination(**{key: value for key, value in s.items() if key != "name"})
+            if "K" in s and recipe.kind == "none":
+                raise InvalidInputError(
+                    f"scenario {s['name']!r} sets K, which contamination kind 'none' does not use"
+                )
+            scenarios.append(sim.StudyScenario(s["name"], recipe))
         bad = [e for e in doc["estimators"] if not (e == "inf" or is_real(e))]
         if bad:
             raise InvalidInputError(f'estimators must be numbers or "inf", got {bad[0]!r}')
         estimators = tuple(math.inf if e == "inf" else float(e) for e in doc["estimators"])
         settings = {key: doc[key] for key in ("n", "reps", "seed", "d_max") if key in doc}
-        return sim.MonteCarloStudy(
+        study = sim.MonteCarloStudy(
             mode=doc["mode"], scenarios=tuple(scenarios), estimators=estimators,
             **(settings | flags),
         )
+        if "d_max" in doc and study.mode == "estimation":
+            raise InvalidInputError(
+                "study sets d_max, which mode 'estimation' does not use: it fits d = 0 and d = 1"
+            )
+        return study
 
 
 def cmd_simulate(args) -> int:

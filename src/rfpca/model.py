@@ -531,17 +531,16 @@ def _phi(theta: np.ndarray, xi: np.ndarray) -> np.ndarray:
 class _EStep(NamedTuple):
     """Conditional quantities of every (model, curve) slot of a batch.
 
-    Slots are model-major, and blocks of size d come first with the slot
-    axes (G, n) last, so every d x d operation, the sweep included, runs on
-    contiguous rows of G * n slots. ``A`` and ``btr`` are per-model design
-    products and keep the model axis first. ``model(g)`` drops the model
-    axis.
+    Every field leads with the model axis, so ``model(g)`` takes row g of
+    each. ``Vinv`` and ``zhat_dn`` are views of storage that keeps blocks of
+    size d first and the slot axes (G, n) last, so every d x d operation,
+    the sweep included, runs on contiguous rows of G * n model-major slots.
     """
 
     A: np.ndarray        # (G, d, n, p) BtB @ xi
-    Vinv: np.ndarray     # (d, d, G, n), 0 at left-out curves
+    Vinv: np.ndarray     # (G, d, d, n), 0 at left-out curves
     btr: np.ndarray      # (G, n, p) B^T (x - B theta)
-    zhat_dn: np.ndarray  # (d, G, n) posterior means of z
+    zhat_dn: np.ndarray  # (G, d, n) posterior means of z
     resid2: np.ndarray   # (G, n) squared norms of the residuals from the predicted fits
     trace: np.ndarray    # (G,) sum_i tr(V_i^{-1} Xi^T BtB_i Xi) over counted curves
     s: np.ndarray        # (G, n)
@@ -551,14 +550,7 @@ class _EStep(NamedTuple):
 
     def model(self, g: int) -> "_EStep":
         """Model g's quantities without the model axis (views)."""
-        return _EStep._make([f[index + (g,)] for f, index in zip(self, _ESTEP_MODEL_INDEX)])
-
-
-# the slices over the axes before the model axis of each _EStep field, so
-# that field[index + (rows,)] takes or sets those models' rows of the field
-_ESTEP_MODEL_INDEX = _EStep(*(
-    (slice(None),) * axis for axis in (0, 2, 0, 1, 0, 0, 0, 0, 0, 0)
-))
+        return _EStep._make([f[g] for f in self])
 
 
 def _sweep(V: np.ndarray, curve_id: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -635,12 +627,10 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray, out=None) -> tupl
     u = (xi_rows @ btr.transpose(0, 2, 1)).transpose(1, 0, 2)
     zhat = (Vinv * u[None]).sum(axis=1) / sigma2_col
     Vinv *= batch.include
+    Vinv = Vinv.transpose(2, 0, 1, 3)  # model axis first, a view of the sweep's storage
     uz = (u * zhat).sum(axis=0)
     resid2 = np.maximum(rtr - 2.0 * uz + (zhat * (xtbx * zhat[None]).sum(axis=1)).sum(axis=0), 0.0)
-    trace = _rowdot(
-        Vinv.transpose(2, 0, 1, 3).reshape(G, d * d * n),
-        xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n),
-    )
+    trace = _rowdot(Vinv.reshape(G, d * d * n), xtbx.transpose(2, 0, 1, 3).reshape(G, d * d * n))
     s = np.maximum((rtr - uz) / sigma2_col, 0.0)
     # libm's log, as for a scalar sigma2: numpy's vectorized log differs
     # from it in the last bit for about 0.1% of inputs
@@ -656,7 +646,7 @@ def _estep(batch: _Batch, phi: np.ndarray, sigma2: np.ndarray, out=None) -> tupl
         #   const - (1/2) log|Sigma| - ((nu+m)/2) log(1 + s/nu)
         ll = batch.const - 0.5 * logdet - batch.half_nu_m * np.log1p(s / nu)
     loglik = (ll * batch.include).sum(axis=1)
-    return _EStep(A, Vinv, btr, zhat, resid2, trace, s, w, ll, loglik), failed
+    return _EStep(A, Vinv, btr, zhat.transpose(1, 0, 2), resid2, trace, s, w, ll, loglik), failed
 
 
 def _model_btr(e: _EStep) -> np.ndarray:
@@ -707,10 +697,12 @@ def _mstep(batch: _Batch, e: _EStep, pen):
     V^{-1} blocks. Also returns by batch row the error of each model whose
     update fails."""
     n, p = batch.btx.shape[1:]
-    d, G = e.zhat_dn.shape[:2]
+    # the slot-last views of the E-step's storage: d x d work on G * n rows
+    zhat = e.zhat_dn.transpose(1, 0, 2)  # (d, G, n)
+    d, G = zhat.shape[:2]
     alpha, P = batch.alpha, batch.P
     w = e.w
-    wz = w * e.zhat_dn  # (d, G, n)
+    wz = w * zhat  # (d, G, n)
 
     # one pass over the design blocks: rows [w; C] with C_i = Vinv_i +
     # w_i zhat_i zhat_i^T give every model's sum_i w_i BtB_i and
@@ -718,8 +710,8 @@ def _mstep(batch: _Batch, e: _EStep, pen):
     wc = np.empty((1 + d * d, G, n))
     wc[0] = w
     C = wc[1:].reshape(d, d, G, n)
-    np.multiply(wz[:, None], e.zhat_dn[None], out=C)
-    C += e.Vinv
+    np.multiply(wz[:, None], zhat[None], out=C)
+    C += e.Vinv.transpose(1, 2, 0, 3)
     sums = (wc.reshape((1 + d * d) * G, n) @ batch.btb_flat).reshape(1 + d * d, G, p, p)
 
     lhs_theta = sums[0]
@@ -873,8 +865,8 @@ def _probe(batch: _Batch, phi, sigma2, phi2, sigma2_2, floor, out=None):
         return e, {}, back
     phi[back], sigma2[back] = phi2[back], sigma2_2[back]
     e_back, failed = _estep(batch.select(back), phi[back], sigma2[back])
-    for full, part, index in zip(e, e_back, _ESTEP_MODEL_INDEX):
-        full[index + (back,)] = part
+    for full, part in zip(e, e_back):
+        full[back] = part
     return e, {back[k]: err for k, err in failed.items()}, back
 
 

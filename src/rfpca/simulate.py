@@ -126,20 +126,22 @@ class GridDesign:
     def poisson_uniform(cls, mean_count: float = 15.0) -> "GridDesign":
         return cls("poisson_uniform", mean_count=mean_count)
 
-    def sample(self, rng: np.random.Generator, n: int, domain) -> list[np.ndarray]:
+    def sample(self, rng: np.random.Generator, n: int, domain) -> tuple[np.ndarray, np.ndarray]:
+        """n curves' observation times, sorted within each curve, as the
+        pooled ``(times, m)`` columns that ``Curves`` holds."""
         a, b = domain
         if self.kind == "fixed_uniform":
-            grid = np.linspace(a, b, self.m)
-            return [grid.copy() for _ in range(n)]
+            return np.tile(np.linspace(a, b, self.m), n), np.full(n, self.m)
         if self.kind == "random_uniform":
-            return [np.sort(rng.uniform(a, b, self.m)) for _ in range(n)]
+            return np.sort(rng.uniform(a, b, (n, self.m))).ravel(), np.full(n, self.m)
+        # a curve's count and its times interleave in the stream
         grids = []
         for _ in range(n):
             m_i = rng.poisson(self.mean_count)
             while m_i < 2:  # redraw rare tiny counts so every curve is usable
                 m_i = rng.poisson(self.mean_count)
             grids.append(np.sort(rng.uniform(a, b, m_i)))
-        return grids
+        return np.concatenate(grids), np.array([g.size for g in grids])
 
 
 @dataclass(frozen=True)
@@ -216,14 +218,13 @@ def simulate_dataset(
             f"{contamination.kind} contamination needs len(lambdas) >= {needed}, got {n_comp}"
         )
     rng = np.random.default_rng(seed)
-    grids = design.sample(rng, n, truth.domain)
+    times, m = design.sample(rng, n, truth.domain)
     z = rng.standard_normal((n, n_comp))
-    m = np.array([g.size for g in grids])
     # one draw of every curve's noise: the same stream as one draw per curve
-    noise = rng.standard_normal(int(m.sum()))
+    noise = rng.standard_normal(times.size)
 
-    n_bad = int(round(contamination.epsilon * n))
-    selected = rng.permutation(n)[:n_bad] if contamination.kind != "none" else np.array([], dtype=int)
+    n_bad = int(round(contamination.epsilon * n))  # 0 for kind "none"
+    selected = rng.permutation(n)[:n_bad]
     plus = selected[: n_bad // 2]
     minus = selected[n_bad // 2 :]
     K = contamination.K
@@ -247,7 +248,6 @@ def simulate_dataset(
 
     # every term is evaluated once on the pooled times, row by row as the
     # per-curve sums x_i = mu + sigma eps_i + sum_k z_ik sqrt(lam_k) phi_k
-    times = np.concatenate(grids)
     x = truth.mu(times) + math.sqrt(truth.sigma2) * noise
     sq_lam = np.sqrt(lambdas)
     for k in range(n_comp):

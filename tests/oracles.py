@@ -282,15 +282,32 @@ def reference_read_long_csv(path):
     )
 
 
+def reference_grids(design, rng, n, domain):
+    """The observation times of ``GridDesign.sample``, drawn one curve at a
+    time: a list of n sorted arrays. A Poisson curve redraws counts below 2."""
+    a, b = domain
+    if design.kind == "fixed_uniform":
+        return [np.linspace(a, b, design.m) for _ in range(n)]
+    if design.kind == "random_uniform":
+        return [np.sort(rng.uniform(a, b, design.m)) for _ in range(n)]
+    grids = []
+    for _ in range(n):
+        m_i = rng.poisson(design.mean_count)
+        while m_i < 2:
+            m_i = rng.poisson(design.mean_count)
+        grids.append(np.sort(rng.uniform(a, b, m_i)))
+    return grids
+
+
 def reference_simulate(truth, design, n, contamination, seed):
     """Curves of ``simulate_dataset``, drawn one curve at a time.
 
-    Draw order: the design's grids, the (n, d) scores, one noise vector per
-    curve, then the permutation choosing the contaminated curves. Returns
-    a list of (id, times, values).
+    Draw order: the design's grids (``reference_grids``), the (n, d) scores,
+    one noise vector per curve, then the permutation choosing the
+    contaminated curves. Returns a list of (id, times, values).
     """
     rng = np.random.default_rng(seed)
-    grids = design.sample(rng, n, truth.domain)
+    grids = reference_grids(design, rng, n, truth.domain)
     z = rng.standard_normal((n, len(truth.lambdas)))
     noise = [rng.standard_normal(g.size) for g in grids]
     n_bad = int(round(contamination.epsilon * n))

@@ -219,6 +219,12 @@ _GOOD_ROW = "a,0.1,1.0"
         pytest.param("b,0.2,-inf", "non-finite time or value", id="inf"),
         # the surrogate is written as the single byte 0xff
         pytest.param("b,0.2,\udcff", "not valid UTF-8 text", id="non-utf8"),
+        # a later line that is not UTF-8 comes after the first fault in file
+        # order, though the reader decodes it, a chunk at a time, before the
+        # parse reaches the fault
+        pytest.param(
+            "b,0.2\nc,0.3,1\nd,0.4,\udcff\udcfe", "expected 3 fields, got 2", id="then-non-utf8"
+        ),
     ],
 )
 def test_malformed_line_is_named(tmp_path, bad_row, message, blank_before):
@@ -320,6 +326,13 @@ def test_fit_command_constant_data(tmp_path, rng):
     grid = np.linspace(0, 1, 201)
     np.testing.assert_allclose(params.mean(grid), 7.0, atol=1e-6)
     assert (out / "diagnostics.csv").exists()
+
+
+def test_nu_reads_infinity_in_any_case_and_spacing(tmp_path, sim_csv):
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(sim_csv), "--nu", " Infinity ", "--out", str(out)]) == 0
+    with open(out / "model.json") as fh:
+        assert json.load(fh)["nu"] == "inf"
 
 
 def test_fit_then_diagnose_round_trip(tmp_path, sim_csv):
@@ -560,9 +573,10 @@ def test_missing_file_is_reported(tmp_path):
 # study-file numbers that are not integers of the allowed range, or not real
 # numbers at all; each ended in a raw TypeError or ValueError, or (n = 1) in a
 # table of NaN cells, or (an estimator true) was read as 1, or (an estimator
-# string) was parsed as a number; and a scenario name that is not a string,
-# which labelled its cells
-_BAD_STUDY_NUMBERS = {
+# string) was parsed as a number; a scenario name that is not a string,
+# which labelled its cells; and keys the study does not use, K on a clean
+# scenario and d_max in an estimation study, which ran and exited 0
+_BAD_STUDY_FILES = {
     "n-float": {"n": 2.5},
     "n-bool": {"n": True},
     "n-1": {"n": 1},
@@ -577,6 +591,8 @@ _BAD_STUDY_NUMBERS = {
     "estimator-text": {"estimators": ["5"]},
     "name-number": {"scenarios": [{"name": 3}]},
     "none-epsilon": {"scenarios": [{"name": "clean", "kind": "none", "epsilon": 0.3}]},
+    "none-K": {"scenarios": [{"name": "clean", "kind": "none", "K": 7}]},
+    "estimation-dmax": {"d_max": 2},
 }
 
 # model-file parameters that are not finite; the first two were accepted and
@@ -667,7 +683,7 @@ _UNKNOWN_FORMAT_MODELS = {
         pytest.param(["simulate", "--table", "1", "--reps", "0"], id="reps-0"),
         *(
             pytest.param(["simulate", "--study", f"{{study_{name}}}"], id=f"study-{name}")
-            for name in _BAD_STUDY_NUMBERS
+            for name in _BAD_STUDY_FILES
         ),
     ],
 )
@@ -719,7 +735,7 @@ def test_input_errors_exit_1_without_traceback(tmp_path, sim_csv, capsys, argv):
             doc[key] = value
         paths[f"model_{name}"] = tmp_path / f"model_{name}.json"
         paths[f"model_{name}"].write_text(json.dumps(doc))
-    for name, field in _BAD_STUDY_NUMBERS.items():
+    for name, field in _BAD_STUDY_FILES.items():
         doc = {"mode": "estimation", "scenarios": [{"name": "clean"}], "estimators": [1.0],
                "n": 20, "reps": 1} | field
         paths[f"study_{name}"] = tmp_path / f"study_{name}.json"
@@ -753,6 +769,16 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
         "mode": "estimation", "estimators": [0.0], "n": 20, "reps": 1,
         "scenarios": [{"name": "clean"}],
     }))
+    clean_K = tmp_path / "clean_K.json"
+    clean_K.write_text(json.dumps({
+        "mode": "estimation", "estimators": [1.0], "n": 20, "reps": 1,
+        "scenarios": [{"name": "clean", "K": 7}],
+    }))
+    estimation_dmax = tmp_path / "estimation_dmax.json"
+    estimation_dmax.write_text(json.dumps({
+        "mode": "estimation", "estimators": [1.0], "n": 20, "reps": 1, "d_max": 2,
+        "scenarios": [{"name": "clean"}],
+    }))
     for argv, message in [
         (["diagnose", "--data", str(sim_csv), "--model", str(model)],
          f"{model}: theta, H and lam must be finite"),
@@ -762,6 +788,8 @@ def test_errors_from_a_file_name_the_file(tmp_path, sim_csv, capsys):
          f"{future}: model file version must be 1, got 2"),
         (["simulate", "--study", str(study)], f"{study}: K must be"),
         (["simulate", "--study", str(zero_nu)], f"{zero_nu}: estimators must be positive"),
+        (["simulate", "--study", str(clean_K)], f"{clean_K}: scenario 'clean' sets K"),
+        (["simulate", "--study", str(estimation_dmax)], f"{estimation_dmax}: study sets d_max"),
     ]:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Source checks: every error the package raises is a typed ``RfpcaError``,
 the package uses no NumPy name newer than the declared minimum, one
 function drives every EM run, one call makes every stage transition, and
-the E-step record carries only what its readers read."""
+the E-step record carries only what its readers read, model axis first."""
 
 import ast
 from pathlib import Path
@@ -239,3 +239,24 @@ def test_whitened_terms_are_the_one_way_to_the_estep_for_inference():
             "_whitened_terms"
         }, func
     assert ("model.py", "_whitened_terms", "_estep_at") in _references({"_estep_at"})
+
+
+def test_estep_fields_lead_with_the_model_axis():
+    # every field of a batch E-step has the model axis first, so model g's
+    # quantities are row g of each and a row replacement is one assignment
+    import numpy as np
+    from oracles import random_dataset, random_params
+
+    from rfpca.model import _batch, _estep, _phi
+
+    assert _references({"_ESTEP_MODEL_INDEX"}) == []
+    rng, basis, G = np.random.default_rng(5), rfpca.build_basis(4, 5, (0, 1)), 3
+    data = random_dataset(rng, basis, n=7)
+    params = [random_params(rng, basis, d=2) for _ in range(G)]
+    phi = np.concatenate([_phi(par.theta, par.xi) for par in params])
+    sigma2 = np.array([par.sigma2 for par in params])
+    e, failed = _estep(_batch(data, 1.0, np.ones((G, data.n))), phi, sigma2)
+    assert not failed
+    assert [f.shape[0] for f in e] == [G] * len(e)
+    for g in range(G):
+        assert all(np.array_equal(a, f[g]) for a, f in zip(e.model(g), e))

@@ -75,16 +75,18 @@ def test_simpson_port_equals_scipy(rng, domain):
 
 
 def test_grid_designs(rng):
-    fixed = GridDesign.fixed_uniform(20).sample(rng, 3, (0, 1))
-    np.testing.assert_array_equal(fixed[0], np.linspace(0, 1, 20))
-    np.testing.assert_array_equal(fixed[0], fixed[2])
+    times, m = GridDesign.fixed_uniform(20).sample(rng, 3, (0, 1))
+    assert m.tolist() == [20] * 3
+    np.testing.assert_array_equal(times.reshape(3, 20), np.tile(np.linspace(0, 1, 20), (3, 1)))
 
-    rand = GridDesign.random_uniform(20).sample(rng, 5, (0, 1))
-    assert all(len(g) == 20 and np.all(np.diff(g) >= 0) for g in rand)
+    times, m = GridDesign.random_uniform(20).sample(rng, 5, (0, 1))
+    assert m.tolist() == [20] * 5
+    assert np.all(np.diff(times.reshape(5, 20)) >= 0)
 
-    pois = GridDesign.poisson_uniform(15.0).sample(rng, 200, (0, 1))
-    assert all(len(g) >= 2 for g in pois)
-    assert 10 < np.mean([len(g) for g in pois]) < 20
+    times, m = GridDesign.poisson_uniform(15.0).sample(rng, 200, (0, 1))
+    assert times.size == m.sum() and m.min() >= 2
+    assert 10 < m.mean() < 20
+    assert all(np.all(np.diff(g) >= 0) for g in np.split(times, np.cumsum(m)[:-1]))
 
     with pytest.raises(ValueError):
         GridDesign.random_uniform(1)
